@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cvs import Cvs, cvs_new, pair_list, triple_list
+from .cvs import Cvs, cvs_new, pair_list, signed_forms, triple_list
 from .modular import _rank_mod_p
 
 
@@ -76,24 +76,6 @@ def _pack(sig, chi, alpha, p: int) -> int:
     return key
 
 
-def _chi_mat(chi, k, p):
-    X = np.zeros((k, k), dtype=np.int64)
-    for pos, (i, j) in enumerate(pair_list(k)):
-        X[i, j] = chi[pos]
-        X[j, i] = (-chi[pos]) % p
-    return X
-
-
-def _alpha_tensor(alpha, k, p):
-    A = np.zeros((k, k, k), dtype=np.int64)
-    for pos, (i, j, l) in enumerate(triple_list(k)):
-        v = alpha[pos]
-        for perm, sgn in (((i, j, l), 1), ((j, l, i), 1), ((l, i, j), 1),
-                          ((j, i, l), -1), ((i, l, j), -1), ((l, j, i), -1)):
-            A[perm] = (sgn * v) % p
-    return A
-
-
 def _flat_chi(X, k):
     return tuple(int(X[i, j]) for i, j in pair_list(k))
 
@@ -116,8 +98,8 @@ class _State:
     @classmethod
     def from_tuples(cls, state, k, p):
         sig, chi, alpha = state
-        return cls(np.array(sig, dtype=np.int64), _chi_mat(chi, k, p),
-                   _alpha_tensor(alpha, k, p))
+        return cls(np.array(sig, dtype=np.int64),
+                   *signed_forms(k, p, chi, alpha))
 
     def to_tuples(self, k):
         return (tuple(int(v) for v in self.sig), _flat_chi(self.X, k),
@@ -206,8 +188,7 @@ def state_invariants(state, k: int, p: int) -> dict:
     """Radical dimensions of chi and alpha and their containment; these
     are isomorphism invariants (and partially isotopy invariants)."""
     sig, chi, alpha = state
-    X = _chi_mat(chi, k, p)
-    A = _alpha_tensor(alpha, k, p)
+    X, A = signed_forms(k, p, chi, alpha)
     rad_chi = _nullspace_mod_p(X, p)
     Aflat = A.reshape(k, k * k).T  # columns indexed by v-slot: rows (j,l)
     rad_alpha = _nullspace_mod_p(Aflat, p)

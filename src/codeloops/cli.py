@@ -13,7 +13,7 @@ import sys
 import click
 import numpy as np
 
-from .analysis import LoopTable, loop_report
+from .analysis import MOUFANG_SCAN_MAX, LoopTable, loop_report
 from .classify import classify as classify_states
 from .classify import rep_to_cvs
 from .codes import (builtin_golay24, builtin_hamming734, code_to_cvs,
@@ -23,6 +23,7 @@ from .loops import (CodedLoopElement, build, emit_cayley_csv,
                     moufang_sampled, parse_cayley_csv,
                     verify_coded_extension)
 from .modular import fp_vector
+from .tables import rank_of, unrank
 from .words import WordSyntaxError, eval_word, parse_word, render_element
 
 FULL_REPORT_MAX = 512  # largest order given the exhaustive table treatment
@@ -87,7 +88,7 @@ def verify_cvs(cvsfile, samples, seed):
             click.echo("witness=%s" % (bad[0].witness,))
         sys.exit(1)
     _echo_pairs([("axioms", True)])
-    L = build(C)
+    L = build(C, validate=False)  # the axioms were just validated
     _echo_pairs([("order", L.order)])
     if L.order <= FULL_REPORT_MAX:
         report = loop_report(L.to_table())
@@ -122,6 +123,10 @@ def verify_loop(table):
         arr, meta = parse_cayley_csv(_read(table))
     except (ValueError, OSError) as e:
         click.echo("error: %s" % e, err=True)
+        sys.exit(2)
+    if arr.shape[0] > MOUFANG_SCAN_MAX:
+        click.echo("error: order %d beyond Moufang scan budget %d"
+                   % (arr.shape[0], MOUFANG_SCAN_MAX), err=True)
         sys.exit(2)
     click.echo("# verify-loop %s" % table)
     try:
@@ -265,24 +270,12 @@ class _TableWordContext:
         self.zmod = meta["n"] // self.csize
         self.moduli = (p,) * self.k
 
-    def _rank(self, v):
-        r = 0
-        for x in v:
-            r = r * self.p + int(x) % self.p
-        return r
-
-    def _unrank(self, r):
-        v = []
-        for _ in range(self.k):
-            v.append(r % self.p)
-            r //= self.p
-        return tuple(reversed(v))
-
     def _idx(self, a):
-        return (a.z % self.zmod) * self.csize + self._rank(a.v)
+        return (a.z % self.zmod) * self.csize + rank_of(a.v, self.moduli)
 
     def _decode(self, idx):
-        return CodedLoopElement(idx // self.csize, self._unrank(idx % self.csize))
+        return CodedLoopElement(idx // self.csize,
+                                unrank(idx % self.csize, self.moduli))
 
     def generator(self, i):
         v = [0] * self.k

@@ -105,23 +105,12 @@ class Cvs:
     def chi_mat(self) -> np.ndarray:
         """k x k matrix X with X[i,j] = chi(e_i, e_j) (antisymmetric;
         symmetric for p = 2 where -1 = 1)."""
-        X = np.zeros((self.k, self.k), dtype=np.int64)
-        for (i, j), v in zip(pair_list(self.k), self.chi_flat):
-            X[i, j] = v % self.p
-            X[j, i] = (-v) % self.p
-        return X
+        return signed_forms(self.k, self.p, self.chi_flat, self.alpha_flat)[0]
 
     @cached_property
     def alpha_tensor(self) -> np.ndarray:
         """Full k x k x k signed tensor A with A[i,j,l] = alpha(e_i,e_j,e_l)."""
-        A = np.zeros((self.k, self.k, self.k), dtype=np.int64)
-        for (i, j, l), v in zip(triple_list(self.k), self.alpha_flat):
-            if v % self.p == 0:
-                continue
-            for perm in itertools.permutations((i, j, l)):
-                s = _perm_sign(_perm_of(perm, (i, j, l)))
-                A[perm] = (s * v) % self.p
-        return A
+        return signed_forms(self.k, self.p, self.chi_flat, self.alpha_flat)[1]
 
     @cached_property
     def alpha_upper(self) -> np.ndarray:
@@ -140,8 +129,19 @@ class Cvs:
             self.p, self.k, self.sigma_basis, self.chi_flat, self.alpha_flat)
 
 
-def _perm_of(perm: tuple, base: tuple) -> list:
-    return [base.index(x) for x in perm]
+def signed_forms(k: int, modulus: int, chi_flat, alpha_flat) -> tuple:
+    """(X, A) from flat basis data: the chi matrix with X[j,i] = -X[i,j]
+    and the alternating alpha tensor, entries reduced mod modulus."""
+    X = np.zeros((k, k), dtype=np.int64)
+    for (i, j), v in zip(pair_list(k), chi_flat):
+        X[i, j] = v % modulus
+        X[j, i] = -v % modulus
+    A = np.zeros((k, k, k), dtype=np.int64)
+    for (i, j, l), v in zip(triple_list(k), alpha_flat):
+        for perm, sign in (((i, j, l), 1), ((j, l, i), 1), ((l, i, j), 1),
+                           ((j, i, l), -1), ((i, l, j), -1), ((l, j, i), -1)):
+            A[perm] = sign * v % modulus
+    return X, A
 
 
 def _perm_sign(perm: list) -> int:

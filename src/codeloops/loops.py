@@ -1,4 +1,4 @@
-"""Coded extensions of CVSs via the semidirect central product.
+"""Coded extensions of CVSs and coded modules via the semidirect central product.
 
 An element is (z, v): central value z and vector part v, denoting the
 normal form z * x_1^{v_1}(x_2^{v_2}(...)).  Multiplication splits off the
@@ -8,14 +8,41 @@ last coordinate (C = D + <x_k> with dim D = k-1) and applies the product
   z0 = chi(e1, d2) + alpha(d1, e1 - d2, e2) + 2 alpha(d1, e1, d2)
        - 2 alpha(e1, d2, e2)
 
-recursively.  Unrolling the recursion gives a level sum
+recursively, so (z1, u)(z2, w) = (z1 + z2 + theta(u, w), u + w).  With q_m
+the order of x_m and z_m = x_m^{q_m} (sigma_m for a CVS, where every q_m
+and |Z| equal p), unrolling the recursion gives the level sum
 
   theta(u, w) = sum_m [ u_m chi(x_m, w_<m) - (w_m + 2 u_m) alpha(u_<m, w_<m, x_m)
-                        + sigma_m * carry_p(u_m, w_m) ]
+                        + z_m [u_m + w_m >= q_m] ]
 
-(w_<m is w with slots >= m zeroed) which is what both the per-element and
-the vectorized product implement; the literal recursion is kept as an
-oracle and the two are compared exhaustively in tests.
+where w_<m is w with slots >= m zeroed.  With X the signed chi matrix and
+A the alternating alpha tensor, each term, summed over m, splits into
+functions of u dotted with functions of w:
+
+  sum_m u_m chi(x_m, w_<m)             = u . (X_< w + Q(w))
+  -sum_m w_m alpha(u_<m, w_<m, x_m)    = u . (-R(w))
+  -sum_m 2 u_m alpha(u_<m, w_<m, x_m)  = S(u) . w
+  sum_m z_m [u_m + w_m >= q_m]         = sum_{m,t} [u_m = t] z_m [w_m >= q_m - t]
+
+  X_<       the strictly lower part of X
+  Q(w)_m    = sum_{j<l<m} w_j w_l A_mjl, the p = 2 chi correction (0 for p > 2)
+  R(w)_i    = sum_{i<m, j<m} w_j w_m A_ijm
+  S(u)_j    = -2 sum_{i<m, j<m} u_i u_m A_ijm
+  t         runs over 1 .. q_m - 1
+
+So theta(u, w) = Phi(u) . Psi(w) mod |Z| with about 3k integer features
+
+  Phi(u) = (u,                   [u_m = t],             S(u))
+  Psi(w) = (X_< w + Q(w) - R(w), z_m [w_m >= q_m - t],  w)
+
+and that one kernel serves every use: theta_rows is the row-wise dot
+product, the theta table is Phi(V) Psi(V)^T over all of C in int64
+(stored as the smallest unsigned dtype that holds |Z| - 1), a product
+without a table evaluates one row, and sampled verification works on
+sampled rows at any |C|.  A kappa-isotope adds alpha(u, kappa, w) = u B w,
+so its features are the base features with (u, B w) appended.  The
+literal recursion is kept as an oracle (mul_recursive), and the tests
+compare both with a literal level sum.
 """
 
 from __future__ import annotations
@@ -39,11 +66,12 @@ from .cvs import (
     validate_axioms,
 )
 from .modular import FpVector, fp_vector
-from .tables import add_index_table, rank_rows, vector_table
+from .tables import add_index_table, neg_index, rank_of, unrank, vector_table
 
 DEFAULT_VERIFY_BUDGET = 3 ** 6
 DEFAULT_TABLE_BUDGET = 2 ** 13
 _THETA_CACHE_MAX = 4096  # largest |C| for which the full theta table is kept
+_TABLE_CHUNK = 256  # theta table rows computed per matrix product
 
 
 @dataclass(frozen=True)
@@ -57,7 +85,8 @@ class CodedLoopElement:
 class CentralExtensionLoop:
     """Shared machinery for loops built from a cocycle theta on C x C.
 
-    Subclasses provide theta; everything else (products, inverses, powers,
+    Subclasses provide the feature maps phi, psi with theta(u, w) =
+    phi(u) . psi(w) mod zmod; everything else (products, inverses, powers,
     commutators, associators, tables) is generic.  zmod is the order of the
     central subgroup; moduli are the slot orders of C.
     """
@@ -76,25 +105,34 @@ class CentralExtensionLoop:
 
     # -- subclass surface --
 
-    def theta_pair(self, u: tuple, w: tuple) -> int:
+    def phi(self, U: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def psi(self, W: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def theta_rows(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """theta(u, w) for each pair of rows; rows are reduced vector parts."""
+        return np.einsum("ij,ij->i", self.phi(U), self.psi(W)) % self.zmod
+
     def _build_theta_table(self) -> np.ndarray:
-        """Default: fill elementwise; subclasses override with bulk math."""
         V = vector_table(self.moduli)
-        n = V.shape[0]
-        T = np.zeros((n, n), dtype=np.int64)
-        rows = [tuple(r) for r in V.tolist()]
-        for a, u in enumerate(rows):
-            for b, w in enumerate(rows):
-                T[a, b] = self.theta_pair(u, w)
-        return T % self.zmod
+        P, Q = self.phi(V), np.ascontiguousarray(self.psi(V).T)
+        T = np.empty((self.csize, self.csize), dtype=self.theta_dtype)
+        for lo in range(0, self.csize, _TABLE_CHUNK):
+            T[lo:lo + _TABLE_CHUNK] = P[lo:lo + _TABLE_CHUNK] @ Q % self.zmod
+        return T
 
     # -- element plumbing --
 
     @property
     def k(self) -> int:
         return len(self.moduli)
+
+    @property
+    def theta_dtype(self) -> np.dtype:
+        """The smallest unsigned dtype holding every value of Z."""
+        return np.min_scalar_type(self.zmod - 1)
 
     def element(self, z: int, v) -> CodedLoopElement:
         coords = tuple(int(x) % m for x, m in zip(tuple(v), self.moduli))
@@ -114,17 +152,10 @@ class CentralExtensionLoop:
         return CodedLoopElement(1 % self.zmod, (0,) * self.k)
 
     def rank(self, v: tuple) -> int:
-        r = 0
-        for x, m in zip(v, self.moduli):
-            r = r * m + (x % m)
-        return r
+        return rank_of(v, self.moduli)
 
     def unrank(self, r: int) -> tuple:
-        out = []
-        for m in reversed(self.moduli):
-            out.append(r % m)
-            r //= m
-        return tuple(reversed(out))
+        return unrank(r, self.moduli)
 
     def index(self, a: CodedLoopElement) -> int:
         """Table index: z * |C| + mixed-radix rank of v."""
@@ -140,6 +171,7 @@ class CentralExtensionLoop:
     # -- loop operations --
 
     def theta_table(self) -> np.ndarray:
+        """theta over C x C, rank-indexed, stored as theta_dtype."""
         if self._theta_table is None:
             if self.csize > _THETA_CACHE_MAX:
                 raise ValueError("theta table too large (|C| = %d)" % self.csize)
@@ -149,7 +181,8 @@ class CentralExtensionLoop:
     def _theta(self, u: tuple, w: tuple) -> int:
         if self._theta_table is not None:
             return int(self._theta_table[self.rank(u), self.rank(w)])
-        return self.theta_pair(u, w) % self.zmod
+        return int(self.theta_rows(np.array([u], dtype=np.int64),
+                                   np.array([w], dtype=np.int64))[0])
 
     def mul(self, a: CodedLoopElement, b: CodedLoopElement) -> CodedLoopElement:
         z = (a.z + b.z + self._theta(a.v, b.v)) % self.zmod
@@ -198,7 +231,7 @@ class CentralExtensionLoop:
                              % (self.order, max_order))
         T = self.theta_table().astype(np.int64)
         n, zm, cs = self.order, self.zmod, self.csize
-        add = _add_rank_table(self.moduli)
+        add = add_index_table(self.moduli)
         out = np.zeros((n, n), dtype=np.int64)
         for za in range(zm):
             for zb in range(zm):
@@ -212,80 +245,86 @@ class CentralExtensionLoop:
         return LoopTable(self.table_array(max_order=max_order))
 
 
-def _add_rank_table(moduli: tuple) -> np.ndarray:
-    return add_index_table(moduli)
+def _quadratic(U: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Rows of sum_{i,j} u_i u_j coef[i*k + j], exactly.
+
+    numpy has no BLAS for integers, and this product dominates
+    theta_rows, so it runs in float64; every partial sum is an integer
+    below k^2 q^2 |Z|, far under 2^53, so the result is exact."""
+    F = U.astype(np.float64)
+    return ((F[:, :, None] * F[:, None, :]).reshape(len(F), -1)
+            @ coef).astype(np.int64)
 
 
-def _neg_rank(moduli: tuple) -> np.ndarray:
-    V = vector_table(moduli)
-    return rank_rows(-V, moduli)
+class LevelSumLoop(CentralExtensionLoop):
+    """The coded extension of flat basis data: slot orders q_m, |Z|, the
+    values z_m = x_m^{q_m}, the signed chi matrix X and the alternating
+    alpha tensor A.  Holds the level-sum feature maps of the module
+    docstring; CVSs and coded modules differ only in the data passed."""
 
+    def __init__(self, p: int, moduli: tuple, zmod: int, z_values,
+                 X: np.ndarray, A: np.ndarray):
+        super().__init__(zmod, moduli)
+        self.p = p
+        self.alpha_tensor = A
+        k = self.k
+        lt = np.less.outer(np.arange(k), np.arange(k))  # lt[a, b] = a < b
+        self._lin = np.tril(X, -1).T % zmod  # W @ _lin = X_< w
+        below = np.where(lt[:, None, :] & lt[None, :, :], A, 0)  # i, j < m
+        quad_w = -below.transpose(1, 2, 0)  # -R: [j, m, i] = A[i, j, m]
+        if p == 2:  # +Q: [j, l, m] = A[m, j, l] for j < l < m
+            quad_w = quad_w + np.where(lt[:, :, None] & lt[None, :, :],
+                                       A.transpose(1, 2, 0), 0)
+        quad_u = -2 * below.transpose(0, 2, 1)  # S: [i, m, j] = -2 A[i, j, m]
 
-class CodedLoop(CentralExtensionLoop):
-    """The coded extension of a CVS: order p^(1+k), Z = {(z, 0)} central,
-    x^p = sigma, [x,y] = chi, [x,y,z] = alpha."""
+        def block(q):  # None for a block that vanishes mod |Z|
+            q = q.reshape(k * k, k) % zmod
+            return q.astype(np.float64) if q.any() else None
 
-    def __init__(self, cvs: Cvs):
-        super().__init__(cvs.p, (cvs.p,) * cvs.k)
-        self.cvs = cvs
-        self.p = cvs.p
+        # S vanishes whenever 2 alpha = 0, so for p = 2 it is left out
+        self._quad_w, self._quad_u = block(quad_w), block(quad_u)
+        # carries: one feature per (slot m, digit t = 1 .. q_m - 1)
+        slot_t = np.array([(m, t) for m, q in enumerate(self.moduli)
+                           for t in range(1, q)], dtype=np.int64).reshape(-1, 2)
+        self._cslot, self._ct = slot_t.T
+        self._cthresh = np.array(self.moduli, dtype=np.int64)[self._cslot] - self._ct
+        self._cz = np.array(z_values, dtype=np.int64)[self._cslot] % zmod
 
-    def __repr__(self):
-        return "CodedLoop(order %d, %r)" % (self.order, self.cvs)
+    def phi(self, U: np.ndarray) -> np.ndarray:
+        U = np.asarray(U, dtype=np.int64)
+        parts = [U, U[:, self._cslot] == self._ct]
+        if self._quad_u is not None:
+            parts.append(_quadratic(U, self._quad_u) % self.zmod)
+        return np.concatenate(parts, axis=1)
 
-    def theta_pair(self, u: tuple, w: tuple) -> int:
-        C, p, k = self.cvs, self.p, self.k
-        if k == 0:
-            return 0
-        U = np.array([u], dtype=np.int64)
-        W = np.array([w], dtype=np.int64)
-        z = 0
-        for m in range(k):
-            Um = U.copy()
-            Um[:, m:] = 0
-            Wm = W.copy()
-            Wm[:, m:] = 0
-            em = np.zeros((1, k), dtype=np.int64)
-            em[0, m] = 1
-            z += u[m] * int(chi_rows(C, em, Wm)[0])
-            z -= (w[m] + 2 * u[m]) * int(alpha_rows(C, Um, Wm, em)[0])
-            z += C.sigma_basis[m] * ((u[m] + w[m]) // p)
-        return z % p
-
-    def _build_theta_table(self) -> np.ndarray:
-        C, p, k = self.cvs, self.p, self.k
-        V = vector_table(self.moduli)
-        n = V.shape[0]
-        Vf = V.astype(np.float32)
-        # The chi contribution sum_m u_m chi(e_m, w-prefix) collapses to one
-        # (n,k)@(k,n) product; the rest accumulates in float32, exact here
-        # since every entry stays far below 2^24.  Keeps n = 4096 fast.
-        R = np.zeros((k, n), dtype=np.float32)
-        T = np.zeros((n, n), dtype=np.float32)
-        for m in range(k):
-            Vp = V.copy()
-            Vp[:, m:] = 0
-            em = np.zeros((n, k), dtype=np.int64)
-            em[:, m] = 1
-            R[m] = chi_rows(C, em, Vp)
-            B = C.alpha_tensor[:, :, m]
-            if B.any():
-                Pf = Vp.astype(np.float32)
-                AL = (Pf @ B.astype(np.float32)) @ Pf.T
-                T -= (Vf[None, :, m] + 2 * Vf[:, m, None]) * AL
-            if C.sigma_basis[m]:
-                T += C.sigma_basis[m] * (
-                    (V[:, m, None] + V[None, :, m]) // p).astype(np.float32)
-        T += Vf @ R
-        return np.rint(T).astype(np.int64) % p
-
-    def sigma_of(self, v) -> int:
-        return int(sigma_rows(self.cvs, np.array([tuple(v)], dtype=np.int64))[0])
+    def psi(self, W: np.ndarray) -> np.ndarray:
+        W = np.asarray(W, dtype=np.int64)
+        lin = W @ self._lin
+        if self._quad_w is not None:
+            lin = lin + _quadratic(W, self._quad_w)
+        parts = [lin % self.zmod,
+                 (W[:, self._cslot] >= self._cthresh) * self._cz]
+        if self._quad_u is not None:
+            parts.append(W)
+        return np.concatenate(parts, axis=1)
 
     def alpha_bilinear_for(self, kvec: tuple) -> np.ndarray:
         """B[i, j] = alpha(e_i, kvec, e_j), so alpha(u, kvec, w) = u B w."""
         kk = np.array(tuple(kvec), dtype=np.int64)
-        return np.einsum("m,imj->ij", kk, self.cvs.alpha_tensor) % self.p
+        return np.einsum("m,imj->ij", kk, self.alpha_tensor) % self.zmod
+
+
+class CodedLoop(LevelSumLoop):
+    """The coded extension of a CVS: order p^(1+k), Z = {(z, 0)} central,
+    x^p = sigma, [x,y] = chi, [x,y,z] = alpha."""
+
+    def __init__(self, cvs: Cvs):
+        super().__init__(cvs.p, (cvs.p,) * cvs.k, cvs.p, cvs.sigma_basis,
+                         cvs.chi_mat, cvs.alpha_tensor)
+        self.cvs = cvs
+
+    def __repr__(self):
+        return "CodedLoop(order %d, %r)" % (self.order, self.cvs)
 
 
 def mul_recursive(L: CodedLoop, a: CodedLoopElement, b: CodedLoopElement,
@@ -357,7 +396,8 @@ def build(V: Cvs, validate: bool = True) -> CodedLoop:
 class KappaIsotope(CentralExtensionLoop):
     """The kappa-isotope: a o b = ab * alpha(v_a, kappa, v_b), same carrier.
 
-    Works for any central-extension loop exposing alpha_bilinear_for."""
+    Works for any central-extension loop exposing alpha_bilinear_for; its
+    features are the base features with (u, B w) appended."""
 
     def __init__(self, base: CentralExtensionLoop, kappa):
         coords = tuple(kappa.coords) if isinstance(kappa, FpVector) else tuple(kappa)
@@ -367,7 +407,7 @@ class KappaIsotope(CentralExtensionLoop):
         self.base = base
         self.p = getattr(base, "p", base.zmod)
         self.kappa = tuple(int(c) % m for c, m in zip(coords, base.moduli))
-        self._B = base.alpha_bilinear_for(self.kappa)
+        self._BT = base.alpha_bilinear_for(self.kappa).T
         # The isotope is itself a coded extension, of the adjoint translate
         # by 2*kappa: the bilinear shift moves commutators by
         # alpha(c,k,d) - alpha(d,k,c) = 2 alpha(c,k,d) and nothing else.
@@ -380,15 +420,13 @@ class KappaIsotope(CentralExtensionLoop):
                            base_cvs.p)
             self.cvs = adjoint_translate(base_cvs, k2)
 
-    def theta_pair(self, u: tuple, w: tuple) -> int:
-        shift = int(np.array(u, dtype=np.int64) @ self._B
-                    @ np.array(w, dtype=np.int64))
-        return (self.base.theta_pair(u, w) + shift) % self.zmod
+    def phi(self, U: np.ndarray) -> np.ndarray:
+        U = np.asarray(U, dtype=np.int64)
+        return np.concatenate([self.base.phi(U), U], axis=1)
 
-    def _build_theta_table(self) -> np.ndarray:
-        V = vector_table(self.moduli)
-        shift = (V @ self._B) @ V.T
-        return (self.base.theta_table().astype(np.int64) + shift) % self.zmod
+    def psi(self, W: np.ndarray) -> np.ndarray:
+        W = np.asarray(W, dtype=np.int64)
+        return np.concatenate([self.base.psi(W), W @ self._BT], axis=1)
 
 
 def kappa_isotope(L: CentralExtensionLoop, kvec) -> KappaIsotope:
@@ -451,6 +489,18 @@ class SdcpLoop(CentralExtensionLoop):
             out[0] += c * vec
         return out % self.ambient.p
 
+    def theta_rows(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
+        return np.array([self.theta_pair(tuple(u), tuple(w))
+                         for u, w in zip(np.asarray(U).tolist(),
+                                         np.asarray(W).tolist())],
+                        dtype=np.int64)
+
+    def _build_theta_table(self) -> np.ndarray:
+        """Filled elementwise from theta_pair."""
+        rows = [tuple(r) for r in vector_table(self.moduli).tolist()]
+        return np.array([[self.theta_pair(u, w) for w in rows] for u in rows],
+                        dtype=self.theta_dtype)
+
     def theta_pair(self, u: tuple, w: tuple) -> int:
         p = self.zmod
         d1, e1 = self._split(u)
@@ -491,22 +541,27 @@ def semidirect_central_product(Dext, Eext, ambient: Cvs,
 
 
 # -- bulk verification -------------------------------------------------------
+#
+# The table consumers below widen the stored theta table to int64 before
+# any sum and add ranks with add_index_table (XOR when p = 2, digit by
+# digit otherwise).  The sampled checks never build a table: they multiply
+# row elements (z, V), an array of central values and one of vector rows,
+# through theta_rows, so they run at every |C|.
 
 def _comm_table(L: CentralExtensionLoop) -> np.ndarray:
     """z-part of [(0,u),(0,w)] for all u, w (the v-part is always 0; the
     central lifts cancel structurally, so this covers all loop pairs)."""
     T = L.theta_table().astype(np.int64)
-    add = _add_rank_table(L.moduli)
-    neg = _neg_rank(L.moduli)
-    s = add  # s[u, w] = rank of u + w
+    s = add_index_table(L.moduli)  # s[u, w] = rank of u + w
+    neg = neg_index(L.moduli)
     return (T - T.T - T[s, neg[s]] + T[neg[s], s]) % L.zmod
 
 
 def _assoc_tables(L: CentralExtensionLoop, chunk: int = 64):
     """Yield (slice, z-part of [(0,u),(0,w),(0,t)]) over chunks of u."""
     T = L.theta_table().astype(np.int64)
-    add = _add_rank_table(L.moduli)
-    neg = _neg_rank(L.moduli)
+    add = add_index_table(L.moduli)
+    neg = neg_index(L.moduli)
     n = T.shape[0]
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
@@ -522,25 +577,50 @@ def _assoc_tables(L: CentralExtensionLoop, chunk: int = 64):
         yield slice(lo, hi), out
 
 
+def _rows_mul(L: CentralExtensionLoop, a: tuple, b: tuple) -> tuple:
+    """Product of row elements a = (z, U), b = (z', W)."""
+    (za, U), (zb, W) = a, b
+    mods = np.asarray(L.moduli, dtype=np.int64)
+    return (za + zb + L.theta_rows(U, W)) % L.zmod, (U + W) % mods
+
+
+def _rows_inv(L: CentralExtensionLoop, a: tuple) -> tuple:
+    z, U = a
+    N = -U % np.asarray(L.moduli, dtype=np.int64)
+    return (-z - L.theta_rows(U, N)) % L.zmod, N
+
+
+def _rows_sample(L: CentralExtensionLoop, rng, size: int) -> tuple:
+    """Seeded row elements with random central lifts."""
+    return (rng.integers(0, L.zmod, size=size),
+            rng.integers(0, np.asarray(L.moduli, dtype=np.int64),
+                         size=(size, L.k)))
+
+
+def _rows_central(a: tuple, want: np.ndarray) -> np.ndarray:
+    """Mask of rows where a equals the central element (want, 0)."""
+    z, U = a
+    return (z == want) & ~U.any(axis=1)
+
+
 def verify_coded_extension(L: CodedLoop, budget: int = DEFAULT_VERIFY_BUDGET,
                            samples: int = 100000, seed: int = 0) -> ValidationReport:
     """Check x^p = sigma(c), [x,y] = chi(c,d), [x,y,z] = alpha(c,d,e).
 
-    Exhaustive over C, C^2, C^3 when |C| <= budget; otherwise on seeded
-    samples.  Central lifts cancel in commutators and associators, so
-    quantifying over C is exact; a sampled lift check is included anyway.
+    Exhaustive over C, C^2, C^3 when |C| <= budget, on the theta table;
+    otherwise on seeded sampled rows with random central lifts, through
+    theta_rows.  Central lifts cancel in commutators and associators, so
+    quantifying over C is exact.
     """
     from .cvs import alpha_tensor_table, chi_table, sigma_table
 
     C = L.cvs
     n = L.csize
     checks = []
-    exhaustive = n <= budget
-    rng = np.random.default_rng(seed)
 
-    if exhaustive:
+    if n <= budget:
         T = L.theta_table().astype(np.int64)
-        add = _add_rank_table(L.moduli)
+        add = add_index_table(L.moduli)
         # CEpower: gamma^p = sigma(c) for every gamma, all central lifts
         zacc = np.zeros(n, dtype=np.int64)
         racc = np.zeros(n, dtype=np.int64)
@@ -551,13 +631,13 @@ def verify_coded_extension(L: CodedLoop, budget: int = DEFAULT_VERIFY_BUDGET,
         sig = sigma_table(C)
         ok = np.all(racc == 0) and np.all(zacc % L.p == sig)
         checks.append(CheckResult("CEpower", "exhaustive", bool(ok),
-                                  None if ok else _first_bad_vec(L, (zacc % L.p) != sig)))
+                                  None if ok else _witness(L, zacc % L.p != sig)))
         # CEcommute
         comm = _comm_table(L)
         chi = chi_table(C)
         bad = comm != chi
         checks.append(CheckResult("CEcommute", "exhaustive", not bad.any(),
-                                  _witness2(L, bad)))
+                                  _witness(L, bad)))
         # CEassociate
         okassoc = True
         wit = None
@@ -567,7 +647,7 @@ def verify_coded_extension(L: CodedLoop, budget: int = DEFAULT_VERIFY_BUDGET,
                 bad = az != alph[sl]
                 if bad.any():
                     okassoc = False
-                    wit = _witness3(L, bad, sl)
+                    wit = _witness(L, bad, sl.start)
                     break
         else:
             V = vector_table(L.moduli)
@@ -579,119 +659,60 @@ def verify_coded_extension(L: CodedLoop, budget: int = DEFAULT_VERIFY_BUDGET,
                 bad = az != av
                 if bad.any():
                     okassoc = False
-                    wit = _witness3(L, bad, sl)
+                    wit = _witness(L, bad, sl.start)
                     break
         checks.append(CheckResult("CEassociate", "exhaustive", okassoc, wit))
     else:
-        V = vector_table(L.moduli)
-        idx = rng.integers(0, n, size=(3, samples))
-        zlift = rng.integers(0, L.p, size=(3, samples))
-        # sampled mode uses the theta table when available for speed
-        T = L.theta_table().astype(np.int64) if n <= _THETA_CACHE_MAX else None
-        if T is not None:
-            add = _add_rank_table(L.moduli)
-            neg = _neg_rank(L.moduli)
-            u, w, t = idx
-            # powers
-            zacc = np.zeros(samples, dtype=np.int64)
-            racc = np.zeros(samples, dtype=np.int64)
-            for _ in range(L.p):
-                zacc = zacc + T[u, racc]
-                racc = add[u, racc]
-            sig = sigma_rows(C, V[u])
-            okp = np.all(racc == 0) and np.all(zacc % L.p == sig)
-            checks.append(CheckResult("CEpower", "sampled", bool(okp)))
-            s = add[u, w]
-            comm = (T[u, w] - T[w, u] - T[s, neg[s]] + T[neg[s], s]) % L.p
-            okc = np.all(comm == chi_rows(C, V[u], V[w]))
-            checks.append(CheckResult("CEcommute", "sampled", bool(okc)))
-            wt = add[w, t]
-            uw = add[u, w]
-            s3 = add[u, wt]
-            za = T[w, t] + T[u, wt]
-            zb = T[u, w] + T[uw, t]
-            assoc = (zb - za - T[s3, neg[s3]] + T[neg[s3], s3]) % L.p
-            oka = np.all(assoc == alpha_rows(C, V[u], V[w], V[t]))
-            checks.append(CheckResult("CEassociate", "sampled", bool(oka)))
-        else:
-            ok = True
-            for t in range(min(samples, 2000)):
-                a = L.element(int(zlift[0][t]), V[idx[0][t]].tolist())
-                b = L.element(int(zlift[1][t]), V[idx[1][t]].tolist())
-                c = L.element(int(zlift[2][t]), V[idx[2][t]].tolist())
-                if L.pow(a, L.p) != L.element(sigma_rows(C, V[idx[0][t]][None])[0], [0] * L.k):
-                    ok = False
-                    break
-                if L.commutator(a, b) != L.element(
-                        chi_rows(C, V[idx[0][t]][None], V[idx[1][t]][None])[0], [0] * L.k):
-                    ok = False
-                    break
-                if L.associator(a, b, c) != L.element(
-                        alpha_rows(C, V[idx[0][t]][None], V[idx[1][t]][None],
-                                   V[idx[2][t]][None])[0], [0] * L.k):
-                    ok = False
-                    break
-            checks.append(CheckResult("CE laws (elementwise)", "sampled", ok))
+        rng = np.random.default_rng(seed)
+        a, b, c = (_rows_sample(L, rng, samples) for _ in range(3))
+        mul = lambda x, y: _rows_mul(L, x, y)
+        acc = (np.zeros(samples, dtype=np.int64), np.zeros_like(a[1]))
+        for _ in range(L.p):
+            acc = mul(a, acc)
+        okp = _rows_central(acc, sigma_rows(C, a[1])).all()
+        checks.append(CheckResult("CEpower", "sampled", bool(okp)))
+        comm = mul(_rows_inv(L, mul(b, a)), mul(a, b))
+        okc = _rows_central(comm, chi_rows(C, a[1], b[1])).all()
+        checks.append(CheckResult("CEcommute", "sampled", bool(okc)))
+        assoc = mul(_rows_inv(L, mul(a, mul(b, c))), mul(mul(a, b), c))
+        oka = _rows_central(assoc, alpha_rows(C, a[1], b[1], c[1])).all()
+        checks.append(CheckResult("CEassociate", "sampled", bool(oka)))
 
     return ValidationReport(all(c.ok for c in checks), checks)
 
 
-def _first_bad_vec(L, badmask):
-    if not badmask.any():
-        return None
-    i = int(np.flatnonzero(badmask)[0])
-    return (fp_vector(L.unrank(i), L.zmod),)
-
-
-def _witness2(L, bad):
+def _witness(L, bad, first: int = 0):
+    """The vectors at the first True entry of bad (ranks; the first axis
+    starts at rank first), or None."""
     if not bad.any():
         return None
-    i, j = np.argwhere(bad)[0]
-    return (fp_vector(L.unrank(int(i)), L.zmod), fp_vector(L.unrank(int(j)), L.zmod))
-
-
-def _witness3(L, bad, sl):
-    if not bad.any():
-        return None
-    i, j, t = np.argwhere(bad)[0]
-    return (fp_vector(L.unrank(int(i) + sl.start), L.zmod),
-            fp_vector(L.unrank(int(j)), L.zmod),
-            fp_vector(L.unrank(int(t)), L.zmod))
+    idx = np.argwhere(bad)[0]
+    idx[0] += first
+    return tuple(fp_vector(L.unrank(int(i)), L.zmod) for i in idx)
 
 
 def moufang_sampled(L: CentralExtensionLoop, ntriples: int, seed: int = 0):
     """Check the four Moufang identities on seeded random element triples.
 
-    Returns (ok, witness_or_None).  Uses the theta table; elements are
-    sampled with random central lifts.
+    Returns (ok, witness_or_None).  Elements are sampled rows with random
+    central lifts, multiplied through theta_rows, so no table is needed.
     """
-    T = L.theta_table().astype(np.int64)
-    add = _add_rank_table(L.moduli)
-    n = L.csize
-    zm = L.zmod
     rng = np.random.default_rng(seed)
-    ga, de, ep = (rng.integers(0, n, size=ntriples) for _ in range(3))
-    zg, zd, ze = (rng.integers(0, zm, size=ntriples) for _ in range(3))
-
-    def mul(x, y):
-        (zx, rx), (zy, ry) = x, y
-        return ((zx + zy + T[rx, ry]) % zm, add[rx, ry])
-
-    g, d, e = (zg, ga), (zd, de), (ze, ep)
+    g, d, e = (_rows_sample(L, rng, ntriples) for _ in range(3))
+    mul = lambda x, y: _rows_mul(L, x, y)
+    gd, eg = mul(g, d), mul(e, g)
     checks = [
-        (mul(mul(mul(d, g), e), g), mul(d, mul(g, mul(e, g)))),   # ((dg)e)g = d(g(eg))
-        (mul(mul(mul(g, d), g), e), mul(g, mul(d, mul(g, e)))),   # ((gd)g)e = g(d(ge))
-        (mul(mul(g, mul(d, e)), g), mul(mul(g, d), mul(e, g))),   # (g(de))g = (gd)(eg)
-        (mul(mul(g, d), mul(e, g)), mul(g, mul(mul(d, e), g))),   # (gd)(eg) = g((de)g)
+        (mul(mul(mul(d, g), e), g), mul(d, mul(g, eg))),          # ((dg)e)g = d(g(eg))
+        (mul(mul(gd, g), e), mul(g, mul(d, mul(g, e)))),          # ((gd)g)e = g(d(ge))
+        (mul(mul(g, mul(d, e)), g), mul(gd, eg)),                 # (g(de))g = (gd)(eg)
+        (mul(gd, eg), mul(g, mul(mul(d, e), g))),                 # (gd)(eg) = g((de)g)
     ]
-    for which, (lhs, rhs) in enumerate(checks):
-        bad = (lhs[0] != rhs[0]) | (lhs[1] != rhs[1])
+    for which, ((lz, lv), (rz, rv)) in enumerate(checks):
+        bad = (lz != rz) | (lv != rv).any(axis=1)
         if bad.any():
             t = int(np.flatnonzero(bad)[0])
-            wit = (which + 1,
-                   L.element(int(zg[t]), L.unrank(int(ga[t]))),
-                   L.element(int(zd[t]), L.unrank(int(de[t]))),
-                   L.element(int(ze[t]), L.unrank(int(ep[t]))))
+            wit = (which + 1,) + tuple(L.element(int(z[t]), U[t].tolist())
+                                       for z, U in (g, d, e))
             return False, wit
     return True, None
 

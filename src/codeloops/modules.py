@@ -4,8 +4,8 @@ C is a finite abelian p-group with basis orders q_i = p^{e_i}, Z is cyclic
 of order p^r, and the data is (z_i, chi_ij, alpha_ijl) with c_i^{q_i} = z_i
 in the built loop.  chi on general vectors comes from the long formula
 (p = 2) or bilinearity (p > 2); alpha is multilinear.  The construction
-is the same level-sum cocycle as for CVSs, except the carry at slot m
-contributes z_m instead of sigma_m.
+is the same level-sum kernel as for CVSs (loops.LevelSumLoop), except the
+carry at slot m contributes z_m instead of sigma_m.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .cvs import CheckResult, ValidationReport, is_prime, pair_list, triple_list
+from .cvs import (CheckResult, ValidationReport, is_prime, pair_list,
+                  signed_forms, triple_list)
 from .modular import Residue
-from .loops import CentralExtensionLoop, CodedLoopElement, kappa_isotope
+from .loops import CodedLoopElement, LevelSumLoop, kappa_isotope
 from .tables import vector_table
 
 
@@ -52,22 +53,14 @@ class CodedModule:
 
     @cached_property
     def chi_mat(self) -> np.ndarray:
-        X = np.zeros((self.k, self.k), dtype=np.int64)
-        for pos, (i, j) in enumerate(pair_list(self.k)):
-            X[i, j] = self.chi_flat[pos]
-            X[j, i] = (-self.chi_flat[pos]) % self.z_order
-        return X
+        return signed_forms(self.k, self.z_order, self.chi_flat,
+                            self.alpha_flat)[0]
 
     @cached_property
     def alpha_tensor(self) -> np.ndarray:
         """Full signed tensor; for p = 2 the sign is invisible (2a = 0)."""
-        A = np.zeros((self.k,) * 3, dtype=np.int64)
-        for pos, (i, j, l) in enumerate(triple_list(self.k)):
-            v = self.alpha_flat[pos]
-            for perm, sign in (((i, j, l), 1), ((j, l, i), 1), ((l, i, j), 1),
-                               ((j, i, l), -1), ((i, l, j), -1), ((l, j, i), -1)):
-                A[perm] = (sign * v) % self.z_order
-        return A
+        return signed_forms(self.k, self.z_order, self.chi_flat,
+                            self.alpha_flat)[1]
 
     def __repr__(self):
         return ("CodedModule(p=%d, orders=%r, z_order=%d)"
@@ -202,33 +195,16 @@ def eval_sigma2(M: CodedModule, sigma_basis, c) -> Residue:
     return Residue(out % 2, 2)
 
 
-class ModuleLoop(CentralExtensionLoop):
+class ModuleLoop(LevelSumLoop):
     """Coded extension of a coded module: order p^r * prod(q_i)."""
 
     def __init__(self, module: CodedModule):
-        super().__init__(module.z_order, module.orders)
+        super().__init__(module.p, module.orders, module.z_order,
+                         module.z_values, module.chi_mat, module.alpha_tensor)
         self.module = module
-        self.p = module.p
 
     def __repr__(self):
         return "ModuleLoop(order %d, %r)" % (self.order, self.module)
-
-    def theta_pair(self, u: tuple, w: tuple) -> int:
-        M = self.module
-        z = 0
-        for m in range(self.k):
-            em = [0] * self.k
-            em[m] = 1
-            wpref = list(w[:m]) + [0] * (self.k - m)
-            upref = list(u[:m]) + [0] * (self.k - m)
-            z += u[m] * int(chi_rows_module(M, em, wpref)[0])
-            z -= (w[m] + 2 * u[m]) * int(alpha_rows_module(M, upref, wpref, em)[0])
-            z += M.z_values[m] * ((u[m] + w[m]) // M.orders[m])
-        return z % self.zmod
-
-    def alpha_bilinear_for(self, kvec: tuple) -> np.ndarray:
-        kk = np.array(tuple(kvec), dtype=np.int64)
-        return np.einsum("m,imj->ij", kk, self.module.alpha_tensor) % self.zmod
 
 
 def build_module_extension(M: CodedModule) -> ModuleLoop:

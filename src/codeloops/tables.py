@@ -2,7 +2,9 @@
 
 Vectors of dimension k are ranked lexicographically with the first
 coordinate most significant: rank(v) = sum v_i * p^(k-1-i).  All bulk
-machinery (Cayley tables, exhaustive identity scans) works on ranks.
+machinery (Cayley tables, exhaustive identity scans) works on ranks, and
+adds them without going back to vectors: by XOR when every slot has
+order 2, digit by digit otherwise.
 """
 
 from __future__ import annotations
@@ -35,29 +37,38 @@ def rank_rows(rows: np.ndarray, moduli: tuple) -> np.ndarray:
     return r
 
 
-def add_index_table(moduli: tuple) -> np.ndarray:
-    """n x n table: entry (a, b) is the rank of vector_a + vector_b.
+def rank_of(v, moduli: tuple) -> int:
+    """Rank of one vector (a sequence of ints)."""
+    r = 0
+    for x, m in zip(v, moduli):
+        r = r * m + int(x) % m
+    return r
 
-    Accumulates one coordinate at a time so no (n, n, k) intermediate is
-    ever materialized; that matters at |C| = 4096.
-    """
-    V = vector_table(moduli).astype(np.int32)
-    n = V.shape[0]
-    r = np.zeros((n, n), dtype=np.int32)
-    for i, m in enumerate(moduli):
-        r = r * m + (V[:, i, None] + V[None, :, i]) % m
-    return r.astype(np.int64)
+
+def unrank(r: int, moduli: tuple) -> tuple:
+    """The vector of rank r."""
+    out = []
+    for m in reversed(moduli):
+        out.append(r % m)
+        r //= m
+    return tuple(reversed(out))
+
+
+def add_index_table(moduli: tuple) -> np.ndarray:
+    """n x n table: entry (a, b) is the rank of vector_a + vector_b,
+    computed from the ranks alone."""
+    r = np.arange(int(np.prod(moduli, dtype=np.int64)), dtype=np.int64)
+    a, b = r[:, None], r[None, :]
+    if all(m == 2 for m in moduli):
+        return a ^ b
+    s = a + b  # digitwise sums; take m off every digit that reaches m
+    w = 1
+    for m in reversed(moduli):
+        s = s - (a // w % m + b // w % m >= m) * (m * w)
+        w *= m
+    return s
 
 
 def neg_index(moduli: tuple) -> np.ndarray:
     V = vector_table(moduli)
     return rank_rows(-V, moduli)
-
-
-def scale_index_table(moduli: tuple, nmax: int) -> np.ndarray:
-    """(nmax+1) x n table: entry (s, a) is the rank of s * vector_a."""
-    V = vector_table(moduli)
-    out = np.zeros((nmax + 1, V.shape[0]), dtype=np.int64)
-    for s in range(nmax + 1):
-        out[s] = rank_rows(s * V, moduli)
-    return out

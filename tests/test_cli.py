@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from codeloops import emit_cvs, octonion_cvs, parse_cayley_csv
+from codeloops import (build, emit_cayley_csv, emit_cvs, octonion_cvs,
+                       parse_cayley_csv, random_cvs)
 from codeloops.cli import main
 
 from conftest import intercalate_swap
@@ -161,6 +162,20 @@ def test_verify_loop_parse_error(runner, tmp_path):
     f.write_text("this is not a table\n")
     res = runner.invoke(main, ["verify-loop", str(f)])
     assert res.exit_code == 2
+
+
+def test_verify_loop_over_scan_budget(runner, tmp_path):
+    # the order-1024 table that `build --table` writes for this CVS is above
+    # the Moufang scan budget of 512; verify-loop must refuse it with exit 2
+    # and name the budget.  The table is written through the library, which
+    # skips the axiom validation that `build` runs at |C| = 512.
+    csv = tmp_path / "r9.csv"
+    csv.write_text(emit_cayley_csv(build(random_cvs(2, 9, 1), validate=False)))
+    res = runner.invoke(main, ["verify-loop", str(csv)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "beyond Moufang scan budget 512" in res.stderr
+    assert res.stdout == ""
 
 
 def test_builtin_golay(runner):
