@@ -32,7 +32,6 @@ from .modular import (
     Residue,
     enumerate_invertible,
     fp_vector,
-    mat_apply,
 )
 from .tables import vector_table
 
@@ -113,16 +112,10 @@ class Cvs:
         return signed_forms(self.k, self.p, self.chi_flat, self.alpha_flat)[1]
 
     @cached_property
-    def alpha_upper(self) -> np.ndarray:
-        """A_ut[i,j,m] = alpha of the sorted triple for i < j, m not in
-        {i,j}; zero elsewhere.  Used by the p = 2 chi closed form."""
-        A = np.zeros((self.k, self.k, self.k), dtype=np.int64)
-        for (i, j, l), v in zip(triple_list(self.k), self.alpha_flat):
-            # for p = 2 alpha is fully symmetric, so sorted value is enough
-            A[i, j, l] = v % self.p
-            A[i, l, j] = v % self.p
-            A[j, l, i] = v % self.p
-        return A
+    def forms(self) -> "Forms":
+        """The row evaluators of sigma, chi and alpha."""
+        return Forms(self.p, (self.p,) * self.k, self.p, self.sigma_basis,
+                     self.chi_mat, self.alpha_tensor)
 
     def __repr__(self) -> str:
         return "Cvs(p=%d, k=%d, sigma=%r, chi=%r, alpha=%r)" % (
@@ -211,59 +204,150 @@ def octonion_cvs() -> Cvs:
                    alpha_basis={(0, 1, 2): 1})
 
 
-# -- row evaluators (numpy, n vectors at a time) ---------------------------
+# -- form evaluators (numpy, n vectors at a time) -------------------------
+#
+# One family serves CVSs and coded modules, since a CVS is the coded module
+# with every slot order q and |Z| equal to p.  On rows F, G, H a quadratic
+# term is rowdot(F @ M, G) and a cubic term is
+# rowdot(outer(F, G) @ A.reshape(k*k, k), H).
+#
+# Exactness: every product runs in float64, so that it goes through BLAS
+# (numpy has none for integers).  Rows are reduced into [0, q) and every
+# coefficient into [0, |Z|), so each partial sum is a nonnegative integer
+# below 3 k^3 q^3 |Z|.  Forms refuses data for which that bound reaches
+# 2^53; below it float64 holds every partial sum exactly.
+
+FLOAT_EXACT = 2 ** 53  # float64 holds every integer below this exactly
+_BLOCK_ENTRIES = 1 << 21  # entries of the largest temporary per block
+
+
+def outer(F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Row-wise outer products, flattened: out[n, i*k + j] = F[n, i] G[n, j]."""
+    n, k, m = len(F), F.shape[1], G.shape[1]
+    return (F[:, :, None] * G[:, None, :]).reshape(n, k * m)
+
+
+def rowdot(F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", F, G)
+
+
+class Forms:
+    """sigma, chi and alpha on rows of vectors, extended as in the module
+    docstring from flat basis data: the prime p, the slot orders q_i, the
+    modulus |Z|, the sigma (or z) values, the signed chi matrix X and the
+    alternating alpha tensor A.  For p = 2, chi(c, d) is c X d plus
+    sum_{i<j} c_i c_j d_m A_ijm + sum_{j<m} c_i d_j d_m A_ijm."""
+
+    def __init__(self, p: int, orders: tuple, modulus: int, sigma, X, A):
+        k = len(orders)
+        q = max(orders, default=1)
+        if 3 * k ** 3 * q ** 3 * modulus >= FLOAT_EXACT:
+            raise ValueError("forms not exact in float64: 3 k^3 q^3 |Z| = "
+                             "3 * %d^3 * %d^3 * %d >= 2^53" % (k, q, modulus))
+        self.modulus = modulus
+        self._orders = np.array(orders, dtype=np.int64)
+        # rows per block, so that a k^2-wide outer product stays bounded
+        self._step = max(1, _BLOCK_ENTRIES // max(1, k * k))
+        X = np.asarray(X, dtype=np.int64) % modulus
+        A = np.asarray(A, dtype=np.int64).reshape(k, k, k) % modulus
+        lt = np.less.outer(np.arange(k), np.arange(k))  # lt[a, b] = a < b
+
+        def cubic(T):  # (k*k, k) coefficients, or None for a vanishing term
+            return T.reshape(k * k, k).astype(np.float64) if T.any() else None
+
+        self._s = np.asarray(sigma, dtype=np.int64).astype(np.float64) % modulus
+        self._X = X.astype(np.float64)
+        self._A = A.reshape(k * k, k).astype(np.float64)
+        self._sX = self._sA = self._cc = self._dd = None
+        if p == 2:
+            self._sX = np.where(lt, X, 0).astype(np.float64)  # i < j
+            self._sA = cubic(np.where(lt[:, :, None] & lt[None, :, :], A, 0))
+            self._cc = cubic(np.where(lt[:, :, None], A, 0))  # c_i c_j d_m
+            self._dd = cubic(np.where(lt[:, :, None],  # d_j d_m c_i
+                                      A.transpose(1, 2, 0), 0))
+
+    def _rows(self, V) -> np.ndarray:
+        """Rows reduced into [0, q), as float64."""
+        return (np.asarray(V, dtype=np.int64) % self._orders).astype(np.float64)
+
+    def _reduce(self, out: np.ndarray) -> np.ndarray:
+        out = out.astype(np.int64)
+        out %= self.modulus
+        return out
+
+    def _blocks(self, fn, *rows) -> np.ndarray:
+        """fn on float64 rows, one block of at most self._step rows at a time."""
+        rows = [np.asarray(R) for R in rows]
+        return np.concatenate([
+            fn(*(self._rows(R[lo:lo + self._step]) for R in rows))
+            for lo in range(0, max(len(rows[0]), 1), self._step)])
+
+    def sigma(self, V) -> np.ndarray:
+        return self._reduce(self._blocks(self._sigma, V))
+
+    def chi(self, C, D) -> np.ndarray:
+        return self._reduce(self._blocks(self._chi, C, D))
+
+    def alpha(self, C, D, E) -> np.ndarray:
+        return self._reduce(self._blocks(
+            lambda c, d, e: rowdot(self._alpha_partial(c, d), e), C, D, E))
+
+    def alpha_partial(self, C, D) -> np.ndarray:
+        """alpha(c, d, x_m) for every slot m, unreduced."""
+        return self._blocks(self._alpha_partial, C, D)
+
+    def chi_table(self, U, W) -> np.ndarray:
+        """chi(u, w) for every pair of rows, as a len(U) x len(W) matrix."""
+        U, W = self._rows(U), self._rows(W)
+        out = self._chi_left(U) @ W.T
+        if self._dd is not None:
+            out += U @ (outer(W, W) @ self._dd).T
+        return self._reduce(out)
+
+    def alpha_block(self, U, V) -> np.ndarray:
+        """alpha(u, v, w) for u in U and v, w in V, as len(U) x n x n."""
+        U, V = self._rows(U), self._rows(V)
+        n, k = V.shape
+        UV = (U[:, None, :, None] * V[None, :, None, :]).reshape(-1, k * k)
+        return self._reduce((UV @ self._A) @ V.T).reshape(len(U), n, n)
+
+    # -- one block of float64 rows --
+
+    def _sigma(self, V):
+        out = V @ self._s
+        if self._sX is not None:
+            out += rowdot(V @ self._sX, V)
+        if self._sA is not None:
+            out += rowdot(outer(V, V) @ self._sA, V)
+        return out
+
+    def _chi_left(self, C):
+        """Rows L(c) with chi(c, d) = L(c) . d + (the d_j d_m c_i term)."""
+        left = C @ self._X
+        if self._cc is not None:
+            left += outer(C, C) @ self._cc
+        return left
+
+    def _chi(self, C, D):
+        out = rowdot(self._chi_left(C), D)
+        if self._dd is not None:
+            out += rowdot(outer(D, D) @ self._dd, C)
+        return out
+
+    def _alpha_partial(self, C, D):
+        return outer(C, D) @ self._A
+
 
 def sigma_rows(C: Cvs, V: np.ndarray) -> np.ndarray:
-    # contractions run in float64 (exact for these small integers) so that
-    # einsum can route through BLAS; int64 einsum is an order slower
-    V = np.asarray(V, dtype=np.float64) % C.p
-    s = np.array(C.sigma_basis, dtype=np.float64)
-    out = V @ s
-    if C.p == 2:
-        X = np.triu(C.chi_mat, 1).astype(np.float64)
-        out = out + np.einsum("ni,nj,ij->n", V, V, X, optimize=True)
-        A = _strict_triples(C)
-        if A.any():
-            out = out + np.einsum("ni,nj,nl,ijl->n", V, V, V,
-                                  A.astype(np.float64), optimize=True)
-    return out.astype(np.int64) % C.p
-
-
-def _strict_triples(C: Cvs) -> np.ndarray:
-    """alpha values on strictly increasing triples only (i<j<l)."""
-    A = np.zeros((C.k, C.k, C.k), dtype=np.int64)
-    for (i, j, l), v in zip(triple_list(C.k), C.alpha_flat):
-        A[i, j, l] = v % C.p
-    return A
+    return C.forms.sigma(V)
 
 
 def chi_rows(C: Cvs, Vc: np.ndarray, Vd: np.ndarray) -> np.ndarray:
-    Vc = np.asarray(Vc, dtype=np.float64) % C.p
-    Vd = np.asarray(Vd, dtype=np.float64) % C.p
-    X = C.chi_mat.astype(np.float64)
-    out = np.einsum("ni,ij,nj->n", Vc, X, Vd, optimize=True)
-    if C.p == 2:
-        # p = 2 closed form; chi_mat is symmetric with zero diagonal here,
-        # and alpha_upper holds the symmetric alpha values on pairs i < j.
-        UT = C.alpha_upper
-        if UT.any():
-            U = UT.astype(np.float64)
-            out = out + np.einsum("ni,nj,nm,ijm->n", Vc, Vc, Vd, U,
-                                  optimize=True)
-            out = out + np.einsum("nj,nm,ni,jmi->n", Vd, Vd, Vc, U,
-                                  optimize=True)
-    return out.astype(np.int64) % C.p
+    return C.forms.chi(Vc, Vd)
 
 
 def alpha_rows(C: Cvs, Vc: np.ndarray, Vd: np.ndarray, Ve: np.ndarray) -> np.ndarray:
-    Vc = np.asarray(Vc, dtype=np.float64) % C.p
-    Vd = np.asarray(Vd, dtype=np.float64) % C.p
-    Ve = np.asarray(Ve, dtype=np.float64) % C.p
-    if not C.alpha_flat or not any(C.alpha_flat):
-        return np.zeros(Vc.shape[0], dtype=np.int64)
-    A = C.alpha_tensor.astype(np.float64)
-    out = np.einsum("ni,nj,nl,ijl->n", Vc, Vd, Ve, A, optimize=True)
-    return out.astype(np.int64) % C.p
+    return C.forms.alpha(Vc, Vd, Ve)
 
 
 # -- public single-vector evaluators ---------------------------------------
@@ -307,34 +391,10 @@ def all_vectors(C: Cvs) -> np.ndarray:
     return vector_table((C.p,) * C.k)
 
 
-def sigma_table(C: Cvs) -> np.ndarray:
-    return sigma_rows(C, all_vectors(C))
-
-
 def chi_table(C: Cvs) -> np.ndarray:
     """|C| x |C| matrix of chi values, rank-indexed."""
     V = all_vectors(C)
-    if C.p > 2:
-        return (V @ C.chi_mat @ V.T) % C.p
-    out = V @ C.chi_mat @ V.T
-    UT = C.alpha_upper
-    if UT.any():
-        Q = np.einsum("ni,nj,ijm->nm", V, V, UT)  # Q[c,m] = sum_{i<j} c_i c_j a_ijm
-        out = out + Q @ V.T + V @ Q.T
-    return out % 2
-
-
-def alpha_tensor_table(C: Cvs) -> np.ndarray:
-    """|C|^3 tensor of alpha values; only for |C| <= 256."""
-    V = all_vectors(C)
-    n = V.shape[0]
-    if n > 256:
-        raise ValueError("alpha tensor too large (|C| = %d > 256)" % n)
-    if not any(C.alpha_flat):
-        return np.zeros((n, n, n), dtype=np.int8)
-    W = np.einsum("ai,ijl->ajl", V, C.alpha_tensor)
-    out = np.einsum("bj,ajl,cl->abc", V, W, V) % C.p
-    return out.astype(np.int8)
+    return C.forms.chi_table(V, V)
 
 
 # -- axiom validation --------------------------------------------------------
@@ -412,9 +472,9 @@ def validate_axioms(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,
     tab = n <= budget and n ** 3 <= _EXHAUSTIVE_CAP[3]
     if tab:
         wts = (p ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        S1 = sigma_table(C)
+        S1 = sigma_rows(C, V)
         X2 = chi_table(C)
-        A3 = alpha_tensor_table(C).astype(np.int64)
+        A3 = C.forms.alpha_block(V, V)
         add_i = ((V[:, None, :] + V[None, :, :]) % p) @ wts
         scl_i = np.stack([((m * V) % p) @ wts for m in range(p)])
         A3w = A3[:, :, wts]
@@ -436,10 +496,8 @@ def validate_axioms(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,
         sig_scl = lambda m, I: sigma_rows(C, (m * V[I]) % p)
         chi_scl = lambda m, I, J: chi_rows(C, (m * V[I]) % p, V[J])
         alp_scl = lambda m, I, J, L: alpha_rows(C, (m * V[I]) % p, V[J], V[L])
-        alp_last = lambda I, J, E: (np.einsum(
-            "ni,nj,ijm->nm", V[I].astype(np.float64), V[J].astype(np.float64),
-            C.alpha_tensor.astype(np.float64), optimize=True)
-            * V[E]).sum(axis=1).astype(np.int64)
+        alp_last = lambda I, J, E: rowdot(
+            C.forms.alpha_partial(V[I], V[J]), V[E]).astype(np.int64)
 
     zero_idx = np.zeros(1, dtype=np.int64)
 
@@ -565,9 +623,10 @@ def rad_alpha(C: Cvs, max_size: int = 256) -> list:
     n = C.size
     if n > max_size:
         raise ValueError("rad_alpha: |C| = %d exceeds limit %d" % (n, max_size))
-    T = alpha_tensor_table(C)
+    V = all_vectors(C)
+    T = C.forms.alpha_block(V, V)
     rows_ok = ~np.any(T.reshape(n, -1), axis=1)
-    return _basis_of_subset(all_vectors(C)[rows_ok], C)
+    return _basis_of_subset(V[rows_ok], C)
 
 
 # -- adjoint translates and isomorphism --------------------------------------
@@ -595,34 +654,20 @@ def adjoint_translate(C: Cvs, kvec: FpVector) -> Cvs:
     return out
 
 
-def transform_basis_tables(C: Cvs, M: FpMatrix) -> tuple:
-    """(sigma, chi, alpha) basis tables of the pullback c -> Mc."""
-    images = [mat_apply(M, fp_vector([1 if t == i else 0 for t in range(C.k)], C.p))
-              for i in range(C.k)]
-    rows = np.array([v.coords for v in images], dtype=np.int64)
-    sig = tuple(int(x) for x in sigma_rows(C, rows))
-    pl = pair_list(C.k)
-    tl = triple_list(C.k)
-    if pl:
-        ci = np.array([i for i, _ in pl])
-        cj = np.array([j for _, j in pl])
-        chi = tuple(int(x) for x in chi_rows(C, rows[ci], rows[cj]))
-    else:
-        chi = ()
-    if tl:
-        ti = np.array([i for i, _, _ in tl])
-        tj = np.array([j for _, j, _ in tl])
-        tm = np.array([l for _, _, l in tl])
-        alp = tuple(int(x) for x in alpha_rows(C, rows[ti], rows[tj], rows[tm]))
-    else:
-        alp = ()
-    return sig, chi, alp
+def pullback_tables(C: Cvs, rows) -> tuple:
+    """(sigma, chi, alpha) basis tables of the pullback along e_i -> rows[i],
+    in pair_list and triple_list order."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, C.k)
+    pl = np.array(pair_list(len(rows)), dtype=np.int64).reshape(-1, 2).T
+    tl = np.array(triple_list(len(rows)), dtype=np.int64).reshape(-1, 3).T
+    return (tuple(sigma_rows(C, rows).tolist()),
+            tuple(chi_rows(C, *rows[pl]).tolist()),
+            tuple(alpha_rows(C, *rows[tl]).tolist()))
 
 
 def transform(C: Cvs, M: FpMatrix) -> Cvs:
     """The CVS with basis data pulled back along M (basis e_i -> M e_i)."""
-    sig, chi, alp = transform_basis_tables(C, M)
-    return Cvs(C.p, C.k, sig, chi, alp)
+    return Cvs(C.p, C.k, *pullback_tables(C, np.array(M.rows).T))
 
 
 def scale_cvs(C: Cvs, a: int) -> Cvs:
@@ -663,7 +708,7 @@ def iso_up_to_scalar(A: Cvs, B: Cvs, max_k: int | None = None) -> Optional[CvsIs
                       tuple((a * v) % p for v in A.chi_flat),
                       tuple((a * v) % p for v in A.alpha_flat))
     for M in enumerate_invertible(k, p, max_k=max_k):
-        got = transform_basis_tables(B, M)
+        got = pullback_tables(B, np.array(M.rows).T)
         for a in range(1, p):
             if targets[a] == got:
                 return CvsIso(M, Residue(a, p))

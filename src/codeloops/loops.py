@@ -53,16 +53,17 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .cvs import (
+    FLOAT_EXACT,
     CheckResult,
     Cvs,
     ValidationReport,
     adjoint_translate,
     alpha_rows,
     chi_rows,
-    cvs_new,
-    pair_list,
+    chi_table,
+    outer,
+    pullback_tables,
     sigma_rows,
-    triple_list,
     validate_axioms,
 )
 from .modular import FpVector, fp_vector
@@ -72,6 +73,7 @@ DEFAULT_VERIFY_BUDGET = 3 ** 6
 DEFAULT_TABLE_BUDGET = 2 ** 13
 _THETA_CACHE_MAX = 4096  # largest |C| for which the full theta table is kept
 _TABLE_CHUNK = 256  # theta table rows computed per matrix product
+_ASSOC_ENTRIES = 1 << 21  # largest associator chunk, in (u, w, t) entries
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,8 @@ class CentralExtensionLoop:
     """Shared machinery for loops built from a cocycle theta on C x C.
 
     Subclasses provide the feature maps phi, psi with theta(u, w) =
-    phi(u) . psi(w) mod zmod; everything else (products, inverses, powers,
+    phi(u) . psi(w) mod zmod, and dot_bound, a bound on every partial sum
+    of that dot product; everything else (products, inverses, powers,
     commutators, associators, tables) is generic.  zmod is the order of the
     central subgroup; moduli are the slot orders of C.
     """
@@ -116,11 +119,17 @@ class CentralExtensionLoop:
         return np.einsum("ij,ij->i", self.phi(U), self.psi(W)) % self.zmod
 
     def _build_theta_table(self) -> np.ndarray:
+        """Phi(V) Psi(V)^T as float64 GEMMs, exact below dot_bound; each
+        chunk is cast straight to the stored dtype when dot_bound fits it."""
         V = vector_table(self.moduli)
-        P, Q = self.phi(V), np.ascontiguousarray(self.psi(V).T)
-        T = np.empty((self.csize, self.csize), dtype=self.theta_dtype)
+        P = self.phi(V).astype(np.float64)
+        Q = np.ascontiguousarray(self.psi(V).T, dtype=np.float64)
+        dt = self.theta_dtype
+        acc = dt if self.dot_bound <= np.iinfo(dt).max else np.int64
+        T = np.empty((self.csize, self.csize), dtype=dt)
         for lo in range(0, self.csize, _TABLE_CHUNK):
-            T[lo:lo + _TABLE_CHUNK] = P[lo:lo + _TABLE_CHUNK] @ Q % self.zmod
+            G = P[lo:lo + _TABLE_CHUNK] @ Q
+            T[lo:lo + _TABLE_CHUNK] = G.astype(acc) % self.zmod
         return T
 
     # -- element plumbing --
@@ -246,14 +255,18 @@ class CentralExtensionLoop:
 
 
 def _quadratic(U: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Rows of sum_{i,j} u_i u_j coef[i*k + j], exactly.
-
-    numpy has no BLAS for integers, and this product dominates
-    theta_rows, so it runs in float64; every partial sum is an integer
-    below k^2 q^2 |Z|, far under 2^53, so the result is exact."""
+    """Rows of sum_{i,j} u_i u_j coef[i*k + j], in float64 (numpy has no
+    BLAS for integers); exact by the bound LevelSumLoop checks."""
     F = U.astype(np.float64)
-    return ((F[:, :, None] * F[:, None, :]).reshape(len(F), -1)
-            @ coef).astype(np.int64)
+    return (outer(F, F) @ coef).astype(np.int64)
+
+
+def _exact(bound: int) -> int:
+    """bound, once checked to be below 2^53, where float64 is exact."""
+    if bound >= FLOAT_EXACT:
+        raise ValueError("theta kernel not exact in float64: sums may "
+                         "reach %d >= 2^53" % bound)
+    return bound
 
 
 class LevelSumLoop(CentralExtensionLoop):
@@ -283,6 +296,12 @@ class LevelSumLoop(CentralExtensionLoop):
 
         # S vanishes whenever 2 alpha = 0, so for p = 2 it is left out
         self._quad_w, self._quad_u = block(quad_w), block(quad_u)
+        # Float64 exactness, with q and z the largest slot entry and
+        # residue: a quadratic feature is at most k^2 q^2 z, and Phi . Psi
+        # at most k q z (u . lin) + k z (carries) + k q z (S(u) . w).
+        q, z = max(self.moduli, default=1) - 1, zmod - 1
+        self.dot_bound = k * z * (q * (1 + (self._quad_u is not None)) + 1)
+        _exact(max(k * k * q * q * z, self.dot_bound))
         # carries: one feature per (slot m, digit t = 1 .. q_m - 1)
         slot_t = np.array([(m, t) for m, q in enumerate(self.moduli)
                            for t in range(1, q)], dtype=np.int64).reshape(-1, 2)
@@ -347,10 +366,7 @@ def mul_recursive(L: CodedLoop, a: CodedLoopElement, b: CodedLoopElement,
             return (z1 + z2) % p, ()
         m, nn = u[k - 1], w[k - 1]
         d1, d2 = u[:k - 1], w[:k - 1]
-        e1 = np.zeros((1, L.k), dtype=np.int64)
-        e1[0, k - 1] = m
-        e2 = np.zeros((1, L.k), dtype=np.int64)
-        e2[0, k - 1] = nn
+        e1, e2 = lift((0,) * (k - 1) + (m,), k), lift((0,) * (k - 1) + (nn,), k)
         D1, D2 = lift(d1, k - 1), lift(d2, k - 1)
         chi_ = int(chi_rows(C, e1, D2)[0])
         if flavor == "general":
@@ -408,6 +424,9 @@ class KappaIsotope(CentralExtensionLoop):
         self.p = getattr(base, "p", base.zmod)
         self.kappa = tuple(int(c) % m for c, m in zip(coords, base.moduli))
         self._BT = base.alpha_bilinear_for(self.kappa).T
+        # the appended u . (B w mod |Z|) adds at most k q z
+        self.dot_bound = _exact(base.dot_bound + self.k * (self.zmod - 1)
+                                * (max(self.moduli, default=1) - 1))
         # The isotope is itself a coded extension, of the adjoint translate
         # by 2*kappa: the bilinear shift moves commutators by
         # alpha(c,k,d) - alpha(d,k,c) = 2 alpha(c,k,d) and nothing else.
@@ -426,7 +445,8 @@ class KappaIsotope(CentralExtensionLoop):
 
     def psi(self, W: np.ndarray) -> np.ndarray:
         W = np.asarray(W, dtype=np.int64)
-        return np.concatenate([self.base.psi(W), W @ self._BT], axis=1)
+        return np.concatenate([self.base.psi(W), W @ self._BT % self.zmod],
+                              axis=1)
 
 
 def kappa_isotope(L: CentralExtensionLoop, kvec) -> KappaIsotope:
@@ -465,9 +485,7 @@ class SdcpLoop(CentralExtensionLoop):
             sub = getattr(looppart, "cvs", None)
             if sub is None:
                 continue
-            got = restricted_cvs(amb, [fp_vector(v.tolist(), p) for v in emb])
-            if (got.sigma_basis, got.chi_flat, got.alpha_flat) != (
-                    sub.sigma_basis, sub.chi_flat, sub.alpha_flat):
+            if restricted_cvs(amb, [fp_vector(v.tolist(), p) for v in emb]) != sub:
                 raise ValueError("ambient restriction does not match the "
                                  "factor's CVS")
 
@@ -507,9 +525,8 @@ class SdcpLoop(CentralExtensionLoop):
         d2, e2 = self._split(w)
         zd = self.Dext.mul(CodedLoopElement(0, d1), CodedLoopElement(0, d2)).z
         ze = self.Eext.mul(CodedLoopElement(0, e1), CodedLoopElement(0, e2)).z
-        E1, D2, E2 = (self._lift(e1, self.embedE), self._lift(d2, self.embedD),
-                      self._lift(e2, self.embedE))
-        D1 = self._lift(d1, self.embedD)
+        D1, D2 = self._lift(d1, self.embedD), self._lift(d2, self.embedD)
+        E1, E2 = self._lift(e1, self.embedE), self._lift(e2, self.embedE)
         amb = self.ambient
         z0 = (int(chi_rows(amb, E1, D2)[0])
               + int(alpha_rows(amb, D1, (E1 - D2) % p, E2)[0])
@@ -521,18 +538,7 @@ class SdcpLoop(CentralExtensionLoop):
 def restricted_cvs(amb: Cvs, vecs: list) -> Cvs:
     """The CVS induced on the span of the given (independent) vectors,
     with the vectors as its basis."""
-    p = amb.p
-    rows = np.array([v.coords for v in vecs], dtype=np.int64)
-    k = len(vecs)
-    sig = tuple(int(x) for x in sigma_rows(amb, rows)) if k else ()
-    chi = {}
-    for i, j in pair_list(k):
-        chi[(i, j)] = int(chi_rows(amb, rows[None, i], rows[None, j])[0])
-    alpha = {}
-    for i, j, l in triple_list(k):
-        alpha[(i, j, l)] = int(
-            alpha_rows(amb, rows[None, i], rows[None, j], rows[None, l])[0])
-    return cvs_new(p, k, sig, chi, alpha)
+    return Cvs(amb.p, len(vecs), *pullback_tables(amb, [v.coords for v in vecs]))
 
 
 def semidirect_central_product(Dext, Eext, ambient: Cvs,
@@ -557,24 +563,25 @@ def _comm_table(L: CentralExtensionLoop) -> np.ndarray:
     return (T - T.T - T[s, neg[s]] + T[neg[s], s]) % L.zmod
 
 
-def _assoc_tables(L: CentralExtensionLoop, chunk: int = 64):
+def _assoc_tables(L: CentralExtensionLoop):
     """Yield (slice, z-part of [(0,u),(0,w),(0,t)]) over chunks of u."""
     T = L.theta_table().astype(np.int64)
     add = add_index_table(L.moduli)
     neg = neg_index(L.moduli)
     n = T.shape[0]
+    chunk = max(1, _ASSOC_ENTRIES // (n * n))
+    w = np.arange(n)[:, None]
     for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        u = np.arange(lo, hi)[:, None, None]
-        w = np.arange(n)[None, :, None]
-        t = np.arange(n)[None, None, :]
-        wt = add[w, t]
-        uw = add[u, w]
-        s = add[u, wt]
-        zA = T[w, t] + T[u, wt]
-        zB = T[u, w] + T[uw, t]
-        out = (zB - zA - T[s, neg[s]] + T[neg[s], s]) % L.zmod
-        yield slice(lo, hi), out
+        u = np.arange(lo, min(lo + chunk, n))[:, None, None]
+        s = add[u, add]  # rank of u + (w + t)
+        z = T[neg[s], s]
+        z -= T[s, neg[s]]
+        z += T[u, w]  # theta(u, w), the same for every t
+        z += T[add[u, w], w.T]  # theta(u + w, t)
+        z -= T[u, add]  # theta(u, w + t)
+        z -= T  # theta(w, t)
+        z %= L.zmod
+        yield slice(lo, lo + len(u)), z
 
 
 def _rows_mul(L: CentralExtensionLoop, a: tuple, b: tuple) -> tuple:
@@ -612,8 +619,6 @@ def verify_coded_extension(L: CodedLoop, budget: int = DEFAULT_VERIFY_BUDGET,
     theta_rows.  Central lifts cancel in commutators and associators, so
     quantifying over C is exact.
     """
-    from .cvs import alpha_tensor_table, chi_table, sigma_table
-
     C = L.cvs
     n = L.csize
     checks = []
@@ -628,7 +633,7 @@ def verify_coded_extension(L: CodedLoop, budget: int = DEFAULT_VERIFY_BUDGET,
         for _ in range(L.p):
             zacc = zacc + T[ar, racc]
             racc = add[ar, racc]
-        sig = sigma_table(C)
+        sig = sigma_rows(C, vector_table(L.moduli))
         ok = np.all(racc == 0) and np.all(zacc % L.p == sig)
         checks.append(CheckResult("CEpower", "exhaustive", bool(ok),
                                   None if ok else _witness(L, zacc % L.p != sig)))
@@ -639,28 +644,13 @@ def verify_coded_extension(L: CodedLoop, budget: int = DEFAULT_VERIFY_BUDGET,
         checks.append(CheckResult("CEcommute", "exhaustive", not bad.any(),
                                   _witness(L, bad)))
         # CEassociate
-        okassoc = True
-        wit = None
-        if n <= 256:
-            alph = alpha_tensor_table(C).astype(np.int64)
-            for sl, az in _assoc_tables(L):
-                bad = az != alph[sl]
-                if bad.any():
-                    okassoc = False
-                    wit = _witness(L, bad, sl.start)
-                    break
-        else:
-            V = vector_table(L.moduli)
-            for sl, az in _assoc_tables(L):
-                uu = np.repeat(np.arange(sl.start, sl.stop), n * n)
-                ww = np.tile(np.repeat(np.arange(n), n), sl.stop - sl.start)
-                tt = np.tile(np.arange(n), (sl.stop - sl.start) * n)
-                av = alpha_rows(C, V[uu], V[ww], V[tt]).reshape(az.shape)
-                bad = az != av
-                if bad.any():
-                    okassoc = False
-                    wit = _witness(L, bad, sl.start)
-                    break
+        okassoc, wit = True, None
+        V = vector_table(L.moduli)
+        for sl, az in _assoc_tables(L):
+            bad = az != C.forms.alpha_block(V[sl], V)
+            if bad.any():
+                okassoc, wit = False, _witness(L, bad, sl.start)
+                break
         checks.append(CheckResult("CEassociate", "exhaustive", okassoc, wit))
     else:
         rng = np.random.default_rng(seed)
@@ -719,23 +709,13 @@ def moufang_sampled(L: CentralExtensionLoop, ntriples: int, seed: int = 0):
 
 def center_vectors(L: CodedLoop) -> list:
     """Vector parts c with chi(c,.) = 0 and alpha(c,.,.) = 0; the center of
-    the loop is Z x (these cosets).  Works at Parker-loop scale: the chi
-    rows kill almost every candidate before any alpha work."""
-    from .cvs import chi_table
-
+    the loop is Z x (these cosets).  Works at Parker-loop scale."""
     C = L.cvs
-    n = L.csize
-    CH = chi_table(C)
-    cand = np.flatnonzero(~np.any(CH, axis=1))
     V = vector_table(L.moduli)
-    out = []
-    for c in cand:
-        # exhaustive alpha check for the survivors
-        Bc = np.einsum("i,ijl->jl", V[c], C.alpha_tensor) % C.p
-        vals = (V @ Bc) @ V.T
-        if not (vals % C.p).any():
-            out.append(tuple(V[c].tolist()))
-    return out
+    # the chi rows kill almost every candidate before any alpha work
+    cand = V[~np.any(chi_table(C), axis=1)]
+    return [tuple(c) for c in cand.tolist()
+            if not C.forms.alpha_block([c], V).any()]
 
 
 # -- Cayley table CSV ---------------------------------------------------------

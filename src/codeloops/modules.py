@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cvs import (CheckResult, ValidationReport, is_prime, pair_list,
+from .cvs import (CheckResult, Forms, ValidationReport, is_prime, pair_list,
                   signed_forms, triple_list)
 from .modular import Residue
 from .loops import CodedLoopElement, LevelSumLoop, kappa_isotope
@@ -61,6 +61,13 @@ class CodedModule:
         """Full signed tensor; for p = 2 the sign is invisible (2a = 0)."""
         return signed_forms(self.k, self.z_order, self.chi_flat,
                             self.alpha_flat)[1]
+
+    @cached_property
+    def forms(self) -> Forms:
+        """The row evaluators: chi by the long formula for p = 2 and
+        bilinearity for p > 2, alpha multilinear."""
+        return Forms(self.p, self.orders, self.z_order, self.z_values,
+                     self.chi_mat, self.alpha_tensor)
 
     def __repr__(self):
         return ("CodedModule(p=%d, orders=%r, z_order=%d)"
@@ -138,33 +145,13 @@ def module_new(p: int, orders, z_order: int, z_values,
     return CodedModule(p, orders, z_order, z_values, tuple(chi), tuple(alpha))
 
 
-def _rows(M: CodedModule, c) -> np.ndarray:
-    arr = np.asarray(c, dtype=np.int64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    return arr % np.array(M.orders, dtype=np.int64)
-
-
 def chi_rows_module(M: CodedModule, C, D) -> np.ndarray:
-    """chi on rows of mixed-radix vectors; long formula for p = 2,
-    bilinear for p > 2."""
-    C, D = _rows(M, C), _rows(M, D)
-    X = M.chi_mat
-    out = np.einsum("ai,ij,aj->a", C, X, D)
-    if M.p == 2:
-        A = M.alpha_tensor
-        if A.any():
-            iltj = np.triu(np.ones((M.k, M.k), dtype=np.int64), 1)
-            # sum_{i<j} sum_k c_i c_j d_k a_ijk
-            out += np.einsum("ai,aj,ij,ak,ijk->a", C, C, iltj, D, A)
-            # sum_i sum_{j<k} c_i d_j d_k a_ijk
-            out += np.einsum("ai,aj,jk,ak,ijk->a", C, D, iltj, D, A)
-    return out % M.z_order
+    """chi on rows of mixed-radix vectors (see CodedModule.forms)."""
+    return M.forms.chi(np.atleast_2d(C), np.atleast_2d(D))
 
 
 def alpha_rows_module(M: CodedModule, C, D, E) -> np.ndarray:
-    C, D, E = _rows(M, C), _rows(M, D), _rows(M, E)
-    return np.einsum("ai,aj,al,ijl->a", C, D, E, M.alpha_tensor) % M.z_order
+    return M.forms.alpha(np.atleast_2d(C), np.atleast_2d(D), np.atleast_2d(E))
 
 
 def eval_chi_module(M: CodedModule, c, d) -> Residue:
@@ -186,7 +173,7 @@ def eval_sigma2(M: CodedModule, sigma_basis, c) -> Residue:
     sig = np.asarray(tuple(sigma_basis), dtype=np.int64)
     if sig.shape != (M.k,):
         raise ValueError("need one sigma value per basis slot")
-    cc = _rows(M, c)[0]
+    cc = np.atleast_2d(np.asarray(c, dtype=np.int64))[0] % np.array(M.orders)
     out = int(cc @ sig)
     for pos, (i, j) in enumerate(pair_list(M.k)):
         out += int(cc[i] * cc[j]) * M.chi_flat[pos]
@@ -256,23 +243,11 @@ def verify_module_extension(L: ModuleLoop) -> ValidationReport:
                               ok, wit))
 
     V = vector_table(L.moduli)
-    n = V.shape[0]
-    comm = _comm_table(L)
-    chi = chi_rows_module(M, np.repeat(V, n, axis=0),
-                          np.tile(V, (n, 1))).reshape(n, n)
-    okc = np.array_equal(comm, chi)
+    okc = np.array_equal(_comm_table(L), M.forms.chi_table(V, V))
     checks.append(CheckResult("commutators realize chi", "exhaustive", okc))
 
-    oka = True
-    for sl, az in _assoc_tables(L):
-        m = sl.stop - sl.start
-        uu = np.repeat(V[sl], n * n, axis=0)
-        ww = np.tile(np.repeat(V, n, axis=0), (m, 1))
-        tt = np.tile(V, (m * n, 1))
-        av = alpha_rows_module(M, uu, ww, tt).reshape(az.shape)
-        if not np.array_equal(az, av):
-            oka = False
-            break
+    oka = all(np.array_equal(az, M.forms.alpha_block(V[sl], V))
+              for sl, az in _assoc_tables(L))
     checks.append(CheckResult("associators realize alpha", "exhaustive", oka))
     return ValidationReport(all(c.ok for c in checks), checks)
 
@@ -297,8 +272,7 @@ def module_isotopy_check(M: CodedModule, max_kappas: int = 81,
                                                  replace=False)].tolist()]
     checks = []
     base_assoc = {sl.start: az.copy() for sl, az in _assoc_tables(L)}
-    chi = chi_rows_module(M, np.repeat(V, n, axis=0),
-                          np.tile(V, (n, 1))).reshape(n, n)
+    chi = M.forms.chi_table(V, V)
     exponent = max(M.orders) * 3
     for kv in kappas:
         iso = kappa_isotope(L, kv)

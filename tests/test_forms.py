@@ -1,0 +1,183 @@
+"""The shared form evaluators (cvs.Forms) against literal Python sums over
+pairs and triples, written from the definitions of sigma, chi and alpha on
+free basis data:
+
+  alpha(c, d, e) = sum_{i,j,l} c_i d_j e_l alpha(e_i, e_j, e_l), with
+                   alpha(e_i, e_j, e_l) the sign of the permutation sorting
+                   (i, j, l) times the stored value of the sorted triple
+  chi(c, d)      = sum_{i,j} c_i d_j chi(e_i, e_j), chi(e_j, e_i) = -chi(e_i, e_j),
+                   plus for p = 2 sum_{i<j} sum_m c_i c_j d_m alpha(e_i, e_j, e_m)
+                   + sum_i sum_{j<m} c_i d_j d_m alpha(e_i, e_j, e_m)
+  sigma(c)       = sum_i c_i sigma_i, plus for p = 2
+                   sum_{i<j} c_i c_j chi_ij + sum_{i<j<l} c_i c_j c_l alpha_ijl
+
+Vectors, pairs and triples are checked exhaustively while there are at
+most CAP of them, and on seeded tuples above it; of the cases below only
+the triples of the p = 5 CVSs with k >= 3 (where alpha = 0) are sampled.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from codeloops.codes import builtin_golay24, code_to_cvs
+from codeloops.cvs import (Forms, alpha_rows, chi_rows, cvs_new,
+                           eval_chi_polarized, octonion_cvs, pair_list,
+                           random_cvs, sigma_rows, triple_list)
+from codeloops.modular import fp_vector
+from codeloops.modules import (alpha_rows_module, chi_rows_module,
+                               eval_sigma2, module_new)
+from codeloops.tables import vector_table
+
+CAP = 81 ** 3
+SAMPLES = 3000
+
+
+def _sign(perm) -> int:
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
+
+
+class Literal:
+    """sigma, chi and alpha of flat basis data by literal sums."""
+
+    def __init__(self, p, k, modulus, sigma, chi_flat, alpha_flat):
+        self.p, self.k, self.m = p, k, modulus
+        self.sigma_basis, self.chi_flat, self.alpha_flat = (
+            sigma, chi_flat, alpha_flat)
+        self.chi = {}
+        for (i, j), v in zip(pair_list(k), chi_flat):
+            self.chi[i, j], self.chi[j, i] = v, -v
+        self.alpha = {}
+        for t, v in zip(triple_list(k), alpha_flat):
+            for perm in itertools.permutations(range(3)):
+                self.alpha[tuple(t[a] for a in perm)] = _sign(perm) * v
+
+    def alpha_of(self, c, d, e) -> int:
+        return sum(c[i] * d[j] * e[l] * v
+                   for (i, j, l), v in self.alpha.items()) % self.m
+
+    def chi_of(self, c, d) -> int:
+        s = sum(c[i] * d[j] * v for (i, j), v in self.chi.items())
+        if self.p == 2:
+            s += sum(c[i] * c[j] * d[m] * v
+                     for (i, j, m), v in self.alpha.items() if i < j)
+            s += sum(c[i] * d[j] * d[m] * v
+                     for (i, j, m), v in self.alpha.items() if j < m)
+        return s % self.m
+
+    def sigma_of(self, c) -> int:
+        s = sum(ci * si for ci, si in zip(c, self.sigma_basis))
+        if self.p == 2:
+            s += sum(c[i] * c[j] * v
+                     for (i, j), v in zip(pair_list(self.k), self.chi_flat))
+            s += sum(c[i] * c[j] * c[l] * v for (i, j, l), v
+                     in zip(triple_list(self.k), self.alpha_flat))
+        return s % self.m
+
+
+def tuples(V, arity, seed=0):
+    """Every arity-tuple of rows of V, or seeded ones above the caps."""
+    n = len(V)
+    if n ** arity <= CAP:
+        idx = np.indices((n,) * arity).reshape(arity, -1)
+    else:
+        idx = np.random.default_rng(seed).integers(0, n, size=(arity, SAMPLES))
+    return [V[i] for i in idx]
+
+
+def check_forms(lit, V, chi, alpha, sigma=None):
+    (c,) = tuples(V, 1)
+    if sigma is not None:
+        assert sigma(c).tolist() == [lit.sigma_of(x) for x in c.tolist()]
+    c, d = tuples(V, 2)
+    assert chi(c, d).tolist() == [lit.chi_of(x, y)
+                                  for x, y in zip(c.tolist(), d.tolist())]
+    c, d, e = tuples(V, 3)
+    assert alpha(c, d, e).tolist() == [
+        lit.alpha_of(x, y, z)
+        for x, y, z in zip(c.tolist(), d.tolist(), e.tolist())]
+
+
+CVSS = ([random_cvs(2, k, s) for k in (2, 3, 4) for s in range(2)]
+        + [octonion_cvs()]
+        + [random_cvs(3, k, s) for k in (2, 3) for s in range(3)]
+        + [cvs_new(3, 3, [1, 0, 0], {(0, 1): 1}, {(0, 1, 2): 1}),
+           random_cvs(3, 4, 1)]
+        + [random_cvs(5, k, s) for k in (2, 3) for s in range(2)]
+        + [random_cvs(5, 4, 0)])
+
+MODULES = [
+    module_new(2, (4, 2), 2, (1, 1), {(0, 1): 1}, {}),
+    module_new(2, (2, 2, 2, 2), 2, (1, 0, 1, 1), {(0, 1): 1, (2, 3): 1},
+               {(0, 1, 2): 1, (1, 2, 3): 1}),
+    module_new(2, (4, 2, 2), 4, (1, 3, 2), {(0, 1): 2, (1, 2): 2},
+               {(0, 1, 2): 2}),
+    module_new(2, (4, 4), 4, (1, 2), {(0, 1): 3}, {}),
+    module_new(3, (9, 3), 9, (4, 2), {(0, 1): 3}, {}),
+    module_new(3, (3, 3, 3), 9, (1, 2, 0), {(0, 1): 3, (1, 2): 6},
+               {(0, 1, 2): 3}),
+    module_new(3, (9, 3, 3), 9, (1, 2, 0), {(0, 1): 3}, {(0, 1, 2): 6}),
+]
+
+
+@pytest.mark.parametrize("C", CVSS, ids=repr)
+def test_cvs_forms_are_the_literal_sums(C):
+    lit = Literal(C.p, C.k, C.p, C.sigma_basis, C.chi_flat, C.alpha_flat)
+    check_forms(lit, vector_table((C.p,) * C.k),
+                lambda c, d: chi_rows(C, c, d),
+                lambda c, d, e: alpha_rows(C, c, d, e),
+                lambda c: sigma_rows(C, c))
+
+
+@pytest.mark.parametrize("M", MODULES, ids=repr)
+def test_module_forms_are_the_literal_sums(M):
+    lit = Literal(M.p, M.k, M.z_order, M.z_values, M.chi_flat, M.alpha_flat)
+    check_forms(lit, vector_table(M.orders),
+                lambda c, d: chi_rows_module(M, c, d),
+                lambda c, d, e: alpha_rows_module(M, c, d, e))
+
+
+def test_golay_rows_against_sigma2_and_polarization():
+    C = code_to_cvs(builtin_golay24())
+    M = module_new(2, (2,) * C.k, 2, C.sigma_basis,
+                   dict(zip(pair_list(C.k), C.chi_flat)),
+                   dict(zip(triple_list(C.k), C.alpha_flat)))
+    rng = np.random.default_rng(500)
+    U, W, E = rng.integers(0, 2, size=(3, 500, C.k))
+    assert sigma_rows(C, U).tolist() == [
+        int(eval_sigma2(M, C.sigma_basis, u)) for u in U.tolist()]
+    chi = chi_rows(C, U, W)
+    assert chi.tolist() == [
+        int(eval_chi_polarized(C, fp_vector(u, 2), fp_vector(w, 2)))
+        for u, w in zip(U.tolist(), W.tolist())]
+    assert np.array_equal(chi_rows_module(M, U, W), chi)
+    lit = Literal(2, C.k, 2, C.sigma_basis, C.chi_flat, C.alpha_flat)
+    assert alpha_rows(C, U, W, E).tolist() == [
+        lit.alpha_of(u, w, e)
+        for u, w, e in zip(U.tolist(), W.tolist(), E.tolist())]
+
+
+def test_row_blocks_join_up():
+    # at k = 4 a block holds 2^21 / 16 = 131072 rows, so 300000 rows take
+    # three blocks; the answer must equal that of many small calls
+    C = random_cvs(3, 4, 1)
+    rng = np.random.default_rng(4)
+    c, d, e = rng.integers(0, 3, size=(3, 300000, 4))
+    parts = range(0, len(c), 1000)
+    assert np.array_equal(alpha_rows(C, c, d, e), np.concatenate(
+        [alpha_rows(C, c[i:i + 1000], d[i:i + 1000], e[i:i + 1000])
+         for i in parts]))
+    assert np.array_equal(chi_rows(C, c, d), np.concatenate(
+        [chi_rows(C, c[i:i + 1000], d[i:i + 1000]) for i in parts]))
+    assert np.array_equal(sigma_rows(C, c), np.concatenate(
+        [sigma_rows(C, c[i:i + 1000]) for i in parts]))
+
+
+def test_forms_refuse_data_past_the_float64_bound():
+    k = 4
+    X, A = np.zeros((k, k), dtype=np.int64), np.zeros((k, k, k), dtype=np.int64)
+    Forms(2, (2,) * k, 2 ** 40, (0,) * k, X, A)  # 3 * 64 * 8 * 2^40 < 2^53
+    with pytest.raises(ValueError, match="2\\^53"):
+        Forms(2, (2,) * k, 2 ** 45, (0,) * k, X, A)

@@ -10,8 +10,9 @@ import pytest
 from codeloops.codes import builtin_golay24, code_to_cvs
 from codeloops.cvs import (alpha_rows, chi_rows, cvs_new, octonion_cvs,
                            pair_list, random_cvs, triple_list)
-from codeloops.loops import (build, kappa_isotope, moufang_sampled,
-                             mul_recursive, verify_coded_extension)
+from codeloops.loops import (LevelSumLoop, build, kappa_isotope,
+                             moufang_sampled, mul_recursive,
+                             verify_coded_extension)
 from codeloops.modules import (alpha_rows_module, build_module_extension,
                                chi_rows_module, module_new,
                                verify_module_extension)
@@ -64,6 +65,8 @@ MODULES = [
     module_new(3, (9, 3), 9, (4, 2), {(0, 1): 3}, {}),
     module_new(3, (9, 3, 3), 3, (1, 2, 0), {(0, 1): 1}, {(0, 1, 2): 1}),
     module_new(2, (8, 2), 2, (1, 1), {(0, 1): 1}, {}),
+    # |Z| = 256: the table is uint8, but Phi . Psi sums pass 255
+    module_new(2, (2, 4), 256, (255, 129), {(0, 1): 128}, {}),
 ]
 
 
@@ -172,3 +175,17 @@ def test_sampled_verification_catches_a_wrong_chi():
     rep = verify_coded_extension(L, samples=2000)
     assert not rep.ok
     assert any(c.name == "CEcommute" and not c.ok for c in rep.checks)
+
+
+def test_float64_bound_comes_from_the_data():
+    # the theta table and the quadratic features are float64 products,
+    # exact while every partial sum stays below 2^53
+    k = 3
+    X, A = np.zeros((k, k), dtype=np.int64), np.zeros((k, k, k), dtype=np.int64)
+    L = LevelSumLoop(2, (2,) * k, 2 ** 48, (1,) * k, X, A)
+    assert L.dot_bound < 2 ** 53
+    with pytest.raises(ValueError, match="2\\^53"):
+        LevelSumLoop(2, (2,) * k, 2 ** 52, (1,) * k, X, A)
+    # Parker's bound fits the stored uint8, so the table is cast directly
+    G = build(code_to_cvs(builtin_golay24()), validate=False)
+    assert G.dot_bound <= 255 and G.theta_dtype == np.uint8

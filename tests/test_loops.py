@@ -1,17 +1,20 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codeloops.cvs import adjoint_translate, cvs_new, octonion_cvs, random_cvs
-from codeloops.loops import (CodedLoop, CodedLoopElement, build,
+from codeloops.cvs import (adjoint_translate, cvs_new, octonion_cvs, pair_list,
+                          random_cvs, triple_list)
+from codeloops.loops import (CodedLoop, CodedLoopElement, _assoc_tables, build,
                              center_vectors, emit_cayley_csv, kappa_isotope,
                              moufang_sampled, mul_recursive, parse_cayley_csv,
                              semidirect_central_product,
                              verify_coded_extension)
 from codeloops.modular import fp_vector
+from codeloops.tables import vector_table
 
 
 def all_elements(L):
@@ -84,6 +87,66 @@ def test_verify_extension_exhaustive():
         rep = verify_coded_extension(build(C))
         assert rep.ok, [str(c) for c in rep.checks]
         assert all(c.mode == "exhaustive" for c in rep.checks)
+
+
+def _alpha_flipped(C, triple):
+    """C with alpha on one basis triple moved by 1."""
+    alpha = dict(zip(triple_list(C.k), C.alpha_flat))
+    alpha[triple] = (alpha[triple] + 1) % C.p
+    return cvs_new(C.p, C.k, C.sigma_basis, dict(zip(pair_list(C.k),
+                                                     C.chi_flat)), alpha)
+
+
+# verdicts and witnesses (as coordinate tuples per check) recorded from the
+# exhaustive verifier before the associator check became one capped-chunk
+# branch: the first failing (u, w, t) in rank order
+EXHAUSTIVE_VERDICTS = [
+    (octonion_cvs(), None, {}),
+    (random_cvs(2, 7, 5), None, {}),
+    (random_cvs(3, 5, 1), None, {}),
+    (random_cvs(3, 4, 2), (0, 2, 3),
+     {"CEassociate": ((0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 0))}),
+    (random_cvs(3, 5, 1), (1, 2, 4),
+     {"CEassociate": ((0, 0, 0, 0, 1), (0, 0, 1, 0, 0), (0, 1, 0, 0, 0))}),
+    (random_cvs(2, 6, 3), (0, 1, 5),
+     {"CEpower": ((1, 1, 0, 0, 0, 1),),
+      "CEcommute": ((0, 0, 0, 0, 0, 1), (1, 1, 0, 0, 0, 0)),
+      "CEassociate": ((0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0),
+                      (1, 0, 0, 0, 0, 0))}),
+]
+
+
+@pytest.mark.parametrize("C, flip, failures", EXHAUSTIVE_VERDICTS)
+def test_exhaustive_verdicts_and_witnesses(C, flip, failures):
+    L = build(C, validate=False)
+    if flip is not None:  # the loop of C checked against C with alpha moved
+        L.cvs = _alpha_flipped(C, flip)
+    rep = verify_coded_extension(L)
+    assert all(c.mode == "exhaustive" for c in rep.checks)
+    got = {c.name: tuple(tuple(v.coords) for v in c.witness)
+           for c in rep.checks if not c.ok}
+    assert got == failures
+    assert rep.ok == (not failures)
+
+
+def test_associator_chunk_memory_at_729():
+    # |C| = 729: each chunk holds at most 2^21 (u, w, t) entries, so the
+    # first chunk and its expected alpha block stay far below the 1.9 GB
+    # that 64 rows of u with row copies per triple once took
+    C = random_cvs(3, 6, 0)
+    L = build(C, validate=False)
+    L.theta_table()
+    V = vector_table(L.moduli)
+    tracemalloc.start()
+    try:
+        sl, az = next(_assoc_tables(L))
+        want = C.forms.alpha_block(V[sl], V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert az.size <= 1 << 21
+    assert np.array_equal(az, want)
+    assert peak < 128 * 2 ** 20, peak
 
 
 def test_inverses_and_powers(oct_loop):
