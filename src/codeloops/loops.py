@@ -88,10 +88,10 @@ class CentralExtensionLoop:
     """Shared machinery for loops built from a cocycle theta on C x C.
 
     Subclasses provide the feature maps phi, psi with theta(u, w) =
-    phi(u) . psi(w) mod zmod, and dot_bound, a bound on every partial sum
-    of that dot product; everything else (products, inverses, powers,
-    commutators, associators, tables) is generic.  zmod is the order of the
-    central subgroup; moduli are the slot orders of C.
+    phi(u) . psi(w) mod zmod and, for the table product, dot_bound, a bound
+    on every partial sum of that dot product; everything else (products,
+    inverses, powers, commutators, associators, tables) is generic.  zmod
+    is the order of the central subgroup; moduli are the slot orders of C.
     """
 
     zmod: int
