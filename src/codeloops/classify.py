@@ -1,26 +1,33 @@
 """Classification of CVSs up to isomorphism and up to isotopy.
 
-States are basis tables (sigma, chi, alpha) over F_p.  Isomorphism orbits
-come from a BFS under generators of GL(k, p) acting by basis change plus
-rescaling of the value group; isotopy orbits additionally close under the
-adjoint translations chi -> chi + alpha(., e_i, .), which generate all
-translates since adt_k adt_k' = adt_{k+k'}.
+A state is the basis data (sigma, chi, alpha) of a CVS over F_p, packed
+into N = k + C(k,2) + C(k,3) coordinates, sigma first and alpha last.
+Two SFMLs are isomorphic, preserving Z, exactly when their CVSs are
+isomorphic up to a scalar, so the isomorphism classes are the orbits of
+GL(k, p) x F_p^* on states.  Isotopy classes also close under the adjoint
+translations chi -> chi + alpha(., e_i, .), which generate all translates
+since adt_k adt_k' = adt_{k+k'}.
 
-For dimension >= 4 over an odd prime the seed enumeration is pruned by
-first checking (by BFS on the alpha component alone) that nonzero alpha
-is unique up to basis change, then seeding only states carrying that
-canonical alpha; a full-enumeration cross-check runs at dimension <= 3.
+For odd p every one of these generators acts linearly on the packed
+state: a basis change pulls sigma, chi and alpha back along M, a scalar
+multiplies every entry and a translation adds alpha to chi.  So each
+generator is a matrix over F_p, one matrix product gives the image of
+every state, and the orbits are the connected components of the graph
+joining each state to its images.  States are ranked in packed order over
+their free coordinates (sigma is zero at exponent p and alpha is zero for
+p > 3), and min-label propagation leaves each state labelled with the
+smallest state of its orbit, which is the class representative.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cvs import Cvs, cvs_new, pair_list, signed_forms, triple_list
-from .modular import _rank_mod_p
+from .cvs import (Cvs, adjoint_translate, cvs_new, is_prime, pair_list,
+                  pullback_tables, signed_forms, triple_list)
+from .modular import _rank_mod_p, basis_vector
 
 
 @dataclass(frozen=True)
@@ -62,91 +69,84 @@ def _gl_generators(k: int, p: int) -> list:
         for i in range(k):
             C[(i + 1) % k, i] = 1
         gens.append(C)
-    if p > 2:
+    if p > 2 and k >= 1:
         D = np.eye(k, dtype=np.int64)
         D[0, 0] = 2
         gens.append(D)
     return gens
 
 
-def _pack(sig, chi, alpha, p: int) -> int:
-    key = 0
-    for v in itertools.chain(sig, chi, alpha):
-        key = key * p + int(v)
-    return key
+def _split(state, k: int) -> tuple:
+    """(sigma, chi, alpha) tuples of a packed state."""
+    state = [int(v) for v in state]
+    npairs = len(pair_list(k))
+    return (tuple(state[:k]), tuple(state[k:k + npairs]),
+            tuple(state[k + npairs:]))
 
 
-def _flat_chi(X, k):
-    return tuple(int(X[i, j]) for i, j in pair_list(k))
+def _tables(C: Cvs) -> tuple:
+    return C.sigma_basis, C.chi_flat, C.alpha_flat
 
 
-def _flat_alpha(A, k):
-    return tuple(int(A[i, j, l]) for i, j, l in triple_list(k))
+def _matrix(image, p: int, k: int, free: np.ndarray) -> np.ndarray:
+    """The matrix over F_p, on the free coordinates, of a map that is linear
+    in the packed state: column j is image(C) for the CVS C of the j-th
+    free unit state.  image returns (sigma, chi, alpha) tuples."""
+    cols = np.flatnonzero(free)
+    G = np.zeros((len(cols), len(cols)))
+    for c, j in enumerate(cols):
+        unit = np.zeros(len(free), dtype=np.int64)
+        unit[j] = 1
+        out = np.concatenate([np.asarray(t, dtype=np.int64)
+                              for t in image(Cvs(p, k, *_split(unit, k)))])
+        G[:, c] = out[free] % p
+    return G
 
 
-class _State:
-    """Mutable working form of a state: (sigma vector, chi matrix,
-    alpha tensor)."""
-
-    __slots__ = ("sig", "X", "A")
-
-    def __init__(self, sig, X, A):
-        self.sig = sig
-        self.X = X
-        self.A = A
-
-    @classmethod
-    def from_tuples(cls, state, k, p):
-        sig, chi, alpha = state
-        return cls(np.array(sig, dtype=np.int64),
-                   *signed_forms(k, p, chi, alpha))
-
-    def to_tuples(self, k):
-        return (tuple(int(v) for v in self.sig), _flat_chi(self.X, k),
-                _flat_alpha(self.A, k))
-
-    def key(self, k, p):
-        s, c, a = self.to_tuples(k)
-        return _pack(s, c, a, p)
+def _digits(ranks, p: int, n: int) -> np.ndarray:
+    """Base-p digits of ranks over n coordinates, most significant first."""
+    return (np.asarray(ranks)[..., None] // p ** np.arange(n - 1, -1, -1)) % p
 
 
-def _apply_matrix(st: _State, M: np.ndarray, p: int) -> _State:
-    """Basis change: column i of M is the i-th new basis vector.  sigma is
-    linear for odd p (the only case this classifier enumerates sigma for)."""
-    sig = (M.T @ st.sig) % p
-    X = (M.T @ st.X @ M) % p
-    A = np.einsum("abc,ai,bj,cl->ijl", st.A, M, M, M) % p
-    return _State(sig, X, A)
+def _image_ranks(gens: list, p: int, n: int, n_states: int,
+                 chunk: int = 1 << 12) -> np.ndarray:
+    """Row g holds the rank of gens[g] s for every state s, states taken in
+    rank order.  The float64 product is exact: its entries are integers of
+    at most n (p - 1)^2."""
+    w = p ** np.arange(n - 1, -1, -1)
+    G = np.concatenate(gens)
+    out = np.empty((len(gens), n_states), dtype=np.int64)
+    for lo in range(0, n_states, chunk):
+        ranks = np.arange(lo, min(lo + chunk, n_states))
+        images = (_digits(ranks, p, n) @ G.T).astype(np.int64) % p
+        images = images.reshape(len(ranks), len(gens), n)
+        out[:, lo:lo + len(ranks)] = (images @ w).T
+    return out
 
 
-def _apply_scalar(st: _State, a: int, p: int) -> _State:
-    return _State((a * st.sig) % p, (a * st.X) % p, (a * st.A) % p)
+def _components(images: list, label: np.ndarray) -> np.ndarray:
+    """Smallest state of every state's connected component in the graph
+    joining each s to img[s], for every img in images.  label must map each
+    state into its own component at or below it (arange does).
 
-
-def _apply_adt(st: _State, i: int, p: int) -> _State:
-    X = (st.X + st.A[:, i, :]) % p
-    return _State(st.sig.copy(), X, st.A.copy())
-
-
-def _orbit(seed, k, p, matrices, scalars, adts) -> set:
-    """All states reachable from seed; returns the set of packed keys,
-    with a dict from key to state tuples filled in out_states."""
-    start = _State.from_tuples(seed, k, p)
-    seen = {start.key(k, p): seed}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for st in frontier:
-            images = [_apply_matrix(st, M, p) for M in matrices]
-            images += [_apply_scalar(st, a, p) for a in scalars]
-            images += [_apply_adt(st, i, p) for i in adts]
-            for im in images:
-                key = im.key(k, p)
-                if key not in seen:
-                    seen[key] = im.to_tuples(k)
-                    nxt.append(im)
-        frontier = nxt
-    return seen
+    Min-label propagation: both ends of every edge hook their roots to the
+    smaller label, then pointer jumping flattens every tree onto its root,
+    until a round changes nothing."""
+    label = label.copy()
+    while True:
+        before = label.copy()
+        for img in images:
+            ends = (label.copy(), label[img])
+            low = np.minimum(*ends)
+            for end in ends:
+                np.minimum.at(label, end, low)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+        if np.array_equal(label, before):
+            return label
 
 
 def _nullspace_mod_p(Mrows: np.ndarray, p: int) -> list:
@@ -209,49 +209,8 @@ def state_invariants(state, k: int, p: int) -> dict:
     }
 
 
-def _enumerate_seeds(p, k, exponent, nonassoc, prune):
-    npairs = len(pair_list(k))
-    ntrip = len(triple_list(k))
-    if exponent == p:
-        sigs = [(0,) * k]
-    elif exponent == p * p:
-        sigs = list(itertools.product(range(p), repeat=k))
-    else:
-        raise ValueError("exponent must be p or p^2, got %d" % exponent)
-    if p > 3:
-        alphas = [(0,) * ntrip]
-    else:
-        alphas = list(itertools.product(range(p), repeat=ntrip))
-    if nonassoc:
-        alphas = [a for a in alphas if any(a)]
-        if not alphas:
-            raise ValueError("no nonassociative CVS exists here (alpha "
-                             "forced to vanish)")
-    pruned_note = None
-    if prune and k >= 4 and p in (2, 3) and nonassoc:
-        # alpha is unique up to basis change; verify, then fix it
-        gens = _gl_generators(k, p)
-        seen = set()
-        classes = []
-        for a in alphas:
-            key = _pack((), (), a, p)
-            if key in seen:
-                continue
-            orb = _orbit(((0,) * k, (0,) * npairs, a), k, p, gens, (), ())
-            keys = {_pack((), (), s[2], p) for s in orb.values()}
-            seen |= keys
-            classes.append(min(s[2] for s in orb.values()))
-        if len(classes) == 1:
-            alphas = [classes[0]]
-            pruned_note = "alpha fixed to its unique class"
-        # otherwise fall through to the full product
-    chis = list(itertools.product(range(p), repeat=npairs))
-    seeds = [(s, c, a) for s in sigs for a in alphas for c in chis]
-    return seeds, pruned_note
-
-
 def total_state_count(p, k, exponent, nonassoc):
-    """Size of the full (unpruned) state space being classified."""
+    """Size of the state space being classified."""
     npairs = len(pair_list(k))
     ntrip = len(triple_list(k))
     nsig = 1 if exponent == p else p ** k
@@ -261,60 +220,63 @@ def total_state_count(p, k, exponent, nonassoc):
     return nsig * (p ** npairs) * nalpha
 
 
-def classify(p: int, dim: int, exponent: int, nonassoc: bool = False,
-             prune: bool = True) -> ClassifyResult:
+def classify(p: int, dim: int, exponent: int,
+             nonassoc: bool = False) -> ClassifyResult:
     """Partition the state space into isomorphism and isotopy classes.
 
     Only odd p is supported (for p = 2 sigma transforms nonlinearly, and
     every isotope is isomorphic to the original anyway)."""
+    if not is_prime(p):
+        raise ValueError("p must be prime, got %r" % (p,))
     if p == 2:
         raise ValueError("classification is implemented for odd p; over "
                          "F_2 isotopy adds nothing (G-loops)")
+    if dim < 0:
+        raise ValueError("dimension must be >= 0, got %d" % dim)
+    if exponent not in (p, p * p):
+        raise ValueError("exponent must be p or p^2, got %d" % exponent)
     k = dim
-    matrices = _gl_generators(k, p)
-    scalars = tuple(range(2, p))
-    seeds, note = _enumerate_seeds(p, k, exponent, nonassoc, prune)
+    npairs = len(pair_list(k))
+    free = np.concatenate([np.full(k, exponent != p), np.ones(npairs, bool),
+                           np.full(len(triple_list(k)), p <= 3)])
+    n_alpha = int(free[k + npairs:].sum())
+    if nonassoc and not n_alpha:
+        raise ValueError("no nonassociative CVS exists here (alpha "
+                         "forced to vanish)")
+    n = int(free.sum())
+    n_states = p ** n
 
-    visited = set()
-    iso_orbits = []
-    for seed in sorted(seeds, key=lambda s: _pack(*s, p)):
-        key = _pack(*seed, p)
-        if key in visited:
-            continue
-        orb = _orbit(seed, k, p, matrices, scalars, ())
-        visited |= set(orb.keys())
-        rep = min(orb.values(), key=lambda s: _pack(*s, p))
-        iso_orbits.append((rep, orb))
-    iso_orbits.sort(key=lambda t: _pack(*t[0], p))
+    gens = [_matrix(lambda C, M=M: pullback_tables(C, M.T), p, k, free)
+            for M in _gl_generators(k, p)]
+    gens += [a * np.eye(n) for a in range(2, p)]
+    adts = [_matrix(lambda C, i=i: _tables(adjoint_translate(
+        C, basis_vector(i, k, p))), p, k, free) for i in range(k)]
+    images = list(_image_ranks(gens + adts, p, n, n_states))
+    iso = _components(images[:len(gens)], np.arange(n_states))
+    isotopy = _components(images, iso)
 
-    expected = total_state_count(p, k, exponent, nonassoc)
-    if len(visited) != expected:
-        raise AssertionError("orbit union covers %d of %d states; seed "
-                             "pruning was unsound" % (len(visited), expected))
+    # alpha holds the lowest digits; alpha != 0 is preserved by every
+    # generator, so the nonassociative states are a union of orbits
+    ranks = np.arange(n_states)
+    keep = ranks % p ** n_alpha != 0 if nonassoc else np.ones(n_states, bool)
+    reps, sizes = np.unique(iso[keep], return_counts=True)
 
-    # isotopy: close each iso orbit under the adjoint translations too
-    adts = tuple(range(k))
-    key_to_iso = {}
-    for idx, (_, orb) in enumerate(iso_orbits):
-        for key in orb.keys():
-            key_to_iso[key] = idx
-    merged = []
-    assigned = {}
-    for idx, (rep, _) in enumerate(iso_orbits):
-        if idx in assigned:
-            continue
-        orb = _orbit(rep, k, p, matrices, scalars, adts)
-        group = sorted({key_to_iso[key] for key in orb.keys()})
-        for g in group:
-            assigned[g] = len(merged)
-        merged.append(tuple(group))
+    def state(rank):
+        packed = np.zeros(len(free), dtype=np.int64)
+        packed[free] = _digits(rank, p, n)
+        return _split(packed, k)
 
     iso_classes = tuple(
-        IsoClass(rep, len(orb), state_invariants(rep, k, p))
-        for rep, orb in iso_orbits)
-    isotopy_reps = tuple(iso_orbits[grp[0]][0] for grp in merged)
-    return ClassifyResult(p, dim, exponent, expected, iso_classes,
-                          tuple(merged), isotopy_reps)
+        IsoClass(state(r), int(s), state_invariants(state(r), k, p))
+        for r, s in zip(reps, sizes))
+    groups = {}
+    for idx, r in enumerate(reps):
+        groups.setdefault(int(isotopy[r]), []).append(idx)
+    isotopy_classes = tuple(tuple(g) for g in groups.values())
+    isotopy_reps = tuple(iso_classes[g[0]].rep for g in isotopy_classes)
+    return ClassifyResult(p, dim, exponent,
+                          total_state_count(p, k, exponent, nonassoc),
+                          iso_classes, isotopy_classes, isotopy_reps)
 
 
 def rep_to_cvs(rep, p: int, k: int) -> Cvs:

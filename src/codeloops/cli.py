@@ -223,13 +223,10 @@ def isotope(cvsfile, kappa, output):
 @click.option("--exponent", required=True, type=int)
 @click.option("--nonassoc", is_flag=True,
               help="only CVSs with nontrivial alpha")
-@click.option("--full", is_flag=True,
-              help="disable the fixed-alpha seed pruning (cross-check mode)")
-def classify_cmd(p, dim, exponent, nonassoc, full):
+def classify_cmd(p, dim, exponent, nonassoc):
     """Count isomorphism and isotopy classes and print representatives."""
     try:
-        res = classify_states(p, dim, exponent, nonassoc=nonassoc,
-                              prune=not full)
+        res = classify_states(p, dim, exponent, nonassoc=nonassoc)
     except ValueError as e:
         raise click.UsageError(str(e))
     click.echo("# classify p=%d dim=%d exponent=%d nonassoc=%s"

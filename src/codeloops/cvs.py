@@ -39,6 +39,7 @@ from .tables import vector_table
 # An identity with a free vectors is checked on all |C|^a tuples when
 # |C|^a stays under these sizes; otherwise it is checked on seeded samples.
 _EXHAUSTIVE_CAP = {1: 1 << 16, 2: 1 << 23, 3: 1 << 24, 4: 1 << 24}
+_CHECK_CHUNK = 1 << 21  # tuples one identity check handles at a time
 DEFAULT_VALIDATE_BUDGET = 3 ** 7
 
 
@@ -431,45 +432,57 @@ def validate_axioms(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,
 
     When |C| exceeds the budget, all multi-vector identities are checked on
     seeded random tuples instead.  Each check reports its mode and, on
-    failure, a witness tuple of vectors.
+    failure, a witness tuple of vectors: the first failing tuple in grid
+    or sample order.
     """
-    p, k = C.p, C.k
-    n = p ** k
+    p, n = C.p, C.size
     rng = np.random.default_rng(seed)
-    checks: list = []
-
-    def vec(idx: int, V: np.ndarray) -> FpVector:
-        return fp_vector(V[idx].tolist(), p)
-
-    def choose(arity: int) -> bool:
-        """True: run exhaustively on the full grid; False: sample."""
-        if n > budget:
-            return False
-        return n ** arity <= _EXHAUSTIVE_CAP[arity]
-
     V = all_vectors(C)
-
-    def grids(arity: int):
-        """Index arrays for either the full grid or a sample, plus mode."""
-        if choose(arity):
-            idx = np.indices((n,) * arity).reshape(arity, -1)
-            return idx, "exhaustive"
-        idx = rng.integers(0, n, size=(arity, samples))
-        return idx, "sampled"
-
-    def record(name, mode, bad_mask, idx):
-        if bad_mask.any():
-            w = int(np.flatnonzero(bad_mask)[0])
-            witness = tuple(vec(int(idx[a][w]), V) for a in range(idx.shape[0]))
-            checks.append(CheckResult(name, mode, False, witness))
+    tab = n <= budget and n ** 3 <= _EXHAUSTIVE_CAP[3]
+    checks = []
+    for name, arity, check in _identities(C, V, tab):
+        if n <= budget and n ** arity <= _EXHAUSTIVE_CAP[arity]:
+            mode, tuples = "exhaustive", _grid(n, arity)
         else:
-            checks.append(CheckResult(name, mode, True))
+            sample = rng.integers(0, n, size=(arity, samples))
+            mode, tuples = "sampled", (sample[:, lo:lo + _CHECK_CHUNK]
+                                       for lo in range(0, samples,
+                                                       _CHECK_CHUNK))
+        checks.append(_scan(name, mode, check, tuples, V, p))
+    return ValidationReport(all(ch.ok for ch in checks), checks)
 
+
+def _grid(n: int, arity: int):
+    """All n^arity index tuples in C order, in chunks of at most
+    _CHECK_CHUNK: one index array per position."""
+    total = n ** arity
+    for lo in range(0, total, _CHECK_CHUNK):
+        flat = np.arange(lo, min(lo + _CHECK_CHUNK, total))
+        yield np.unravel_index(flat, (n,) * arity)
+
+
+def _scan(name: str, mode: str, check, tuples, V: np.ndarray,
+          p: int) -> CheckResult:
+    """Run check on each chunk of index tuples in turn; the witness is the
+    first failing tuple."""
+    for idx in tuples:
+        bad = check(*idx)
+        if bad.any():
+            w = int(np.flatnonzero(bad)[0])
+            return CheckResult(name, mode, False, tuple(
+                fp_vector(V[i[w]].tolist(), p) for i in idx))
+    return CheckResult(name, mode, True)
+
+
+def _identities(C: Cvs, V: np.ndarray, tab: bool) -> list:
+    """The CVS identities as (name, arity, check), in reporting order: check
+    takes one index array into V per free vector and returns the mask of
+    the tuples that fail."""
+    p, k = C.p, C.k
     # Two evaluation strategies behind one set of helpers.  When the whole
     # space fits the arity-3 cap we tabulate sigma/chi/alpha once and turn
     # every identity into table gathers; the per-call contraction overhead
     # otherwise dominates exhaustive validation already at k = 5.
-    tab = n <= budget and n ** 3 <= _EXHAUSTIVE_CAP[3]
     if tab:
         wts = (p ** np.arange(k - 1, -1, -1)).astype(np.int64)
         S1 = sigma_rows(C, V)
@@ -477,7 +490,6 @@ def validate_axioms(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,
         A3 = C.forms.alpha_block(V, V)
         add_i = ((V[:, None, :] + V[None, :, :]) % p) @ wts
         scl_i = np.stack([((m * V) % p) @ wts for m in range(p)])
-        A3w = A3[:, :, wts]
         sig = lambda I: S1[I]
         chi = lambda I, J: X2[I, J]
         alp = lambda I, J, L: A3[I, J, L]
@@ -486,7 +498,8 @@ def validate_axioms(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,
         sig_scl = lambda m, I: S1[scl_i[m, I]]
         chi_scl = lambda m, I, J: X2[scl_i[m, I], J]
         alp_scl = lambda m, I, J, L: A3[scl_i[m, I], J, L]
-        alp_last = lambda I, J, E: (A3w[I, J] * V[E]).sum(axis=1)
+        alp_last = lambda I, J, E: sum(A3[I, J, b] * V[E, m]
+                                       for m, b in enumerate(wts))
     else:
         sig = lambda I: sigma_rows(C, V[I])
         chi = lambda I, J: chi_rows(C, V[I], V[J])
@@ -499,97 +512,59 @@ def validate_axioms(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,
         alp_last = lambda I, J, E: rowdot(
             C.forms.alpha_partial(V[I], V[J]), V[E]).astype(np.int64)
 
-    zero_idx = np.zeros(1, dtype=np.int64)
+    def scaled(image, base):
+        """Where image(m) = m * base fails for some m in F_p."""
+        return np.any([(image(m) - m * base) % p != 0 for m in range(p)],
+                      axis=0)
 
-    # identity element facts: sigma(0) = 0, chi(c,0) = 0, alpha(c,d,0) = 0
-    idx, mode = grids(1)
-    (c,) = idx
-    bad = (sig(zero_idx)[0] != 0) | (chi(c, np.zeros_like(c)) != 0)
-    record("unit (sigma(0), chi(c,0))", mode, np.atleast_1d(bad), idx)
-    idx, mode = grids(2)
-    c, d = idx
-    record("unit (alpha(c,d,0))", mode,
-           alp(c, d, np.zeros_like(c)) != 0, idx)
-
-    # sigma(n c) = n sigma(c)
-    idx, mode = grids(1)
-    (c,) = idx
-    bad = np.zeros(c.shape[0], dtype=bool)
-    sc = sig(c)
-    for nn in range(p):
-        bad |= (sig_scl(nn, c) != (nn * sc) % p)
-    record("sigmapowerlin", mode, bad, idx)
-
-    # sigma(c+d) = sigma(c) + sigma(d) [+ chi(c,d) when p = 2]
-    idx, mode = grids(2)
-    c, d = idx
-    lhs = sig_sum(c, d)
-    rhs = sig(c) + sig(d) + (chi(c, d) if p == 2 else 0)
-    record("sigmalin", mode, (lhs - rhs) % p != 0, idx)
-
-    # chi(c,c) = 0 and chi(c,d) = -chi(d,c)
-    idx, mode = grids(1)
-    (c,) = idx
-    record("chisymp", mode, chi(c, c) != 0, idx)
-    idx, mode = grids(2)
-    c, d = idx
-    record("chiskew", mode, (chi(c, d) + chi(d, c)) % p != 0, idx)
-
-    # chi(n c, d) = n chi(c, d)
-    idx, mode = grids(2)
-    c, d = idx
-    bad = np.zeros(c.shape[0], dtype=bool)
-    base = chi(c, d)
-    for nn in range(p):
-        bad |= (chi_scl(nn, c, d) != (nn * base) % p)
-    record("chipowerlin", mode, bad, idx)
-
-    # chi(c+d, e) = chi(c,e) + chi(d,e) + 3 alpha(c,d,e)
-    idx, mode = grids(3)
-    c, d, e = idx
-    lhs = chi_sum(c, d, e)
-    rhs = chi(c, e) + chi(d, e) + 3 * alp(c, d, e)
-    record("chimultilin", mode, (lhs - rhs) % p != 0, idx)
-
-    # polarization cross-check for p = 2: chi = sigma(c+d) - sigma(c) - sigma(d)
+    zero = np.zeros(1, dtype=np.int64)
+    identities = [
+        # identity element facts: sigma(0) = 0, chi(c,0) = 0, alpha(c,d,0) = 0
+        ("unit (sigma(0), chi(c,0))", 1,
+         lambda c: (sig(zero)[0] != 0) | (chi(c, 0 * c) != 0)),
+        ("unit (alpha(c,d,0))", 2, lambda c, d: alp(c, d, 0 * c) != 0),
+        # sigma(n c) = n sigma(c)
+        ("sigmapowerlin", 1,
+         lambda c: scaled(lambda m: sig_scl(m, c), sig(c))),
+        # sigma(c+d) = sigma(c) + sigma(d) [+ chi(c,d) when p = 2]
+        ("sigmalin", 2, lambda c, d: (sig_sum(c, d) - sig(c) - sig(d)
+                                      - (chi(c, d) if p == 2 else 0)) % p != 0),
+        # chi(c,c) = 0 and chi(c,d) = -chi(d,c)
+        ("chisymp", 1, lambda c: chi(c, c) != 0),
+        ("chiskew", 2, lambda c, d: (chi(c, d) + chi(d, c)) % p != 0),
+        # chi(n c, d) = n chi(c, d)
+        ("chipowerlin", 2,
+         lambda c, d: scaled(lambda m: chi_scl(m, c, d), chi(c, d))),
+        # chi(c+d, e) = chi(c,e) + chi(d,e) + 3 alpha(c,d,e)
+        ("chimultilin", 3, lambda c, d, e: (chi_sum(c, d, e) - chi(c, e)
+                                            - chi(d, e) - 3 * alp(c, d, e))
+         % p != 0),
+    ]
     if p == 2:
-        idx, mode = grids(2)
-        c, d = idx
-        pol = (sig_sum(c, d) - sig(c) - sig(d)) % 2
-        record("chi-polarization", mode, (pol - chi(c, d)) % 2 != 0, idx)
-
-    # alpha vanishes on repeated arguments
-    idx, mode = grids(2)
-    c, d = idx
-    bad = (alp(c, c, d) != 0) | (alp(c, d, c) != 0) | (alp(d, c, c) != 0)
-    record("alphasymp", mode, bad, idx)
-
-    # alpha(c,d,e) = alpha(d,e,c) = -alpha(d,c,e)
-    idx, mode = grids(3)
-    c, d, e = idx
-    a0 = alp(c, d, e)
-    bad = ((alp(d, e, c) - a0) % p != 0) | ((alp(d, c, e) + a0) % p != 0)
-    record("alphaskew", mode, bad, idx)
-
-    # alpha(n c, d, e) = n alpha(c, d, e)
-    idx, mode = grids(3)
-    c, d, e = idx
-    bad = np.zeros(c.shape[0], dtype=bool)
-    a0 = alp(c, d, e)
-    for nn in range(p):
-        bad |= (alp_scl(nn, c, d, e) != (nn * a0) % p)
-    record("alphapowerlin", mode, bad, idx)
-
-    # alpha(c, d, e) = sum_m e_m alpha(c, d, b_m): linear in the last slot,
-    # which with the cyclic symmetry above gives multilinearity in every
-    # slot without ever walking a 4-vector grid
-    idx, mode = grids(3)
-    c, d, e = idx
-    lhs = alp(c, d, e)
-    rhs = alp_last(c, d, e)
-    record("alphamultilin", mode, (lhs - rhs) % p != 0, idx)
-
-    return ValidationReport(all(ch.ok for ch in checks), checks)
+        # polarization cross-check: chi = sigma(c+d) - sigma(c) - sigma(d)
+        identities.append(
+            ("chi-polarization", 2, lambda c, d: (sig_sum(c, d) - sig(c)
+                                                  - sig(d) - chi(c, d))
+             % 2 != 0))
+    identities += [
+        # alpha vanishes on repeated arguments
+        ("alphasymp", 2, lambda c, d: (alp(c, c, d) != 0)
+         | (alp(c, d, c) != 0) | (alp(d, c, c) != 0)),
+        # alpha(c,d,e) = alpha(d,e,c) = -alpha(d,c,e)
+        ("alphaskew", 3, lambda c, d, e: ((alp(d, e, c) - alp(c, d, e)) % p
+                                          != 0)
+         | ((alp(d, c, e) + alp(c, d, e)) % p != 0)),
+        # alpha(n c, d, e) = n alpha(c, d, e)
+        ("alphapowerlin", 3,
+         lambda c, d, e: scaled(lambda m: alp_scl(m, c, d, e),
+                                alp(c, d, e))),
+        # alpha(c, d, e) = sum_m e_m alpha(c, d, b_m): linear in the last
+        # slot, which with the cyclic symmetry above gives multilinearity
+        # in every slot without ever walking a 4-vector grid
+        ("alphamultilin", 3,
+         lambda c, d, e: (alp(c, d, e) - alp_last(c, d, e)) % p != 0),
+    ]
+    return identities
 
 
 # -- radicals ----------------------------------------------------------------

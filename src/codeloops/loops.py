@@ -36,8 +36,10 @@ So theta(u, w) = Phi(u) . Psi(w) mod |Z| with about 3k integer features
   Psi(w) = (X_< w + Q(w) - R(w), z_m [w_m >= q_m - t],  w)
 
 and that one kernel serves every use: theta_rows is the row-wise dot
-product, the theta table is Phi(V) Psi(V)^T over all of C in int64
-(stored as the smallest unsigned dtype that holds |Z| - 1), a product
+product, the theta table is Phi(V) Psi(V)^T over all of C (a float64
+GEMM per chunk of rows, exact because every row sum stays below
+dot_bound < 2^53, cast to the smallest unsigned dtype that holds |Z| - 1
+and reduced mod |Z|), a product
 without a table evaluates one row, and sampled verification works on
 sampled rows at any |C|.  A kappa-isotope adds alpha(u, kappa, w) = u B w,
 so its features are the base features with (u, B w) appended.  The

@@ -1,14 +1,24 @@
 """Isomorphism and isotopy classification over small parameter ranges.
 
-The dim-4 run takes about a minute and lives in the acceptance tests; here
-we pin down the small cases exactly and check the class data is usable.
+The dim-4 run lives in the acceptance tests.  Here we pin down the small
+cases exactly, check the dim-3 partitions against brute-force orbits and
+iso_up_to_scalar, and check the class data is usable.
 """
 
+import functools
+import itertools
+
+import numpy as np
 import pytest
 
 from codeloops import (brute_force_isomorphic, build, classify, cvs_new,
                        rep_to_cvs, LoopTable)
-from codeloops.classify import state_invariants, total_state_count
+from codeloops.classify import (ClassifyResult, IsoClass, state_invariants,
+                                total_state_count)
+from codeloops.cvs import (Cvs, adjoint_translate, alpha_rows, chi_rows,
+                           iso_up_to_scalar, pair_list, pullback_tables,
+                           sigma_rows, triple_list)
+from codeloops.modular import enumerate_invertible, fp_vector
 
 
 def test_dim3_p3_nonassoc():
@@ -90,11 +100,149 @@ def test_classify_error_paths():
         classify(5, 3, 5, nonassoc=True)
     with pytest.raises(ValueError, match="exponent"):
         classify(3, 2, 27)
+    for p in (4, 9, 1, 0, -3):
+        with pytest.raises(ValueError, match="p must be prime"):
+            classify(p, 2, p)
+    with pytest.raises(ValueError, match="dimension must be >= 0"):
+        classify(3, -1, 3)
 
 
-def test_prune_matches_unpruned_dim3():
-    a = classify(3, 3, 3, nonassoc=True, prune=True)
-    b = classify(3, 3, 3, nonassoc=True, prune=False)
-    assert a.n_iso == b.n_iso and a.n_isotopy == b.n_isotopy
-    assert ([c.size for c in a.iso_classes]
-            == [c.size for c in b.iso_classes])
+@pytest.mark.parametrize("p,exponent", [(3, 3), (3, 9), (5, 25)])
+def test_dim0_is_trivial(p, exponent):
+    res = classify(p, 0, exponent)
+    assert (res.n_states, res.n_iso, res.n_isotopy) == (1, 1, 1)
+    assert res.iso_classes[0].rep == ((), (), ())
+    assert res.iso_classes[0].size == 1
+    assert res.isotopy_classes == ((0,),)
+
+
+# -- brute-force oracle at dim 3 ---------------------------------------------
+#
+# The orbit of a state under GL(3, 3) x F_3^*, computed by pulling the state
+# back along every one of the 11,232 invertible matrices with the row
+# evaluators, and states packed sigma first, alpha last, as classify ranks
+# them.  Isotopy classes are unions of the orbits of the 27 translates of a
+# rep: a basis change conjugates adt_k to adt_{M^-1 k}, and a scalar
+# commutes with it.
+
+_K, _P = 3, 3
+
+
+@functools.cache
+def _gl33():
+    """Every invertible M as an array R with R[m, i] = M e_i."""
+    return np.array([M.rows for M in enumerate_invertible(_K, _P)]
+                    ).transpose(0, 2, 1)
+
+
+def _pack(tables):
+    tables = np.atleast_2d(tables)
+    return tables @ _P ** np.arange(tables.shape[1] - 1, -1, -1)
+
+
+def _flat(state):
+    return np.concatenate([np.asarray(t, dtype=np.int64) for t in state])
+
+
+def _orbit(C):
+    """Sorted packed states of the GL x F_p^* orbit of C."""
+    R = _gl33()
+    m = len(R)
+    I, J = np.array(pair_list(_K)).T
+    a, b, c = np.array(triple_list(_K)).T
+    rows = lambda X: X.reshape(-1, _K)
+    tables = np.concatenate([
+        sigma_rows(C, rows(R)).reshape(m, -1),
+        chi_rows(C, rows(R[:, I]), rows(R[:, J])).reshape(m, -1),
+        alpha_rows(C, rows(R[:, a]), rows(R[:, b]),
+                   rows(R[:, c])).reshape(m, -1)], axis=1)
+    return np.unique(np.concatenate([_pack((s * tables) % _P)
+                                     for s in range(1, _P)]))
+
+
+@pytest.mark.parametrize("exponent,nonassoc", [(3, True), (9, False)])
+def test_iso_classes_are_brute_force_orbits(exponent, nonassoc):
+    res = classify(_P, _K, exponent, nonassoc=nonassoc)
+    covered = set()
+    for cls in res.iso_classes:
+        orbit = _orbit(Cvs(_P, _K, *cls.rep))
+        assert orbit[0] == _pack(_flat(cls.rep))[0]  # rep = smallest member
+        assert len(orbit) == cls.size
+        covered.update(orbit.tolist())
+    assert len(covered) == res.n_states == sum(c.size
+                                               for c in res.iso_classes)
+
+
+@pytest.mark.parametrize("exponent,nonassoc", [(3, True), (9, False)])
+def test_isotopy_classes_are_translate_orbits(exponent, nonassoc):
+    res = classify(_P, _K, exponent, nonassoc=nonassoc)
+    rep_index = {int(_pack(_flat(c.rep))[0]): i
+                 for i, c in enumerate(res.iso_classes)}
+    for grp, rep in zip(res.isotopy_classes, res.isotopy_reps):
+        C = rep_to_cvs(rep, _P, _K)
+        met = {rep_index[int(_orbit(adjoint_translate(
+            C, fp_vector(kappa, _P)))[0])]
+            for kappa in itertools.product(range(_P), repeat=_K)}
+        assert met == set(grp)
+
+
+@pytest.mark.parametrize("exponent,nonassoc", [(3, True), (9, False)])
+def test_iso_up_to_scalar_maps_sample_states_to_reps(exponent, nonassoc):
+    rng = np.random.default_rng(exponent)
+    res = classify(_P, _K, exponent, nonassoc=nonassoc)
+    for cls in res.iso_classes:
+        rep = rep_to_cvs(cls.rep, _P, _K)
+        M = _gl33()[rng.integers(len(_gl33()))]
+        s = int(rng.integers(1, _P))
+        state = Cvs(_P, _K, *(tuple((s * v) % _P for v in t)
+                              for t in pullback_tables(rep, M)))
+        iso = iso_up_to_scalar(rep, state)
+        assert iso is not None
+        got = pullback_tables(state, np.array(iso.matrix.rows).T)
+        assert _flat(got).tolist() == [
+            (int(iso.scalar) * v) % _P for v in _flat(cls.rep).tolist()]
+
+
+def test_iso_up_to_scalar_separates_reps():
+    # distinct classes of (3, 3, 9) whose radical invariants agree; about
+    # 2 s each, since the search runs through all of GL(3, 3)
+    res = classify(3, 3, 9)
+    for i, j in ((0, 4), (1, 5)):
+        a, b = res.iso_classes[i], res.iso_classes[j]
+        assert a.invariants == b.invariants
+        assert iso_up_to_scalar(rep_to_cvs(a.rep, 3, 3),
+                                rep_to_cvs(b.rep, 3, 3)) is None
+
+
+# (sigma, chi, alpha, size, rad_chi_dim, rad_alpha_dim, rad_alpha_in_rad_chi)
+# of the (3, 3, 9) classes, recorded from a breadth-first orbit enumeration
+# over the GL(3, 3) generators, the scalars and the translations
+_PINNED_339 = (
+    ((0, 0, 0), (0, 0, 0), (0,), 1, 3, 3, True),
+    ((0, 0, 0), (0, 0, 0), (1,), 2, 3, 0, True),
+    ((0, 0, 0), (0, 0, 1), (0,), 26, 1, 3, False),
+    ((0, 0, 0), (0, 0, 1), (1,), 52, 1, 0, True),
+    ((0, 0, 1), (0, 0, 0), (0,), 26, 3, 3, True),
+    ((0, 0, 1), (0, 0, 0), (1,), 52, 3, 0, True),
+    ((0, 0, 1), (0, 0, 1), (0,), 208, 1, 3, False),
+    ((0, 0, 1), (0, 0, 1), (1,), 416, 1, 0, True),
+    ((0, 0, 1), (1, 0, 0), (0,), 468, 1, 3, False),
+    ((0, 0, 1), (1, 0, 0), (1,), 936, 1, 0, True),
+)
+_PINNED_339_ISOTOPY = {
+    False: ((0,), (1, 3), (2,), (4,), (5, 7, 9), (6,), (8,)),
+    True: ((0, 1), (2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("nonassoc", [False, True])
+def test_dim3_exponent9_pinned(nonassoc):
+    rows = [r for r in _PINNED_339 if any(r[2]) or not nonassoc]
+    iso = tuple(IsoClass((sig, chi, alpha), size,
+                         {"chi_trivial": not any(chi), "rad_chi_dim": rc,
+                          "rad_alpha_dim": ra, "rad_alpha_in_rad_chi": inside})
+                for sig, chi, alpha, size, rc, ra, inside in rows)
+    groups = _PINNED_339_ISOTOPY[nonassoc]
+    want = ClassifyResult(3, 3, 9, sum(r[3] for r in rows), iso, groups,
+                          tuple(iso[g[0]].rep for g in groups))
+    assert classify(3, 3, 9, nonassoc=nonassoc) == want

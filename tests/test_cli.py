@@ -143,6 +143,22 @@ def test_classify_cli_rejects_p2(runner):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("p", ["4", "9", "1", "0"])
+def test_classify_cli_rejects_nonprime_p(runner, p):
+    res = runner.invoke(main, ["classify", "--p", p, "--dim", "2",
+                               "--exponent", p])
+    assert res.exit_code == 2
+    assert "p must be prime" in res.output
+    assert "states=" not in res.output
+
+
+def test_classify_cli_dim0(runner):
+    res = _run(runner, ["classify", "--p", "3", "--dim", "0",
+                        "--exponent", "3"])
+    lines = res.output.splitlines()
+    assert lines[1:4] == ["states=1", "iso_classes=1", "isotopy_classes=1"]
+
+
 def test_verify_loop_rejects_mutant(runner, tmp_path, oct_cvs_file):
     csv = str(tmp_path / "oct.csv")
     _run(runner, ["build", oct_cvs_file, "--table", csv])

@@ -1,12 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from codeloops.cvs import (Cvs, adjoint_translate, chi_table, cvs_new,
-                           emit_cvs, eval_alpha, eval_chi,
+from codeloops import cvs
+from codeloops.cvs import (Cvs, adjoint_translate, all_vectors, chi_table,
+                           cvs_new, emit_cvs, eval_alpha, eval_chi,
                            eval_chi_polarized, eval_sigma, iso_up_to_scalar,
                            octonion_cvs, parse_cvs, permute_basis, rad_alpha,
                            rad_chi, random_cvs, scale_cvs, transform,
@@ -91,6 +93,50 @@ def test_validator_flags_bad_alpha_for_big_p():
     rep = validate_axioms(C, budget=64, samples=4000)
     assert not rep.ok
     assert any(not c.ok for c in rep.checks)
+
+
+# first failing tuples recorded from the unchunked validator: exhaustive on
+# the tabulated path, then sampled on the tabulated and the row paths
+_BAD5 = Cvs(5, 3, (1, 2, 3), (1, 2, 3), (1,))
+_WITNESSES = [
+    (_BAD5, {}, ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+    (_BAD5, dict(budget=64, samples=3000, seed=5),
+     ((4, 2, 1), (3, 4, 4), (0, 4, 0))),
+    (Cvs(7, 3, (0, 0, 1), (0, 5, 0), (3,)), {},
+     ((5, 6, 4), (1, 3, 5), (6, 3, 5))),
+]
+
+
+@pytest.mark.parametrize("C,kw,witness", _WITNESSES)
+def test_validator_witness_is_first_failure(C, kw, witness):
+    fails = validate_axioms(C, **kw).failures()
+    assert [c.name for c in fails] == ["chimultilin"]
+    assert tuple(v.coords for v in fails[0].witness) == witness
+
+
+def test_validator_chunks_do_not_change_reports(monkeypatch):
+    runs = [(_BAD5, {}), (_BAD5, dict(budget=64, samples=3000, seed=5)),
+            (random_cvs(3, 3, 1), {})]
+    want = [validate_axioms(C, **kw).lines() for C, kw in runs]
+    monkeypatch.setattr(cvs, "_CHECK_CHUNK", 1000)
+    assert [validate_axioms(C, **kw).lines() for C, kw in runs] == want
+
+
+def test_validator_arity3_scan_memory():
+    # |C| = 256 is the largest tabulated size: its arity-3 grid has 2^24
+    # tuples, which held 3 GB when one identity gathered over all at once
+    C = random_cvs(2, 8, 0)
+    V = all_vectors(C)
+    checks = {name: check for name, _, check in cvs._identities(C, V, True)}
+    tracemalloc.start()
+    try:
+        res = cvs._scan("alphamultilin", "exhaustive",
+                        checks["alphamultilin"], cvs._grid(256, 3), V, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.ok
+    assert peak < 192 * 2 ** 20, peak
 
 
 def test_cvs_new_rejects_alpha_for_big_p():
