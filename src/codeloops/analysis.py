@@ -5,6 +5,11 @@ that is a Latin square with a two-sided identity and two-sided inverses
 satisfying the inverse property.  Functions are exhaustive scans (chunked
 numpy gathers), so they are meant for desk-scale loops; the intended
 ceiling is a few hundred elements for the cubic scans.
+
+Each structure of a table (divisions, inverses, element orders, nucleus
+and Moufang-center masks, commutators, associator values, upper central
+series) is a cached property of the LoopTable, computed once; frattini
+picks one algorithm per loop.
 """
 
 from __future__ import annotations
@@ -19,8 +24,11 @@ from .cvs import CheckResult, ValidationReport
 
 MOUFANG_SCAN_MAX = 512
 DERIVED_SCAN_MAX = 512
+ASSOC_TABLE_MAX = 256
 LATTICE_ORACLE_MAX = 128
 SUBLOOP_CAP = 4096
+ISO_SEARCH_MAX = 256
+_SCAN_CHUNK = 1 << 16  # associator triples per gather: small blocks stay in cache
 
 
 @dataclass(frozen=True)
@@ -139,6 +147,54 @@ class LoopTable:
             raise AssertionError("element order exceeded |L|")
         return orders
 
+    @cached_property
+    def nucleus_mask(self) -> np.ndarray:
+        """Elements a with (ax)y = a(xy), (xa)y = x(ay) and (xy)a = x(ya)."""
+        T, n = np.asarray(self.table, dtype=np.int64), self.n
+        mask = np.zeros(n, dtype=bool)
+        for a in range(n):
+            A = T[a]
+            B = T[:, a]
+            mask[a] = (np.array_equal(T[A], A[T])
+                       and np.array_equal(T[B], T[:, A])
+                       and np.array_equal(B[T], T[:, B]))
+        return mask
+
+    @cached_property
+    def moufang_center_mask(self) -> np.ndarray:
+        """Elements that commute with every element."""
+        return (self.table == self.table.T).all(axis=1)
+
+    @cached_property
+    def commutator_table(self) -> np.ndarray:
+        """K[a, b] = (ba) \\ (ab)."""
+        T = np.asarray(self.table, dtype=np.int64)
+        return np.asarray(self.ldiv, dtype=np.int64)[T.T, T]
+
+    @cached_property
+    def associator_values(self) -> np.ndarray:
+        """Sorted distinct values of the associator over all triples."""
+        if self.n > DERIVED_SCAN_MAX:
+            raise ValueError("order %d beyond associator scan budget %d"
+                             % (self.n, DERIVED_SCAN_MAX))
+        seen = np.zeros(self.n, dtype=bool)
+        for _, block in _associator_blocks(self):
+            seen[block] = True
+        return np.flatnonzero(seen)
+
+    @cached_property
+    def upper_central_series(self) -> tuple:
+        """(Z_1, Z_2, ...) with Z_{i+1}/Z_i = Z(L/Z_i), until it stabilizes."""
+        chain = [center(self)]
+        while len(chain[-1]) < self.n:
+            Q, coset = quotient_table(self, chain[-1])
+            zq = np.array(center(Q).members, dtype=np.int64)
+            nxt = _subloop_from_mask(self, np.isin(coset, zq))
+            if len(nxt) == len(chain[-1]):
+                break
+            chain.append(nxt)
+        return tuple(chain)
+
     def exponent(self) -> int:
         return int(np.lcm.reduce(self.element_orders))
 
@@ -167,14 +223,15 @@ class LoopTable:
 
 # -- identities ---------------------------------------------------------------
 
-def is_moufang(L: LoopTable, max_order: int = MOUFANG_SCAN_MAX):
+def is_moufang(L: LoopTable):
     """Exhaustive check of the four Moufang identities over all triples.
 
     Returns (ok, witness); the witness is (identity number 1..4, g, d, e).
     """
     T, n = np.asarray(L.table, dtype=np.int64), L.n
-    if n > max_order:
-        raise ValueError("order %d beyond Moufang scan budget %d" % (n, max_order))
+    if n > MOUFANG_SCAN_MAX:
+        raise ValueError("order %d beyond Moufang scan budget %d"
+                         % (n, MOUFANG_SCAN_MAX))
     for g in range(n):
         A = T[g]        # g*x
         B = T[:, g]     # x*g
@@ -204,22 +261,19 @@ def is_moufang(L: LoopTable, max_order: int = MOUFANG_SCAN_MAX):
     return True, None
 
 
-def is_associative(L: LoopTable, max_order: int = MOUFANG_SCAN_MAX) -> bool:
-    T, n = np.asarray(L.table, dtype=np.int64), L.n
-    if n > max_order:
+def is_associative(L: LoopTable) -> bool:
+    """A loop is associative exactly when its nucleus is all of it."""
+    if L.n > MOUFANG_SCAN_MAX:
         raise ValueError("order %d beyond associativity scan budget %d"
-                         % (n, max_order))
-    for a in range(n):
-        if not np.array_equal(T[T[a]], T[a][T]):
-            return False
-    return True
+                         % (L.n, MOUFANG_SCAN_MAX))
+    return bool(L.nucleus_mask.all())
 
 
-def mk_law_holds(L: LoopTable, k: int, max_order: int = MOUFANG_SCAN_MAX) -> bool:
+def mk_law_holds(L: LoopTable, k: int) -> bool:
     """Does c^k(d(ce)) = ((c^k d)c)e hold for all c, d, e?"""
     T, n = np.asarray(L.table, dtype=np.int64), L.n
-    if n > max_order:
-        raise ValueError("order %d beyond scan budget %d" % (n, max_order))
+    if n > MOUFANG_SCAN_MAX:
+        raise ValueError("order %d beyond scan budget %d" % (n, MOUFANG_SCAN_MAX))
     pk = L.power_column(k)
     for c in range(n):
         ck = int(pk[c])
@@ -232,27 +286,6 @@ def mk_law_holds(L: LoopTable, k: int, max_order: int = MOUFANG_SCAN_MAX) -> boo
 
 # -- centers and nuclei -------------------------------------------------------
 
-def _moufang_center_mask(L: LoopTable) -> np.ndarray:
-    T = L.table
-    return (T == T.T).all(axis=1)
-
-
-def _nucleus_mask(L: LoopTable) -> np.ndarray:
-    T, n = np.asarray(L.table, dtype=np.int64), L.n
-    mask = np.zeros(n, dtype=bool)
-    for a in range(n):
-        A = T[a]
-        B = T[:, a]
-        if not np.array_equal(T[A], A[T]):       # (ax)y = a(xy)
-            continue
-        if not np.array_equal(T[B], T[:, A]):    # (xa)y = x(ay)
-            continue
-        if not np.array_equal(B[T], T[:, B]):    # (xy)a = x(ya)
-            continue
-        mask[a] = True
-    return mask
-
-
 def _subloop_from_mask(L: LoopTable, mask: np.ndarray) -> Subloop:
     idx = np.flatnonzero(mask)
     prods = L.table[np.ix_(idx, idx)]
@@ -262,61 +295,49 @@ def _subloop_from_mask(L: LoopTable, mask: np.ndarray) -> Subloop:
 
 
 def moufang_center(L: LoopTable) -> Subloop:
-    return _subloop_from_mask(L, _moufang_center_mask(L))
+    return _subloop_from_mask(L, L.moufang_center_mask)
 
 
 def nucleus(L: LoopTable) -> Subloop:
-    return _subloop_from_mask(L, _nucleus_mask(L))
+    return _subloop_from_mask(L, L.nucleus_mask)
 
 
 def center(L: LoopTable) -> Subloop:
-    nmask = _nucleus_mask(L)
-    cmask = _moufang_center_mask(L)
-    zmask = nmask & cmask
-    Z = _subloop_from_mask(L, zmask)
-    both = nucleus(L), moufang_center(L)
-    assert set(Z.members) == set(both[0].members) & set(both[1].members)
-    return Z
+    return _subloop_from_mask(L, L.nucleus_mask & L.moufang_center_mask)
 
 
 # -- commutators, associators, derived subloops -------------------------------
 
 def commutator_table(L: LoopTable) -> np.ndarray:
     """K[a, b] = (ba) \\ (ab)."""
-    T = np.asarray(L.table, dtype=np.int64)
-    ld = np.asarray(L.ldiv, dtype=np.int64)
-    return ld[T.T, T]
+    return L.commutator_table
 
 
-def associator_values(L: LoopTable, max_order: int = DERIVED_SCAN_MAX,
-                      chunk: int = 16) -> np.ndarray:
+def _associator_blocks(L: LoopTable):
+    """(lo, block) with block[a - lo, b, c] = (a(bc)) \\ ((ab)c), over
+    consecutive chunks of a holding at most _SCAN_CHUNK triples."""
+    T, n = np.asarray(L.table, dtype=np.int64), L.n
+    ld = np.asarray(L.ldiv, dtype=np.int64).ravel()
+    step = max(1, _SCAN_CHUNK // (n * n))
+    for lo in range(0, n, step):
+        # a(bc) * n + (ab)c indexes ldiv[a(bc), (ab)c]
+        yield lo, ld[T[lo:lo + step, T] * n + T[T[lo:lo + step]]]
+
+
+def associator_values(L: LoopTable) -> np.ndarray:
     """Sorted unique values of the associator over all triples."""
-    T, n = np.asarray(L.table, dtype=np.int64), L.n
-    if n > max_order:
-        raise ValueError("order %d beyond associator scan budget %d"
-                         % (n, max_order))
-    ld = np.asarray(L.ldiv, dtype=np.int64)
-    vals = set()
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        blockA = T[T[lo:hi, :, None], np.arange(n)[None, None, :]]  # (ab)c
-        blockB = T[lo:hi, T]                                        # a(bc)
-        vals.update(np.unique(ld[blockB, blockA]).tolist())
-    return np.array(sorted(vals), dtype=np.int64)
+    return L.associator_values
 
 
-def associator_table(L: LoopTable, max_order: int = 256) -> np.ndarray:
+def associator_table(L: LoopTable) -> np.ndarray:
     """Full A[a,b,c] = (a(bc)) \\ ((ab)c) as a compact integer array."""
-    T, n = np.asarray(L.table, dtype=np.int64), L.n
-    if n > max_order:
+    n = L.n
+    if n > ASSOC_TABLE_MAX:
         raise ValueError("order %d beyond associator table budget %d"
-                         % (n, max_order))
-    ld = np.asarray(L.ldiv, dtype=np.int64)
+                         % (n, ASSOC_TABLE_MAX))
     out = np.empty((n, n, n), dtype=np.int16)
-    for a in range(n):
-        left = T[T[a, :, None], np.arange(n)[None, :]]
-        right = T[a, T]
-        out[a] = ld[right, left]
+    for lo, block in _associator_blocks(L):
+        out[lo:lo + len(block)] = block
     return out
 
 
@@ -356,13 +377,11 @@ def normal_closure(L: LoopTable, seeds) -> Subloop:
         members = new
 
 
-def derived_subloops(L: LoopTable, max_order: int = DERIVED_SCAN_MAX):
+def derived_subloops(L: LoopTable):
     """(L', L*): normal closures of {commutators + associators} and of
     {associators} alone."""
-    K = commutator_table(L)
-    assoc = associator_values(L, max_order=max_order)
-    comms = np.unique(K)
-    lprime = normal_closure(L, np.union1d(comms, assoc))
+    assoc = L.associator_values
+    lprime = normal_closure(L, np.union1d(L.commutator_table, assoc))
     lstar = normal_closure(L, assoc)
     return lprime, lstar
 
@@ -389,32 +408,21 @@ def quotient_table(L: LoopTable, N: Subloop):
 
 def upper_central_series(L: LoopTable) -> list:
     """[Z_1, Z_2, ...] with Z_{i+1}/Z_i = Z(L/Z_i), until it stabilizes."""
-    chain = [center(L)]
-    while True:
-        zi = chain[-1]
-        if len(zi) == L.n:
-            return chain
-        Q, coset = quotient_table(L, zi)
-        zq = center(Q)
-        mask = np.isin(coset, np.array(zq.members, dtype=np.int64))
-        nxt = _subloop_from_mask(L, mask)
-        if len(nxt) == len(zi):
-            return chain
-        chain.append(nxt)
+    return list(L.upper_central_series)
 
 
 def nilpotency_class(L: LoopTable) -> Optional[int]:
     if L.n == 1:
         return 0
-    chain = upper_central_series(L)
+    chain = L.upper_central_series
     if len(chain[-1]) == L.n:
         return len(chain)
     return None
 
 
-def all_subloops(L: LoopTable, cap: int = SUBLOOP_CAP) -> list:
+def all_subloops(L: LoopTable) -> list:
     """Every subloop, by closing each known subloop with each outside
-    element.  Raises if the lattice exceeds the cap."""
+    element.  Raises if the lattice exceeds SUBLOOP_CAP."""
     seen = {subloop_closure(L, []).members}
     queue = list(seen)
     while queue:
@@ -426,51 +434,38 @@ def all_subloops(L: LoopTable, cap: int = SUBLOOP_CAP) -> list:
             grown = subloop_closure(L, list(S) + [x]).members
             if grown not in seen:
                 seen.add(grown)
-                if len(seen) > cap:
-                    raise ValueError("subloop lattice exceeds cap %d" % cap)
+                if len(seen) > SUBLOOP_CAP:
+                    raise ValueError("subloop lattice exceeds cap %d"
+                                     % SUBLOOP_CAP)
                 queue.append(grown)
     return sorted(seen)
 
 
 def frattini(L: LoopTable) -> Subloop:
-    """Frattini subloop: intersection of maximal subloops for |L| <= 128
-    (the definitional oracle); the generation formula <commutators,
-    associators, p-th powers> for larger centrally nilpotent p-loops.
-    When both run they must agree."""
-    oracle = None
-    if L.n <= LATTICE_ORACLE_MAX:
-        subs = all_subloops(L)
-        proper = [set(s) for s in subs if len(s) < L.n]
-        maximal = [s for s in proper
-                   if not any(s < t for t in proper)]
-        if maximal:
-            inter = set.intersection(*maximal)
-        else:
-            inter = set(range(L.n))  # no proper subloop: every element idles
-        oracle = Subloop(tuple(sorted(inter)))
+    """Frattini subloop: the intersection of the maximal subloops.
 
-    formula = None
+    One algorithm per loop.  In a finite centrally nilpotent p-loop every
+    maximal subloop is normal of index p (Bruck), so Phi(L) is the normal
+    closure of the commutators, associators and p-th powers; that formula
+    serves every such loop.  Other loops of order <= LATTICE_ORACLE_MAX
+    intersect the maximal subloops of the whole lattice; larger ones raise
+    ValueError.  The tests check the formula against the lattice.
+    """
     n = L.n
     p = _prime_power_base(n)
     if p is not None and nilpotency_class(L) is not None:
-        K = commutator_table(L)
-        gens = set(np.unique(K).tolist())
-        if n <= DERIVED_SCAN_MAX:
-            gens.update(associator_values(L).tolist())
-        gens.update(L.power_column(p).tolist())
-        formula = normal_closure(L, gens)
-
-    if oracle is not None and formula is not None:
-        if set(oracle.members) != set(formula.members):
-            raise AssertionError(
-                "Frattini mismatch: lattice oracle %r vs generation formula %r"
-                % (oracle.members, formula.members))
-    if oracle is not None:
-        return oracle
-    if formula is not None:
-        return formula
-    raise ValueError("no Frattini algorithm applies: order %d > %d and not a "
-                     "nilpotent prime-power loop" % (n, LATTICE_ORACLE_MAX))
+        return normal_closure(L, np.unique(np.concatenate([
+            L.commutator_table.ravel(), L.associator_values,
+            L.power_column(p)])))
+    if n > LATTICE_ORACLE_MAX:
+        raise ValueError("no Frattini algorithm applies: order %d > %d and "
+                         "not a nilpotent prime-power loop"
+                         % (n, LATTICE_ORACLE_MAX))
+    proper = [set(s) for s in all_subloops(L) if len(s) < n]
+    maximal = [s for s in proper if not any(s < t for t in proper)]
+    # with no proper subloop (n = 1) every element is a non-generator
+    inter = set.intersection(*maximal) if maximal else set(range(n))
+    return Subloop(tuple(sorted(inter)))
 
 
 def _prime_power_base(n: int) -> Optional[int]:
@@ -524,20 +519,20 @@ def _profiles(L: LoopTable) -> np.ndarray:
     """Per-element invariant used for pruning: (order, central?, commuting
     count)."""
     orders = L.element_orders
-    zmask = _nucleus_mask(L) & _moufang_center_mask(L)
+    zmask = L.nucleus_mask & L.moufang_center_mask
     commcount = (L.table == L.table.T).sum(axis=1)
     return np.stack([orders, zmask.astype(np.int64), commcount], axis=1)
 
 
-def brute_force_isomorphic(L: LoopTable, M: LoopTable,
-                           budget: int = 256) -> Optional[list]:
+def brute_force_isomorphic(L: LoopTable, M: LoopTable) -> Optional[list]:
     """Backtracking isomorphism search; returns the mapping (as a list,
     L-index -> M-index) or None.  Deterministic: generator images are tried
     in increasing index order, so the first hit is lexicographically least."""
     if L.n != M.n:
         return None
-    if L.n > budget:
-        raise ValueError("order %d beyond isomorphism budget %d" % (L.n, budget))
+    if L.n > ISO_SEARCH_MAX:
+        raise ValueError("order %d beyond isomorphism budget %d"
+                         % (L.n, ISO_SEARCH_MAX))
     TL = np.asarray(L.table, dtype=np.int64)
     TM = np.asarray(M.table, dtype=np.int64)
     n = L.n
@@ -606,8 +601,7 @@ def brute_force_isomorphic(L: LoopTable, M: LoopTable,
 
 # -- class-2 identity battery ---------------------------------------------------
 
-def class2_associator_identities(L: LoopTable,
-                                 max_order: int = 256) -> ValidationReport:
+def class2_associator_identities(L: LoopTable) -> ValidationReport:
     """Exhaustively verify, on a class <= 2 table, that the associator is
     skew-symmetric and power-linear, the commutator expansion
     [cd,e] = [c,e] [[c,e],d] [d,e] [c,d,e]^3 holds, and the associator
@@ -615,9 +609,9 @@ def class2_associator_identities(L: LoopTable,
     run over center-coset representatives after checking that commutators
     and associators only depend on those cosets."""
     n = L.n
-    if n > max_order:
+    if n > ASSOC_TABLE_MAX:
         raise ValueError("order %d beyond identity battery budget %d"
-                         % (n, max_order))
+                         % (n, ASSOC_TABLE_MAX))
     T = np.asarray(L.table, dtype=np.int64)
     ld = np.asarray(L.ldiv, dtype=np.int64)
     inv = np.asarray(L.inverse, dtype=np.int64)
@@ -653,8 +647,7 @@ def class2_associator_identities(L: LoopTable,
     for t in range(expnt + 1):
         pc = L.power_column(t)
         lhs = A[pc[reps]][:, reps][:, :, reps]
-        rhs = _central_power(L, Ar, t)
-        if not np.array_equal(lhs, rhs):
+        if not np.array_equal(lhs, pc[Ar]):
             ok = False
             break
     checks.append(CheckResult("associator power-linearity", "exhaustive", ok))
@@ -665,7 +658,7 @@ def class2_associator_identities(L: LoopTable,
     t1 = np.broadcast_to(Kr[:, np.newaxis, :], (m, m, m))        # [c,e]
     t2 = K[Kr[:, None, :], reps[None, :, None]]                  # [[c,e],d]
     t3 = np.broadcast_to(Kr[np.newaxis, :, :], (m, m, m))        # [d,e]
-    t4 = _central_power(L, Ar, 3)
+    t4 = L.power_column(3)[Ar]
     rhs = T[T[T[t1, t2], t3], t4]
     ok = np.array_equal(lhs, rhs)
     checks.append(CheckResult("commutator product expansion", "exhaustive", ok))
@@ -680,12 +673,6 @@ def class2_associator_identities(L: LoopTable,
     checks.append(CheckResult("exchange identity", "exhaustive", ok, wit))
 
     return ValidationReport(all(c.ok for c in checks), checks)
-
-
-def _central_power(L: LoopTable, arr: np.ndarray, t: int) -> np.ndarray:
-    """Elementwise t-th power of an array of (central) element indices."""
-    pc = L.power_column(t)
-    return pc[arr]
 
 
 def _pentagonal(L, A, T, inv, reps):
@@ -719,7 +706,7 @@ def _exchange(L, A, T, inv, reps):
         r2 = A[w, reps][:, reps]                    # a(w,x,y) -> (x,y)
         r3 = A[w, reps][:, reps]                    # a(w,y,z) -> (y,z)
         r4 = A[np.ix_(reps, reps, reps)]            # a(x,y,z)
-        rhs = T[T[r1, r2[:, :, None]], T[r3[None, :, :], _central_power(L, r4, 2)]]
+        rhs = T[T[r1, r2[:, :, None]], T[r3[None, :, :], L.power_column(2)[r4]]]
         if not np.array_equal(lhs, rhs):
             x, y, z = np.argwhere(lhs != rhs)[0]
             return False, (w, int(reps[x]), int(reps[y]), int(reps[z]))

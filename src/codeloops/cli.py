@@ -135,7 +135,11 @@ def verify_loop(table):
         _echo_pairs([("loop", False)])
         click.echo("witness=%s" % e)
         sys.exit(1)
-    report = loop_report(L)
+    try:
+        report = loop_report(L)
+    except ValueError as e:  # e.g. no Frattini algorithm for this loop
+        click.echo("error: %s" % e, err=True)
+        sys.exit(2)
     wit = report.pop("moufang_witness", None)
     _echo_pairs(report.items())
     if wit is not None:

@@ -487,18 +487,26 @@ def _identities(C: Cvs, V: np.ndarray, tab: bool) -> list:
         wts = (p ** np.arange(k - 1, -1, -1)).astype(np.int64)
         S1 = sigma_rows(C, V)
         X2 = chi_table(C)
-        A3 = C.forms.alpha_block(V, V)
+        # n^3 fits the cap, so p <= n <= 256 and alpha residues fit uint8.
+        # The table is built a chunk of u rows at a time, and every gather
+        # from it is widened to int64 before any arithmetic, since uint8
+        # arithmetic wraps mod 256.
+        n = len(V)
+        A3 = np.empty((n, n, n), dtype=np.uint8)
+        step = max(1, _CHECK_CHUNK // (n * n))
+        for lo in range(0, n, step):
+            A3[lo:lo + step] = C.forms.alpha_block(V[lo:lo + step], V)
         add_i = ((V[:, None, :] + V[None, :, :]) % p) @ wts
         scl_i = np.stack([((m * V) % p) @ wts for m in range(p)])
         sig = lambda I: S1[I]
         chi = lambda I, J: X2[I, J]
-        alp = lambda I, J, L: A3[I, J, L]
+        alp = lambda I, J, L: A3[I, J, L].astype(np.int64)
         sig_sum = lambda I, J: S1[add_i[I, J]]
         chi_sum = lambda I, J, E: X2[add_i[I, J], E]
         sig_scl = lambda m, I: S1[scl_i[m, I]]
         chi_scl = lambda m, I, J: X2[scl_i[m, I], J]
-        alp_scl = lambda m, I, J, L: A3[scl_i[m, I], J, L]
-        alp_last = lambda I, J, E: sum(A3[I, J, b] * V[E, m]
+        alp_scl = lambda m, I, J, L: alp(scl_i[m, I], J, L)
+        alp_last = lambda I, J, E: sum(alp(I, J, b) * V[E, m]
                                        for m, b in enumerate(wts))
     else:
         sig = lambda I: sigma_rows(C, V[I])

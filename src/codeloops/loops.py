@@ -622,7 +622,7 @@ def verify_coded_extension(L: CodedLoop, budget: int = DEFAULT_VERIFY_BUDGET,
     quantifying over C is exact.
     """
     C = L.cvs
-    n = L.csize
+    p, n = C.p, L.csize
     checks = []
 
     if n <= budget:
@@ -632,13 +632,13 @@ def verify_coded_extension(L: CodedLoop, budget: int = DEFAULT_VERIFY_BUDGET,
         zacc = np.zeros(n, dtype=np.int64)
         racc = np.zeros(n, dtype=np.int64)
         ar = np.arange(n)
-        for _ in range(L.p):
+        for _ in range(p):
             zacc = zacc + T[ar, racc]
             racc = add[ar, racc]
         sig = sigma_rows(C, vector_table(L.moduli))
-        ok = np.all(racc == 0) and np.all(zacc % L.p == sig)
+        ok = np.all(racc == 0) and np.all(zacc % p == sig)
         checks.append(CheckResult("CEpower", "exhaustive", bool(ok),
-                                  None if ok else _witness(L, zacc % L.p != sig)))
+                                  None if ok else _witness(L, zacc % p != sig)))
         # CEcommute
         comm = _comm_table(L)
         chi = chi_table(C)
@@ -659,7 +659,7 @@ def verify_coded_extension(L: CodedLoop, budget: int = DEFAULT_VERIFY_BUDGET,
         a, b, c = (_rows_sample(L, rng, samples) for _ in range(3))
         mul = lambda x, y: _rows_mul(L, x, y)
         acc = (np.zeros(samples, dtype=np.int64), np.zeros_like(a[1]))
-        for _ in range(L.p):
+        for _ in range(p):
             acc = mul(a, acc)
         okp = _rows_central(acc, sigma_rows(C, a[1])).all()
         checks.append(CheckResult("CEpower", "sampled", bool(okp)))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from codeloops import analysis
 from codeloops.analysis import (LoopTable, all_subloops,
+                                associator_table, associator_values,
                                 brute_force_isomorphic, center,
                                 class2_associator_identities,
                                 commutator_table, derived_subloops, frattini,
@@ -10,14 +12,25 @@ from codeloops.analysis import (LoopTable, all_subloops,
                                 nilpotency_class, nucleus, quotient_table,
                                 subloop_closure, torsion_components,
                                 upper_central_series)
-from codeloops.cvs import cvs_new, random_cvs
+from codeloops.cvs import cvs_new, octonion_cvs, random_cvs
 from codeloops.loops import build
+from codeloops.modules import build_module_extension, module_new
 
 from conftest import intercalate_swap
 
 
 def cyclic_table(n):
     return np.add.outer(np.arange(n), np.arange(n)) % n
+
+
+S3_TABLE = np.array([
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 4, 5, 2, 3],
+    [2, 5, 0, 4, 3, 1],
+    [3, 4, 5, 0, 1, 2],
+    [4, 3, 1, 2, 5, 0],
+    [5, 2, 3, 1, 0, 4],
+])
 
 
 def test_loop_table_validation():
@@ -123,15 +136,7 @@ def test_quotient_of_octonion_by_center(oct_table):
 
 def test_quotient_rejects_non_normal():
     # in S_3 (as a loop table) a 2-element subgroup is not normal
-    S3 = np.array([
-        [0, 1, 2, 3, 4, 5],
-        [1, 0, 4, 5, 2, 3],
-        [2, 5, 0, 4, 3, 1],
-        [3, 4, 5, 0, 1, 2],
-        [4, 3, 1, 2, 5, 0],
-        [5, 2, 3, 1, 0, 4],
-    ])
-    L = LoopTable(S3)
+    L = LoopTable(S3_TABLE)
     H = subloop_closure(L, [1])
     assert len(H) == 2
     with pytest.raises(ValueError):
@@ -161,11 +166,106 @@ def test_frattini_examples(oct_table):
     assert len(frattini(E8)) == 1
 
 
-def test_frattini_on_cml81(cml81_table):
-    # order 81 <= 128, so the lattice oracle runs and is cross-checked
-    # against the generation formula internally
-    phi = frattini(cml81_table)
+def test_frattini_on_cml81(cml81_table, monkeypatch):
+    # a centrally nilpotent 3-loop: frattini uses the generation formula
+    # alone and never builds the subloop lattice (the lattice cross-check
+    # is test_frattini_formula_matches_lattice)
+    def no_lattice(L):
+        raise AssertionError("lattice built for a nilpotent p-loop")
+
+    monkeypatch.setattr(analysis, "all_subloops", no_lattice)
+    phi = frattini(LoopTable(cml81_table.table))
     assert len(phi) == 3
+
+
+def _cvs_table(C):
+    return build(C, validate=False).table_array()
+
+
+TABLES = {
+    "oct16": lambda: _cvs_table(octonion_cvs()),
+    "sfm32": lambda: _cvs_table(
+        cvs_new(2, 4, [1, 0, 0, 0], {(0, 1): 1}, {(0, 1, 2): 1})),
+    "rand64": lambda: _cvs_table(random_cvs(2, 5, 1)),
+    "cml81": lambda: _cvs_table(cvs_new(3, 3, None, None, {(0, 1, 2): 1})),
+    "grp27exp9": lambda: _cvs_table(
+        cvs_new(3, 2, [1, 0], {(0, 1): 1}, None)),
+    "module243": lambda: build_module_extension(module_new(
+        3, (9, 3, 3), 3, (1, 2, 0), {(0, 1): 1},
+        {(0, 1, 2): 1})).table_array(),
+    "cvs243": lambda: _cvs_table(random_cvs(3, 4, 2)),
+    "E8": lambda: _cvs_table(cvs_new(2, 2, None, None, None)),
+    # exponent 3: Phi = Z is made of commutators alone
+    "heis27": lambda: _cvs_table(cvs_new(3, 2, None, {(0, 1): 1}, None)),
+    "C6": lambda: cyclic_table(6),
+    "C8": lambda: cyclic_table(8),
+    "C9": lambda: cyclic_table(9),
+    "C12": lambda: cyclic_table(12),
+    "S3": lambda: S3_TABLE,
+}
+
+_REPORT_KEYS = ("moufang", "assoc", "class", "Z", "N", "C", "Lprime",
+                "Lstar", "expLstar", "frattini", "small_frattini",
+                "extraspecial")
+
+# loop_report values (in _REPORT_KEYS order) and the sorted Frattini
+# members, recorded when every loop of order <= 128 ran both the lattice
+# and the generation formula and compared them.  S3, C6 and C12 are not
+# nilpotent p-loops and still take the lattice.
+PINNED = {
+    "oct16": ((True, False, 2, 2, 2, 2, 2, 2, 2, 2, True, True), [0, 8]),
+    "sfm32": ((True, False, 2, 4, 4, 4, 2, 2, 2, 2, True, False), [0, 16]),
+    "rand64": ((True, False, 2, 2, 2, 2, 2, 2, 2, 2, True, True), [0, 32]),
+    "cml81": ((True, False, 2, 3, 3, 81, 3, 3, 3, 3, True, True),
+              [0, 27, 54]),
+    "grp27exp9": ((True, True, 2, 3, 27, 3, 3, 1, 1, 3, True, True),
+                  [0, 9, 18]),
+    "module243": ((True, False, 2, 9, 9, 27, 3, 3, 3, 9, False, False),
+                  [0, 27, 54, 81, 108, 135, 162, 189, 216]),
+    "cvs243": ((True, False, 2, 9, 9, 27, 3, 3, 3, 3, True, False),
+               [0, 81, 162]),
+    "C6": ((True, True, 1, 6, 6, 6, 1, 1, 1, 1, False, False), [0]),
+    "C8": ((True, True, 1, 8, 8, 8, 1, 1, 1, 4, False, False), [0, 2, 4, 6]),
+    "C9": ((True, True, 1, 9, 9, 9, 1, 1, 1, 3, True, False), [0, 3, 6]),
+    "C12": ((True, True, 1, 12, 12, 12, 1, 1, 1, 2, False, False), [0, 6]),
+    "S3": ((True, True, None, 1, 6, 1, 3, 1, 1, 1, False, False), [0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_report_and_frattini_pinned(name):
+    arr = TABLES[name]()
+    values, phi = PINNED[name]
+    want = {"order": len(arr), **dict(zip(_REPORT_KEYS, values))}
+    assert loop_report(LoopTable(arr)) == want
+    assert sorted(frattini(LoopTable(arr)).members) == phi
+
+
+@pytest.mark.parametrize("name", ["oct16", "sfm32", "rand64", "cml81",
+                                  "grp27exp9", "heis27", "C8", "C9", "E8"])
+def test_frattini_formula_matches_lattice(name):
+    # the definition: Phi(L) is the intersection of the maximal subloops
+    T = LoopTable(TABLES[name]())
+    proper = [set(s) for s in all_subloops(T) if len(s) < T.n]
+    maximal = [s for s in proper if not any(s < t for t in proper)]
+    assert set(frattini(T).members) == set.intersection(*maximal)
+
+
+def test_report_scans_associators_once(cml81_table, monkeypatch):
+    calls = []
+    scan = analysis._associator_blocks
+    monkeypatch.setattr(analysis, "_associator_blocks",
+                        lambda L: calls.append(L) or scan(L))
+    T = LoopTable(cml81_table.table)
+    loop_report(T)
+    assert calls == [T]
+    # associator_table shares the scan: (a(bc)) A[a,b,c] = (ab)c for all
+    # triples, and its values are the cached ones
+    A = associator_table(T).astype(np.int64)
+    M = T.table.astype(np.int64)
+    a, b, c = np.ix_(*(np.arange(T.n),) * 3)
+    assert np.array_equal(M[M[a, M[b, c]], A], M[M[a, b], c])
+    assert np.array_equal(np.unique(A), associator_values(T))
 
 
 def test_torsion_components():

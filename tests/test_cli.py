@@ -194,6 +194,22 @@ def test_verify_loop_over_scan_budget(runner, tmp_path):
     assert res.stdout == ""
 
 
+def test_verify_loop_without_frattini_algorithm(runner, tmp_path):
+    # the cyclic group of order 130 is Moufang of class 1, but its order is
+    # above the lattice bound 128 and not a prime power: no Frattini
+    # algorithm applies, and verify-loop must say so with exit 2
+    n = 130
+    rows = np.add.outer(np.arange(n), np.arange(n)) % n
+    csv = tmp_path / "c130.csv"
+    csv.write_text("n=%d,p=0,k=0\n" % n
+                   + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    res = runner.invoke(main, ["verify-loop", str(csv)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("error: no Frattini algorithm applies")
+    assert "moufang=" not in res.stdout
+
+
 def test_builtin_golay(runner):
     res = _run(runner, ["builtin", "golay", "--as-code"])
     rows = [l for l in res.output.splitlines() if set(l) <= {"0", "1"} and l]

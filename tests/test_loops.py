@@ -11,7 +11,7 @@ from codeloops.cvs import (adjoint_translate, cvs_new, octonion_cvs, pair_list,
 from codeloops.loops import (CodedLoop, CodedLoopElement, _assoc_tables, build,
                              center_vectors, emit_cayley_csv, kappa_isotope,
                              moufang_sampled, mul_recursive, parse_cayley_csv,
-                             semidirect_central_product,
+                             restricted_cvs, semidirect_central_product,
                              verify_coded_extension)
 from codeloops.modular import fp_vector
 from codeloops.tables import vector_table
@@ -221,6 +221,25 @@ def test_sdcp_glues_to_octonion():
     P123 = semidirect_central_product(P12, P1, amb, [e1, e2], [e3])
     L = build(amb)
     assert np.array_equal(P123.theta_table(), L.theta_table())
+
+
+@pytest.mark.parametrize("args,kd", [((3, 4, 1), 2), ((2, 5, 1), 2)])
+def test_sdcp_gluing_verifies(args, kd):
+    # glue the restrictions of C to the first kd and the remaining basis
+    # vectors; with an E factor of dimension >= 2 the glued theta table
+    # differs from build(C)'s, so this covers more than the octonion test.
+    # The verifier takes p from the CVS being verified.
+    C = random_cvs(*args)
+    basis = [fp_vector([int(i == j) for j in range(C.k)], C.p)
+             for i in range(C.k)]
+    D, E = basis[:kd], basis[kd:]
+    S = semidirect_central_product(build(restricted_cvs(C, D)),
+                                   build(restricted_cvs(C, E)), C, D, E)
+    assert not np.array_equal(S.theta_table(), build(C).theta_table())
+    rep = verify_coded_extension(S)
+    assert rep.ok and {c.mode for c in rep.checks} == {"exhaustive"}
+    rep = verify_coded_extension(S, budget=1, samples=300)
+    assert rep.ok and {c.mode for c in rep.checks} == {"sampled"}
 
 
 def test_sdcp_rejects_dependent_embedding():
