@@ -21,7 +21,7 @@ from .analysis import (LoopTable, brute_force_isomorphic, center,
 from .modules import (CodedModule, ModuleLoop, build_module_extension,
                       emit_module, eval_chi_module, eval_sigma2,
                       module_isotopy_check, module_new, parse_module,
-                      sigma_q, verify_module_extension)
+                      sigma_q)
 from .words import (WordSyntaxError, eval_word, normal_form_string,
                     parse_word, render_element, render_word)
 from .classify import ClassifyResult, classify, rep_to_cvs
@@ -47,7 +47,7 @@ __all__ = [
     "torsion_components",
     "CodedModule", "ModuleLoop", "build_module_extension", "emit_module",
     "eval_chi_module", "eval_sigma2", "module_isotopy_check", "module_new",
-    "parse_module", "sigma_q", "verify_module_extension",
+    "parse_module", "sigma_q",
     "WordSyntaxError", "eval_word", "normal_form_string", "parse_word",
     "render_element", "render_word",
     "ClassifyResult", "classify", "rep_to_cvs",

@@ -63,16 +63,6 @@ class LoopTable:
         if validate:
             self._validate()
 
-    @classmethod
-    def unchecked(cls, table) -> "LoopTable":
-        """Skip validation (for deliberately corrupted tables in tests)."""
-        L = cls(table, validate=False)
-        ar = np.arange(L.n)
-        ids = np.flatnonzero((L.table == ar[None, :]).all(axis=1)
-                             & (L.table.T == ar[None, :]).all(axis=1))
-        L.identity = int(ids[0]) if ids.size else None
-        return L
-
     def _validate(self):
         T, n = self.table, self.n
         ar = np.arange(n)
@@ -227,23 +217,26 @@ def is_moufang(L: LoopTable):
     """Exhaustive check of the four Moufang identities over all triples.
 
     Returns (ok, witness); the witness is (identity number 1..4, g, d, e).
+    Gathers read the table in its stored narrow dtype, and columns come
+    from one contiguous transposed copy.
     """
-    T, n = np.asarray(L.table, dtype=np.int64), L.n
+    T, n = L.table, L.n
     if n > MOUFANG_SCAN_MAX:
         raise ValueError("order %d beyond Moufang scan budget %d"
                          % (n, MOUFANG_SCAN_MAX))
+    TT = np.ascontiguousarray(T.T)  # TT[x] is the column T[:, x]
     for g in range(n):
         A = T[g]        # g*x
-        B = T[:, g]     # x*g
+        B = TT[g]       # x*g
         # 1: ((dg)e)g = d(g(eg))
         lhs = B[T[B]]
-        rhs = T[:, T[g, B]]
+        rhs = TT[T[g, B]].T
         if lhs.shape != rhs.shape or not np.array_equal(lhs, rhs):
             d, e = np.argwhere(lhs != rhs)[0]
             return False, (1, g, int(d), int(e))
         # 2: ((gd)g)e = g(d(ge))
         lhs = T[B[A]]
-        rhs = A[T[:, A]]
+        rhs = A[TT[A].T]
         if not np.array_equal(lhs, rhs):
             d, e = np.argwhere(lhs != rhs)[0]
             return False, (2, g, int(d), int(e))

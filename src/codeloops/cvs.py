@@ -245,18 +245,19 @@ class Forms:
         if 3 * k ** 3 * q ** 3 * modulus >= FLOAT_EXACT:
             raise ValueError("forms not exact in float64: 3 k^3 q^3 |Z| = "
                              "3 * %d^3 * %d^3 * %d >= 2^53" % (k, q, modulus))
-        self.modulus = modulus
+        self.p, self.orders, self.modulus = p, tuple(orders), modulus
         self._orders = np.array(orders, dtype=np.int64)
         # rows per block, so that a k^2-wide outer product stays bounded
         self._step = max(1, _BLOCK_ENTRIES // max(1, k * k))
-        X = np.asarray(X, dtype=np.int64) % modulus
-        A = np.asarray(A, dtype=np.int64).reshape(k, k, k) % modulus
+        self.sigma_basis = np.asarray(sigma, dtype=np.int64) % modulus
+        self.X = X = np.asarray(X, dtype=np.int64) % modulus
+        self.A = A = np.asarray(A, dtype=np.int64).reshape(k, k, k) % modulus
         lt = np.less.outer(np.arange(k), np.arange(k))  # lt[a, b] = a < b
 
         def cubic(T):  # (k*k, k) coefficients, or None for a vanishing term
             return T.reshape(k * k, k).astype(np.float64) if T.any() else None
 
-        self._s = np.asarray(sigma, dtype=np.int64).astype(np.float64) % modulus
+        self._s = self.sigma_basis.astype(np.float64)
         self._X = X.astype(np.float64)
         self._A = A.reshape(k * k, k).astype(np.float64)
         self._sX = self._sA = self._cc = self._dd = None
@@ -266,6 +267,11 @@ class Forms:
             self._cc = cubic(np.where(lt[:, :, None], A, 0))  # c_i c_j d_m
             self._dd = cubic(np.where(lt[:, :, None],  # d_j d_m c_i
                                       A.transpose(1, 2, 0), 0))
+
+    def chi_shifted(self, S) -> "Forms":
+        """The same forms with the chi matrix X replaced by X + S."""
+        return Forms(self.p, self.orders, self.modulus, self.sigma_basis,
+                     self.X + S, self.A)
 
     def _rows(self, V) -> np.ndarray:
         """Rows reduced into [0, q), as float64."""

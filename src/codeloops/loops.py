@@ -50,6 +50,7 @@ compare both with a literal level sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -58,6 +59,7 @@ from .cvs import (
     FLOAT_EXACT,
     CheckResult,
     Cvs,
+    Forms,
     ValidationReport,
     adjoint_translate,
     alpha_rows,
@@ -65,11 +67,11 @@ from .cvs import (
     chi_table,
     outer,
     pullback_tables,
-    sigma_rows,
     validate_axioms,
 )
 from .modular import FpVector, fp_vector
-from .tables import add_index_table, neg_index, rank_of, unrank, vector_table
+from .tables import (add_index_table, index_tables, rank_of, unrank,
+                     vector_table)
 
 DEFAULT_VERIFY_BUDGET = 3 ** 6
 DEFAULT_TABLE_BUDGET = 2 ** 13
@@ -115,6 +117,11 @@ class CentralExtensionLoop:
 
     def psi(self, W: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    @property
+    def forms(self) -> Forms:
+        """The sigma, chi and alpha the loop's laws realize: its CVS's."""
+        return self.cvs.forms
 
     def theta_rows(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
         """theta(u, w) for each pair of rows; rows are reduced vector parts."""
@@ -414,8 +421,8 @@ def build(V: Cvs, validate: bool = True) -> CodedLoop:
 class KappaIsotope(CentralExtensionLoop):
     """The kappa-isotope: a o b = ab * alpha(v_a, kappa, v_b), same carrier.
 
-    Works for any central-extension loop exposing alpha_bilinear_for; its
-    features are the base features with (u, B w) appended."""
+    Works for any central-extension loop exposing alpha_bilinear_for and
+    forms; its features are the base features with (u, B w) appended."""
 
     def __init__(self, base: CentralExtensionLoop, kappa):
         coords = tuple(kappa.coords) if isinstance(kappa, FpVector) else tuple(kappa)
@@ -429,17 +436,21 @@ class KappaIsotope(CentralExtensionLoop):
         # the appended u . (B w mod |Z|) adds at most k q z
         self.dot_bound = _exact(base.dot_bound + self.k * (self.zmod - 1)
                                 * (max(self.moduli, default=1) - 1))
-        # The isotope is itself a coded extension, of the adjoint translate
-        # by 2*kappa: the bilinear shift moves commutators by
-        # alpha(c,k,d) - alpha(d,k,c) = 2 alpha(c,k,d) and nothing else.
-        # For p = 3 that is the translate by -kappa; for p = 2 it cancels,
-        # so the isotope realizes the base data itself (G-loops).
-        # Recording the CVS lets the standard verifier check the laws.
-        base_cvs = getattr(base, "cvs", None)
-        if isinstance(base_cvs, Cvs):
-            k2 = fp_vector([(2 * c) % base_cvs.p for c in self.kappa],
-                           base_cvs.p)
-            self.cvs = adjoint_translate(base_cvs, k2)
+
+    @cached_property
+    def forms(self) -> Forms:
+        """The isotope is the coded extension of the adjoint translate by
+        2 kappa: commutators move by alpha(c,k,d) - alpha(d,k,c) =
+        2 alpha(c,k,d), so chi becomes X + 2B; sigma (or z) and alpha stay.
+        For p = 2 the shift cancels (G-loops)."""
+        return self.base.forms.chi_shifted(2 * self._BT.T)
+
+    @cached_property
+    def cvs(self) -> Optional[Cvs]:
+        """adt_{2 kappa} of the base CVS, or None over a module base."""
+        C = getattr(self.base, "cvs", None)
+        return None if C is None else adjoint_translate(
+            C, fp_vector([2 * c for c in self.kappa], C.p))
 
     def phi(self, U: np.ndarray) -> np.ndarray:
         U = np.asarray(U, dtype=np.int64)
@@ -550,26 +561,27 @@ def semidirect_central_product(Dext, Eext, ambient: Cvs,
 
 # -- bulk verification -------------------------------------------------------
 #
-# The table consumers below widen the stored theta table to int64 before
-# any sum and add ranks with add_index_table (XOR when p = 2, digit by
-# digit otherwise).  The sampled checks never build a table: they multiply
-# row elements (z, V), an array of central values and one of vector rows,
-# through theta_rows, so they run at every |C|.
+# verify_coded_extension checks the laws of every loop against its forms:
+# CodedLoop, SdcpLoop, ModuleLoop and KappaIsotope over either base.  The
+# table consumers widen the stored theta table to int64 before any sum and
+# add ranks with the per-moduli index_tables (XOR when p = 2, digit by digit
+# otherwise), only for the |C| scanned exhaustively.  The sampled checks
+# never build a table: they multiply row elements (z, V), an array of
+# central values and one of vector rows, through theta_rows, so they run at
+# every |C|.
 
 def _comm_table(L: CentralExtensionLoop) -> np.ndarray:
     """z-part of [(0,u),(0,w)] for all u, w (the v-part is always 0; the
     central lifts cancel structurally, so this covers all loop pairs)."""
     T = L.theta_table().astype(np.int64)
-    s = add_index_table(L.moduli)  # s[u, w] = rank of u + w
-    neg = neg_index(L.moduli)
+    _, s, neg = index_tables(L.moduli)  # s[u, w] = rank of u + w
     return (T - T.T - T[s, neg[s]] + T[neg[s], s]) % L.zmod
 
 
 def _assoc_tables(L: CentralExtensionLoop):
     """Yield (slice, z-part of [(0,u),(0,w),(0,t)]) over chunks of u."""
     T = L.theta_table().astype(np.int64)
-    add = add_index_table(L.moduli)
-    neg = neg_index(L.moduli)
+    _, add, neg = index_tables(L.moduli)
     n = T.shape[0]
     chunk = max(1, _ASSOC_ENTRIES // (n * n))
     w = np.arange(n)[:, None]
@@ -612,44 +624,55 @@ def _rows_central(a: tuple, want: np.ndarray) -> np.ndarray:
     return (z == want) & ~U.any(axis=1)
 
 
-def verify_coded_extension(L: CodedLoop, budget: int = DEFAULT_VERIFY_BUDGET,
+def _basis_powers(L: CentralExtensionLoop, F: Forms) -> CheckResult:
+    """CEpower on the basis: x_i^{q_i} = z_i for every slot, exact at any
+    |C| since it multiplies k short runs of elements."""
+    for i, q in enumerate(L.moduli):
+        if L.pow(L.generator(i), q) != L.element(F.sigma_basis[i], (0,) * L.k):
+            return CheckResult("CEpower", "exhaustive", False,
+                               (FpVector(L.generator(i).v, L.moduli),))
+    return CheckResult("CEpower", "exhaustive", True)
+
+
+def verify_coded_extension(L: CentralExtensionLoop,
+                           budget: int = DEFAULT_VERIFY_BUDGET,
                            samples: int = 100000, seed: int = 0) -> ValidationReport:
     """Check x^p = sigma(c), [x,y] = chi(c,d), [x,y,z] = alpha(c,d,e).
 
-    Exhaustive over C, C^2, C^3 when |C| <= budget, on the theta table;
-    otherwise on seeded sampled rows with random central lifts, through
-    theta_rows.  Central lifts cancel in commutators and associators, so
-    quantifying over C is exact.
+    L is a CodedLoop, SdcpLoop, ModuleLoop or KappaIsotope (over a CVS or a
+    module base); the expected values come from L.forms.  CEpower checks
+    every element against sigma when every slot order and |Z| equal p, and
+    otherwise the basis powers x_i^{q_i} = z_i, which is exact at any |C|.
+    CEcommute and CEassociate run exhaustively over C^2 and C^3 when
+    |C| <= budget, on the theta table; otherwise on seeded sampled rows
+    with random central lifts, through theta_rows.  Central lifts cancel
+    in commutators and associators, so quantifying over C is exact.
     """
-    C = L.cvs
-    p, n = C.p, L.csize
-    checks = []
+    F = L.forms
+    p, n = F.p, L.csize
+    elementary = L.zmod == p and all(q == p for q in L.moduli)
+    checks = [] if elementary else [_basis_powers(L, F)]
 
     if n <= budget:
-        T = L.theta_table().astype(np.int64)
-        add = add_index_table(L.moduli)
-        # CEpower: gamma^p = sigma(c) for every gamma, all central lifts
-        zacc = np.zeros(n, dtype=np.int64)
-        racc = np.zeros(n, dtype=np.int64)
-        ar = np.arange(n)
-        for _ in range(p):
-            zacc = zacc + T[ar, racc]
-            racc = add[ar, racc]
-        sig = sigma_rows(C, vector_table(L.moduli))
-        ok = np.all(racc == 0) and np.all(zacc % p == sig)
-        checks.append(CheckResult("CEpower", "exhaustive", bool(ok),
-                                  None if ok else _witness(L, zacc % p != sig)))
-        # CEcommute
-        comm = _comm_table(L)
-        chi = chi_table(C)
-        bad = comm != chi
+        V, add, _ = index_tables(L.moduli)
+        if elementary:  # CEpower: gamma^p = sigma(c) for every gamma, all lifts
+            T = L.theta_table().astype(np.int64)
+            zacc = np.zeros(n, dtype=np.int64)
+            racc = np.zeros(n, dtype=np.int64)
+            ar = np.arange(n)
+            for _ in range(p):
+                zacc = zacc + T[ar, racc]
+                racc = add[ar, racc]
+            sig = F.sigma(V)
+            ok = np.all(racc == 0) and np.all(zacc % p == sig)
+            checks.append(CheckResult("CEpower", "exhaustive", bool(ok),
+                                      None if ok else _witness(L, zacc % p != sig)))
+        bad = _comm_table(L) != F.chi_table(V, V)
         checks.append(CheckResult("CEcommute", "exhaustive", not bad.any(),
                                   _witness(L, bad)))
-        # CEassociate
         okassoc, wit = True, None
-        V = vector_table(L.moduli)
         for sl, az in _assoc_tables(L):
-            bad = az != C.forms.alpha_block(V[sl], V)
+            bad = az != F.alpha_block(V[sl], V)
             if bad.any():
                 okassoc, wit = False, _witness(L, bad, sl.start)
                 break
@@ -658,16 +681,17 @@ def verify_coded_extension(L: CodedLoop, budget: int = DEFAULT_VERIFY_BUDGET,
         rng = np.random.default_rng(seed)
         a, b, c = (_rows_sample(L, rng, samples) for _ in range(3))
         mul = lambda x, y: _rows_mul(L, x, y)
-        acc = (np.zeros(samples, dtype=np.int64), np.zeros_like(a[1]))
-        for _ in range(p):
-            acc = mul(a, acc)
-        okp = _rows_central(acc, sigma_rows(C, a[1])).all()
-        checks.append(CheckResult("CEpower", "sampled", bool(okp)))
+        if elementary:
+            acc = (np.zeros(samples, dtype=np.int64), np.zeros_like(a[1]))
+            for _ in range(p):
+                acc = mul(a, acc)
+            okp = _rows_central(acc, F.sigma(a[1])).all()
+            checks.append(CheckResult("CEpower", "sampled", bool(okp)))
         comm = mul(_rows_inv(L, mul(b, a)), mul(a, b))
-        okc = _rows_central(comm, chi_rows(C, a[1], b[1])).all()
+        okc = _rows_central(comm, F.chi(a[1], b[1])).all()
         checks.append(CheckResult("CEcommute", "sampled", bool(okc)))
         assoc = mul(_rows_inv(L, mul(a, mul(b, c))), mul(mul(a, b), c))
-        oka = _rows_central(assoc, alpha_rows(C, a[1], b[1], c[1])).all()
+        oka = _rows_central(assoc, F.alpha(a[1], b[1], c[1])).all()
         checks.append(CheckResult("CEassociate", "sampled", bool(oka)))
 
     return ValidationReport(all(c.ok for c in checks), checks)
@@ -680,7 +704,7 @@ def _witness(L, bad, first: int = 0):
         return None
     idx = np.argwhere(bad)[0]
     idx[0] += first
-    return tuple(fp_vector(L.unrank(int(i)), L.zmod) for i in idx)
+    return tuple(FpVector(L.unrank(int(i)), L.moduli) for i in idx)
 
 
 def moufang_sampled(L: CentralExtensionLoop, ntriples: int, seed: int = 0):

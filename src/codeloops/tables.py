@@ -9,6 +9,8 @@ order 2, digit by digit otherwise.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -69,6 +71,13 @@ def add_index_table(moduli: tuple) -> np.ndarray:
     return s
 
 
-def neg_index(moduli: tuple) -> np.ndarray:
+@lru_cache(maxsize=8)
+def index_tables(moduli: tuple) -> tuple:
+    """(vector_table, add_index_table, rank of -v) for the moduli, built
+    once per moduli and read-only.  The add table is n x n, so callers
+    use this only for the small |C| they scan exhaustively."""
     V = vector_table(moduli)
-    return rank_rows(-V, moduli)
+    out = (V, add_index_table(moduli), rank_rows(-V, moduli))
+    for a in out:
+        a.setflags(write=False)
+    return out

@@ -17,8 +17,7 @@ from codeloops import (LoopTable, adjoint_translate, build,
                        cvs_to_code, fp_vector, is_doubly_even, kappa_isotope,
                        loop_report, mk_law_holds, module_new, moufang_sampled,
                        nilpotency_class, octonion_cvs, random_cvs,
-                       validate_axioms, verify_coded_extension,
-                       verify_module_extension)
+                       validate_axioms, verify_coded_extension)
 from codeloops.analysis import derived_subloops
 from codeloops.codes import codeword_weights
 from codeloops.cvs import pair_list, triple_list
@@ -297,7 +296,7 @@ def test_criterion_12_coded_modules():
                 M = module_new(2, orders, 2, z,
                                {(0, 1): ch} if ch else {}, {})
                 L = build_module_extension(M)
-                rep = verify_module_extension(L)
+                rep = verify_coded_extension(L)
                 ok &= rep.ok and all(k.mode == "exhaustive"
                                      for k in rep.checks)
                 for i in (0, 1):

@@ -69,6 +69,20 @@ def test_octonion_report(oct_table):
     }
 
 
+def test_moufang_witness_on_steiner_loop():
+    # the Steiner loop of AG(2, 3) (order 10) is an inverse-property loop,
+    # so it passes the table checks, but it is not Moufang; the witness was
+    # recorded from the int64 column-slice scan
+    pts = [(x, y) for x in range(3) for y in range(3)]
+    S = np.zeros((10, 10), dtype=np.int64)
+    S[0], S[:, 0] = np.arange(10), np.arange(10)
+    for i, a in enumerate(pts, 1):
+        for j, b in enumerate(pts, 1):
+            third = tuple((-a[t] - b[t]) % 3 for t in range(2))
+            S[i, j] = 0 if i == j else 1 + pts.index(third)
+    assert is_moufang(LoopTable(S)) == (False, (1, 1, 2, 4))
+
+
 def test_mutant_table_fails(oct_table):
     mutant = intercalate_swap(oct_table.table)
     # still a Latin square, but no longer the same loop: either the table

@@ -14,8 +14,7 @@ from codeloops.loops import (LevelSumLoop, build, kappa_isotope,
                              moufang_sampled, mul_recursive,
                              verify_coded_extension)
 from codeloops.modules import (alpha_rows_module, build_module_extension,
-                               chi_rows_module, module_new,
-                               verify_module_extension)
+                               chi_rows_module, module_new)
 from codeloops.tables import rank_rows, vector_table
 
 
@@ -139,7 +138,7 @@ def test_table_consumers_widen_before_summing():
     M = module_new(2, (2, 4), 256, (255, 129), {(0, 1): 128}, {})
     L = build_module_extension(M)
     assert L.theta_table().dtype == np.uint8
-    assert verify_module_extension(L).ok
+    assert verify_coded_extension(L).ok
     arr = L.table_array(max_order=L.order)
     rng = np.random.default_rng(1)
     for i, j in rng.integers(0, L.order, size=(200, 2)):

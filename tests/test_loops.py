@@ -189,6 +189,22 @@ def test_kappa_isotope_is_coded_extension_of_translate():
         assert rep.ok, (kv, [str(c) for c in rep.checks])
 
 
+@pytest.mark.parametrize("C", [octonion_cvs(), random_cvs(3, 3, 1),
+                               random_cvs(3, 4, 2), random_cvs(2, 5, 1)],
+                         ids=["oct", "r331", "r342", "r251"])
+def test_isotope_forms_are_the_translate_forms(C):
+    # oracle for the X + 2B rule: the isotope's forms, evaluated over all
+    # of V, equal the forms of adt_{2k}(C) built by adjoint_translate
+    L = build(C)
+    V = vector_table(L.moduli)
+    for kv in itertools.product(range(C.p), repeat=C.k):
+        F = kappa_isotope(L, kv).forms
+        W = adjoint_translate(C, fp_vector([2 * c for c in kv], C.p)).forms
+        assert np.array_equal(F.sigma(V), W.sigma(V)), kv
+        assert np.array_equal(F.chi_table(V, V), W.chi_table(V, V)), kv
+        assert np.array_equal(F.alpha_block(V, V), W.alpha_block(V, V)), kv
+
+
 def test_kappa_isotope_p2_realizes_base_data(oct_loop):
     # over F_2 the bilinear shift cancels in every law (2 alpha = 0), so the
     # isotope is a coded extension of the original CVS, not of adt_{-k}

@@ -6,9 +6,11 @@ import pytest
 from codeloops import (build, build_module_extension, cvs_new, emit_module,
                        eval_sigma2, module_isotopy_check, module_new,
                        octonion_cvs, parse_module, sigma_q,
-                       verify_module_extension)
-from codeloops.modules import eval_alpha_module, eval_chi_module
+                       verify_coded_extension)
+from codeloops.loops import KappaIsotope, kappa_isotope
+from codeloops.modules import _powers_agree, eval_alpha_module, eval_chi_module
 from codeloops.modular import Residue
+from codeloops.tables import vector_table
 
 
 # -- constructor validation -------------------------------------------------
@@ -168,7 +170,7 @@ def test_verify_p2_mixed_radix():
     M = module_new(2, (4, 2), 2, (1, 0), {(0, 1): 1}, {})
     L = build_module_extension(M)
     assert L.order == 16
-    rep = verify_module_extension(L)
+    rep = verify_coded_extension(L)
     assert rep.ok, [str(c) for c in rep.checks if not c.ok]
     g = L.generator(0)
     assert L.pow(g, 4) == L.element(1, (0, 0))
@@ -178,7 +180,7 @@ def test_verify_p3_with_alpha():
     M = module_new(3, (9, 3, 3), 3, (1, 2, 0), {(0, 1): 1}, {(0, 1, 2): 1})
     L = build_module_extension(M)
     assert L.order == 243
-    rep = verify_module_extension(L)
+    rep = verify_coded_extension(L)
     assert rep.ok, [str(c) for c in rep.checks if not c.ok]
     # the slot of order 9 really needs 9 steps to hit its z value
     g = L.generator(0)
@@ -193,18 +195,104 @@ def test_verify_catches_wrong_z_value():
     L.theta_table()
     bad = module_new(2, (4, 2), 2, (0, 0), {(0, 1): 1}, {})
     L.module = bad
-    rep = verify_module_extension(L)
+    rep = verify_coded_extension(L)
     assert not rep.ok
-    assert any("basis powers" in c.name and not c.ok for c in rep.checks)
+    assert any(c.name == "CEpower" and not c.ok for c in rep.checks)
+
+
+def test_sampled_module_verification_above_the_table_limit():
+    # |C| = 8192 > 4096: no theta table, so commutators and associators
+    # run on sampled rows and CEpower on the basis powers
+    M = module_new(2, (8, 8, 8, 8, 2), 4, (1, 2, 3, 0, 1),
+                   {(0, 1): 1, (1, 2): 2, (0, 3): 3, (2, 4): 2},
+                   {(0, 1, 2): 2, (1, 3, 4): 2})
+    L = build_module_extension(M)
+    with pytest.raises(ValueError, match="too large"):
+        L.theta_table()
+    rep = verify_coded_extension(L, samples=2000)
+    assert rep.ok, [str(c) for c in rep.checks]
+    assert [(c.name, c.mode) for c in rep.checks] == [
+        ("CEpower", "exhaustive"), ("CEcommute", "sampled"),
+        ("CEassociate", "sampled")]
+    # negative controls: a wrong z value, then a wrong chi value
+    L.module = module_new(2, M.orders, 4, (1, 2, 1, 0, 1),
+                          {(0, 1): 1, (1, 2): 2, (0, 3): 3, (2, 4): 2},
+                          {(0, 1, 2): 2, (1, 3, 4): 2})
+    rep = verify_coded_extension(L, samples=2000)
+    assert [c.name for c in rep.failures()] == ["CEpower"]
+    assert rep.failures()[0].witness[0].coords == (0, 0, 1, 0, 0)
+    L.module = module_new(2, M.orders, 4, M.z_values,
+                          {(0, 1): 1, (1, 2): 2, (0, 3): 1, (2, 4): 2},
+                          {(0, 1, 2): 2, (1, 3, 4): 2})
+    rep = verify_coded_extension(L, samples=2000)
+    assert [c.name for c in rep.failures()] == ["CEcommute"]
 
 
 # -- isotopes ----------------------------------------------------------------
+
+ISOTOPY_MODULES = [
+    module_new(3, (3, 3, 3), 3, (0, 1, 2), {(0, 1): 1}, {(0, 1, 2): 1}),
+    module_new(3, (9, 3, 3), 3, (1, 2, 0), {(0, 1): 1}, {(0, 1, 2): 1}),
+]
+
+
+@pytest.mark.parametrize("M", ISOTOPY_MODULES, ids=["333", "933"])
+def test_module_isotopes_verify(M):
+    # every kappa-isotope of a module is checked against the module forms
+    # with chi shifted by 2 alpha(c, kappa, d)
+    L = build_module_extension(M)
+    for kv in vector_table(L.moduli).tolist():
+        rep = verify_coded_extension(kappa_isotope(L, kv))
+        assert rep.ok, (kv, [str(c) for c in rep.checks])
+        assert {c.mode for c in rep.checks} == {"exhaustive"}
+    # negative control: alpha(x1, x2, x3) moved by 1 in the expected forms
+    iso = kappa_isotope(L, (1, 2, 0))
+    flipped = module_new(3, M.orders, 3, M.z_values, {(0, 1): 1},
+                         {(0, 1, 2): 2}).forms
+    iso.forms = flipped.chi_shifted(iso.forms.X - flipped.X)
+    rep = verify_coded_extension(iso)
+    bad = rep.failures()
+    assert [c.name for c in bad] == ["CEassociate"]
+    assert bad[0].witness is not None and len(bad[0].witness) == 3
+
+
 
 def test_module_isotopy_check_p3():
     M = module_new(3, (3, 3, 3), 3, (0, 1, 2), {(0, 1): 1}, {(0, 1, 2): 1})
     rep = module_isotopy_check(M)
     assert rep.ok, [str(c) for c in rep.checks if not c.ok]
     assert len(rep.checks) == 28  # 27 kappas plus the kappa = 0 extra check
+
+
+def test_module_isotopy_check_reads_the_verifier(monkeypatch):
+    # with the chi shift taken out of the isotope forms, every kappa whose
+    # shift is nonzero (here every kappa != 0) must fail its check
+    monkeypatch.setattr(KappaIsotope, "forms",
+                        property(lambda iso: iso.base.forms))
+    rep = module_isotopy_check(ISOTOPY_MODULES[0])
+    assert [c.name for c in rep.checks if c.ok] == [
+        "kappa = 0 gives the original loop", "isotope laws at kappa=(0, 0, 0)"]
+    assert len(rep.failures()) == 26
+
+
+def test_powers_agree_walks_every_element():
+    # the vectorised power walk of module_isotopy_check against the element
+    # loop it replaced, on an isotope (equal powers) and on a loop whose
+    # only difference is z_1 (unequal powers)
+    M = ISOTOPY_MODULES[1]
+    L = build_module_extension(M)
+    other = build_module_extension(module_new(
+        3, M.orders, 3, (2, 2, 0), {(0, 1): 1}, {(0, 1, 2): 1}))
+    for loop, want in ((kappa_isotope(L, (1, 2, 1)), True), (other, False)):
+        assert _powers_agree(L, loop, 27) is want
+        agree = True
+        for idx in range(L.order):
+            a = L.element_at(idx)
+            x = y = a
+            for _ in range(27):
+                x, y = loop.mul(a, x), L.mul(a, y)
+                agree &= x == y
+        assert agree is want
 
 
 def test_module_isotopy_check_rejects_p2():
