@@ -48,7 +48,7 @@ class Subloop:
 class LoopTable:
     """Validated Cayley table; table[a, b] is the index of a*b."""
 
-    def __init__(self, table, validate: bool = True):
+    def __init__(self, table):
         arr = np.asarray(table)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("table must be square")
@@ -59,9 +59,7 @@ class LoopTable:
             arr = arr.astype(np.int16)
         self.table = arr
         self.n = n
-        self.identity = None
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         T, n = self.table, self.n
@@ -112,9 +110,6 @@ class LoopTable:
 
     @cached_property
     def inverse(self) -> np.ndarray:
-        if self.identity is None:
-            raise ValueError("table has no identity")
-        ar = np.arange(self.n)
         inv = np.empty(self.n, dtype=self.table.dtype)
         pos = np.argwhere(self.table == self.identity)
         inv[pos[:, 0]] = pos[:, 1]

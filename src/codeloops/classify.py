@@ -29,6 +29,12 @@ from .cvs import (Cvs, adjoint_translate, cvs_new, is_prime, pair_list,
                   pullback_tables, signed_forms, triple_list)
 from .modular import _rank_mod_p, basis_vector
 
+# Largest state space classified: ranks and labels are int32, and every
+# generator keeps one image rank per state.  3^14 (dim 4, exponent 9) and
+# 5^10 (p = 5, dim 4, exponent 25) are below it.
+MAX_STATES = 1 << 24
+_IMAGE_CHUNK = 1 << 12  # states imaged per matrix product
+
 
 @dataclass(frozen=True)
 class IsoClass:
@@ -108,16 +114,15 @@ def _digits(ranks, p: int, n: int) -> np.ndarray:
     return (np.asarray(ranks)[..., None] // p ** np.arange(n - 1, -1, -1)) % p
 
 
-def _image_ranks(gens: list, p: int, n: int, n_states: int,
-                 chunk: int = 1 << 12) -> np.ndarray:
+def _image_ranks(gens: list, p: int, n: int, n_states: int) -> np.ndarray:
     """Row g holds the rank of gens[g] s for every state s, states taken in
-    rank order.  The float64 product is exact: its entries are integers of
-    at most n (p - 1)^2."""
+    rank order, as int32.  The float64 product is exact: its entries are
+    integers of at most n (p - 1)^2."""
     w = p ** np.arange(n - 1, -1, -1)
     G = np.concatenate(gens)
-    out = np.empty((len(gens), n_states), dtype=np.int64)
-    for lo in range(0, n_states, chunk):
-        ranks = np.arange(lo, min(lo + chunk, n_states))
+    out = np.empty((len(gens), n_states), dtype=np.int32)
+    for lo in range(0, n_states, _IMAGE_CHUNK):
+        ranks = np.arange(lo, min(lo + _IMAGE_CHUNK, n_states))
         images = (_digits(ranks, p, n) @ G.T).astype(np.int64) % p
         images = images.reshape(len(ranks), len(gens), n)
         out[:, lo:lo + len(ranks)] = (images @ w).T
@@ -224,8 +229,10 @@ def classify(p: int, dim: int, exponent: int,
              nonassoc: bool = False) -> ClassifyResult:
     """Partition the state space into isomorphism and isotopy classes.
 
-    Only odd p is supported (for p = 2 sigma transforms nonlinearly, and
-    every isotope is isomorphic to the original anyway)."""
+    Only odd p is supported.  For p = 2, sigma(Mc) is not linear in M,
+    but the action on states is still linear (not yet implemented), and
+    every isotope is isomorphic to the original anyway (G-loops).  State
+    spaces above MAX_STATES are refused before anything is allocated."""
     if not is_prime(p):
         raise ValueError("p must be prime, got %r" % (p,))
     if p == 2:
@@ -245,6 +252,9 @@ def classify(p: int, dim: int, exponent: int,
                          "forced to vanish)")
     n = int(free.sum())
     n_states = p ** n
+    if n_states > MAX_STATES:
+        raise ValueError("%d^%d states exceed the classification limit %d"
+                         % (p, n, MAX_STATES))
 
     gens = [_matrix(lambda C, M=M: pullback_tables(C, M.T), p, k, free)
             for M in _gl_generators(k, p)]
@@ -252,7 +262,7 @@ def classify(p: int, dim: int, exponent: int,
     adts = [_matrix(lambda C, i=i: _tables(adjoint_translate(
         C, basis_vector(i, k, p))), p, k, free) for i in range(k)]
     images = list(_image_ranks(gens + adts, p, n, n_states))
-    iso = _components(images[:len(gens)], np.arange(n_states))
+    iso = _components(images[:len(gens)], np.arange(n_states, dtype=np.int32))
     isotopy = _components(images, iso)
 
     # alpha holds the lowest digits; alpha != 0 is preserved by every

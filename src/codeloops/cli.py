@@ -98,10 +98,12 @@ def verify_cvs(cvsfile, samples, seed):
             click.echo("moufang_witness=%s" % (wit,))
             sys.exit(1)
     else:
-        click.echo("# order above %d: sampled checks" % FULL_REPORT_MAX)
-        _echo_pairs([("mode", "sampled"), ("samples", samples),
-                     ("seed", seed)])
         vrep = verify_coded_extension(L, samples=samples, seed=seed)
+        mode = vrep.checks[-1].mode  # CEassociate's
+        click.echo("# order above %d: %s checks" % (
+            FULL_REPORT_MAX, "sampled" if mode == "sampled"
+            else "exhaustive law and sampled Moufang"))
+        _echo_pairs([("mode", mode), ("samples", samples), ("seed", seed)])
         _echo_pairs([("extension_laws", vrep.ok)])
         if not vrep.ok:
             bad = [c for c in vrep.checks if not c.ok][0]

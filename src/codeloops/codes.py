@@ -78,7 +78,10 @@ def intersect3(c: int, d: int, e: int) -> int:
     return (c & d & e).bit_count()
 
 
-def is_doubly_even(C: BinaryCode, cross_check_limit: int = 1 << 16) -> bool:
+_CROSS_CHECK_MAX = 1 << 16  # largest code enumerated to cross-check
+
+
+def is_doubly_even(C: BinaryCode) -> bool:
     """Basis criterion: wt(g_i) = 0 mod 4 and wt(g_i & g_j) = 0 mod 2.
 
     Cross-checked by exhaustive enumeration when 2^dim is small enough;
@@ -88,7 +91,7 @@ def is_doubly_even(C: BinaryCode, cross_check_limit: int = 1 << 16) -> bool:
     by_basis = all(weight(g) % 4 == 0 for g in gens) and all(
         intersect2(gens[i], gens[j]) % 2 == 0
         for i in range(len(gens)) for j in range(i + 1, len(gens)))
-    if 2 ** C.dim <= cross_check_limit:
+    if 2 ** C.dim <= _CROSS_CHECK_MAX:
         exhaustive = all(weight(w) % 4 == 0 for w in C.codewords())
         if exhaustive != by_basis:
             raise AssertionError("doubly-even basis criterion disagrees with "
@@ -139,7 +142,7 @@ def cvs_to_code(V: Cvs) -> BinaryCode:
     """
     if V.p != 2:
         raise ValueError("cvs_to_code requires p = 2")
-    k = V.k
+    k, X, A = V.k, V.forms.X, V.forms.A
     rows = [0] * k
     pos = 0
     for m in range(k):
@@ -150,13 +153,13 @@ def cvs_to_code(V: Cvs) -> BinaryCode:
             rows[m] |= _bits("1111", pos)
             pos += 4
         for i in range(m):
-            if V.chi_entry(i, m):
+            if X[i, m]:
                 rows[i] |= _bits(_CHI_BLOCK_I, pos)
                 rows[m] |= _bits(_CHI_BLOCK_M, pos)
                 pos += 14
         for i in range(m):
             for j in range(i + 1, m):
-                if V.alpha_entry(i, j, m):
+                if A[i, j, m]:
                     rows[i] |= _bits(_ALPHA_BLOCK_I, pos)
                     rows[j] |= _bits(_ALPHA_BLOCK_J, pos)
                     rows[m] |= _bits(_ALPHA_BLOCK_M, pos)

@@ -33,7 +33,7 @@ from .modular import (
     enumerate_invertible,
     fp_vector,
 )
-from .tables import vector_table
+from .tables import index_tables, rank_rows, vector_table
 
 # Exhaustive-scan caps for the axiom validator, by identity arity.
 # An identity with a free vectors is checked on all |C|^a tuples when
@@ -41,6 +41,9 @@ from .tables import vector_table
 _EXHAUSTIVE_CAP = {1: 1 << 16, 2: 1 << 23, 3: 1 << 24, 4: 1 << 24}
 _CHECK_CHUNK = 1 << 21  # tuples one identity check handles at a time
 DEFAULT_VALIDATE_BUDGET = 3 ** 7
+# largest |C| whose chi and alpha radicals are found by exhaustive evaluation
+RAD_CHI_MAX = 4096
+RAD_ALPHA_MAX = 256
 
 
 def is_prime(n: int) -> bool:
@@ -80,43 +83,12 @@ class Cvs:
     def size(self) -> int:
         return self.p ** self.k
 
-    def chi_entry(self, i: int, j: int) -> int:
-        """chi on basis vectors (e_i, e_j), any index order."""
-        if i == j:
-            return 0
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        idx = pair_list(self.k).index((i, j))
-        return (sign * self.chi_flat[idx]) % self.p
-
-    def alpha_entry(self, i: int, j: int, l: int) -> int:
-        """alpha on basis vectors, any index order; 0 on repeats."""
-        if len({i, j, l}) < 3:
-            return 0
-        perm = sorted([(i, 0), (j, 1), (l, 2)])
-        sign = _perm_sign([q for _, q in perm])
-        idx = triple_list(self.k).index(tuple(q for q, _ in perm))
-        return (sign * self.alpha_flat[idx]) % self.p
-
-    # -- cached numpy views ------------------------------------------------
-
-    @cached_property
-    def chi_mat(self) -> np.ndarray:
-        """k x k matrix X with X[i,j] = chi(e_i, e_j) (antisymmetric;
-        symmetric for p = 2 where -1 = 1)."""
-        return signed_forms(self.k, self.p, self.chi_flat, self.alpha_flat)[0]
-
-    @cached_property
-    def alpha_tensor(self) -> np.ndarray:
-        """Full k x k x k signed tensor A with A[i,j,l] = alpha(e_i,e_j,e_l)."""
-        return signed_forms(self.k, self.p, self.chi_flat, self.alpha_flat)[1]
-
     @cached_property
     def forms(self) -> "Forms":
         """The row evaluators of sigma, chi and alpha."""
         return Forms(self.p, (self.p,) * self.k, self.p, self.sigma_basis,
-                     self.chi_mat, self.alpha_tensor)
+                     *signed_forms(self.k, self.p, self.chi_flat,
+                                   self.alpha_flat))
 
     def __repr__(self) -> str:
         return "Cvs(p=%d, k=%d, sigma=%r, chi=%r, alpha=%r)" % (
@@ -136,17 +108,6 @@ def signed_forms(k: int, modulus: int, chi_flat, alpha_flat) -> tuple:
                            ((j, i, l), -1), ((i, l, j), -1), ((l, j, i), -1)):
             A[perm] = sign * v % modulus
     return X, A
-
-
-def _perm_sign(perm: list) -> int:
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        while perm[i] != i:
-            j = perm[i]
-            perm[i], perm[j] = perm[j], perm[i]
-            sign = -sign
-    return sign
 
 
 @dataclass(frozen=True)
@@ -345,18 +306,6 @@ class Forms:
         return outer(C, D) @ self._A
 
 
-def sigma_rows(C: Cvs, V: np.ndarray) -> np.ndarray:
-    return C.forms.sigma(V)
-
-
-def chi_rows(C: Cvs, Vc: np.ndarray, Vd: np.ndarray) -> np.ndarray:
-    return C.forms.chi(Vc, Vd)
-
-
-def alpha_rows(C: Cvs, Vc: np.ndarray, Vd: np.ndarray, Ve: np.ndarray) -> np.ndarray:
-    return C.forms.alpha(Vc, Vd, Ve)
-
-
 # -- public single-vector evaluators ---------------------------------------
 
 def _as_row(C: Cvs, v: FpVector) -> np.ndarray:
@@ -367,16 +316,16 @@ def _as_row(C: Cvs, v: FpVector) -> np.ndarray:
 
 
 def eval_sigma(C: Cvs, c: FpVector) -> Residue:
-    return Residue(int(sigma_rows(C, _as_row(C, c))[0]), C.p)
+    return Residue(int(C.forms.sigma(_as_row(C, c))[0]), C.p)
 
 
 def eval_chi(C: Cvs, c: FpVector, d: FpVector) -> Residue:
-    return Residue(int(chi_rows(C, _as_row(C, c), _as_row(C, d))[0]), C.p)
+    return Residue(int(C.forms.chi(_as_row(C, c), _as_row(C, d))[0]), C.p)
 
 
 def eval_alpha(C: Cvs, c: FpVector, d: FpVector, e: FpVector) -> Residue:
-    return Residue(
-        int(alpha_rows(C, _as_row(C, c), _as_row(C, d), _as_row(C, e))[0]), C.p)
+    return Residue(int(C.forms.alpha(_as_row(C, c), _as_row(C, d),
+                                     _as_row(C, e))[0]), C.p)
 
 
 def eval_chi_polarized(C: Cvs, c: FpVector, d: FpVector) -> Residue:
@@ -388,7 +337,8 @@ def eval_chi_polarized(C: Cvs, c: FpVector, d: FpVector) -> Residue:
     if C.p != 2:
         raise ValueError("polarized chi only defined for p = 2")
     rc, rd = _as_row(C, c), _as_row(C, d)
-    s = sigma_rows(C, (rc + rd) % 2) - sigma_rows(C, rc) - sigma_rows(C, rd)
+    sig = C.forms.sigma
+    s = sig((rc + rd) % 2) - sig(rc) - sig(rd)
     return Residue(int(s[0]), 2)
 
 
@@ -445,8 +395,9 @@ def validate_axioms(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,
     rng = np.random.default_rng(seed)
     V = all_vectors(C)
     tab = n <= budget and n ** 3 <= _EXHAUSTIVE_CAP[3]
+    elem, identities = _identities(C, V, tab)
     checks = []
-    for name, arity, check in _identities(C, V, tab):
+    for name, arity, check in identities:
         if n <= budget and n ** arity <= _EXHAUSTIVE_CAP[arity]:
             mode, tuples = "exhaustive", _grid(n, arity)
         else:
@@ -454,7 +405,7 @@ def validate_axioms(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,
             mode, tuples = "sampled", (sample[:, lo:lo + _CHECK_CHUNK]
                                        for lo in range(0, samples,
                                                        _CHECK_CHUNK))
-        checks.append(_scan(name, mode, check, tuples, V, p))
+        checks.append(_scan(name, mode, check, tuples, elem, V, p))
     return ValidationReport(all(ch.ok for ch in checks), checks)
 
 
@@ -467,12 +418,12 @@ def _grid(n: int, arity: int):
         yield np.unravel_index(flat, (n,) * arity)
 
 
-def _scan(name: str, mode: str, check, tuples, V: np.ndarray,
+def _scan(name: str, mode: str, check, tuples, elem, V: np.ndarray,
           p: int) -> CheckResult:
-    """Run check on each chunk of index tuples in turn; the witness is the
-    first failing tuple."""
+    """Run check on each chunk of index tuples in turn, each index array
+    converted by elem once; the witness is the first failing tuple."""
     for idx in tuples:
-        bad = check(*idx)
+        bad = check(*(elem(i) for i in idx))
         if bad.any():
             w = int(np.flatnonzero(bad)[0])
             return CheckResult(name, mode, False, tuple(
@@ -480,18 +431,21 @@ def _scan(name: str, mode: str, check, tuples, V: np.ndarray,
     return CheckResult(name, mode, True)
 
 
-def _identities(C: Cvs, V: np.ndarray, tab: bool) -> list:
-    """The CVS identities as (name, arity, check), in reporting order: check
-    takes one index array into V per free vector and returns the mask of
-    the tuples that fail."""
-    p, k = C.p, C.k
-    # Two evaluation strategies behind one set of helpers.  When the whole
-    # space fits the arity-3 cap we tabulate sigma/chi/alpha once and turn
-    # every identity into table gathers; the per-call contraction overhead
-    # otherwise dominates exhaustive validation already at k = 5.
+def _identities(C: Cvs, V: np.ndarray, tab: bool) -> tuple:
+    """(elem, identities): elem turns an index array into V into elements,
+    and each identity is (name, arity, check), in reporting order, where
+    check takes one element per free vector and returns the mask of the
+    tuples that fail."""
+    p, k, F = C.p, C.k, C.forms
+    # Six primitives serve both representations of an element.  When the
+    # whole space fits the arity-3 cap, an element is a rank: sigma, chi
+    # and alpha are tabulated once and every identity is table gathers,
+    # since the per-call contraction overhead otherwise dominates
+    # exhaustive validation already at k = 5.  Otherwise an element is a
+    # block of rows, evaluated through the forms.
     if tab:
-        wts = (p ** np.arange(k - 1, -1, -1)).astype(np.int64)
-        S1 = sigma_rows(C, V)
+        moduli = (p,) * k
+        S1 = F.sigma(V)
         X2 = chi_table(C)
         # n^3 fits the cap, so p <= n <= 256 and alpha residues fit uint8.
         # The table is built a chunk of u rows at a time, and every gather
@@ -501,63 +455,58 @@ def _identities(C: Cvs, V: np.ndarray, tab: bool) -> list:
         A3 = np.empty((n, n, n), dtype=np.uint8)
         step = max(1, _CHECK_CHUNK // (n * n))
         for lo in range(0, n, step):
-            A3[lo:lo + step] = C.forms.alpha_block(V[lo:lo + step], V)
-        add_i = ((V[:, None, :] + V[None, :, :]) % p) @ wts
-        scl_i = np.stack([((m * V) % p) @ wts for m in range(p)])
-        sig = lambda I: S1[I]
-        chi = lambda I, J: X2[I, J]
-        alp = lambda I, J, L: A3[I, J, L].astype(np.int64)
-        sig_sum = lambda I, J: S1[add_i[I, J]]
-        chi_sum = lambda I, J, E: X2[add_i[I, J], E]
-        sig_scl = lambda m, I: S1[scl_i[m, I]]
-        chi_scl = lambda m, I, J: X2[scl_i[m, I], J]
-        alp_scl = lambda m, I, J, L: alp(scl_i[m, I], J, L)
-        alp_last = lambda I, J, E: sum(alp(I, J, b) * V[E, m]
-                                       for m, b in enumerate(wts))
+            A3[lo:lo + step] = F.alpha_block(V[lo:lo + step], V)
+        add_rank = index_tables(moduli)[1]
+        scl_rank = rank_rows(np.arange(p)[:, None, None] * V, moduli)
+        basis = rank_rows(np.eye(k, dtype=np.int64), moduli)
+        elem = lambda I: I
+        sig = lambda c: S1[c]
+        chi = lambda c, d: X2[c, d]
+        alp = lambda c, d, e: A3[c, d, e].astype(np.int64)
+        add = lambda c, d: add_rank[c, d]
+        scl = lambda m, c: scl_rank[m, c]
+        alp_last = lambda c, d, e: sum(alp(c, d, b) * V[e, m]
+                                       for m, b in enumerate(basis))
     else:
-        sig = lambda I: sigma_rows(C, V[I])
-        chi = lambda I, J: chi_rows(C, V[I], V[J])
-        alp = lambda I, J, L: alpha_rows(C, V[I], V[J], V[L])
-        sig_sum = lambda I, J: sigma_rows(C, (V[I] + V[J]) % p)
-        chi_sum = lambda I, J, E: chi_rows(C, (V[I] + V[J]) % p, V[E])
-        sig_scl = lambda m, I: sigma_rows(C, (m * V[I]) % p)
-        chi_scl = lambda m, I, J: chi_rows(C, (m * V[I]) % p, V[J])
-        alp_scl = lambda m, I, J, L: alpha_rows(C, (m * V[I]) % p, V[J], V[L])
-        alp_last = lambda I, J, E: rowdot(
-            C.forms.alpha_partial(V[I], V[J]), V[E]).astype(np.int64)
+        elem = lambda I: V[I]
+        sig, chi, alp = F.sigma, F.chi, F.alpha
+        add = lambda c, d: (c + d) % p
+        scl = lambda m, c: (m * c) % p
+        alp_last = lambda c, d, e: rowdot(
+            F.alpha_partial(c, d), e).astype(np.int64)
 
     def scaled(image, base):
         """Where image(m) = m * base fails for some m in F_p."""
         return np.any([(image(m) - m * base) % p != 0 for m in range(p)],
                       axis=0)
 
-    zero = np.zeros(1, dtype=np.int64)
+    zero = elem(np.zeros(1, dtype=np.int64))
     identities = [
         # identity element facts: sigma(0) = 0, chi(c,0) = 0, alpha(c,d,0) = 0
         ("unit (sigma(0), chi(c,0))", 1,
-         lambda c: (sig(zero)[0] != 0) | (chi(c, 0 * c) != 0)),
-        ("unit (alpha(c,d,0))", 2, lambda c, d: alp(c, d, 0 * c) != 0),
+         lambda c: (sig(zero)[0] != 0) | (chi(c, scl(0, c)) != 0)),
+        ("unit (alpha(c,d,0))", 2, lambda c, d: alp(c, d, scl(0, c)) != 0),
         # sigma(n c) = n sigma(c)
         ("sigmapowerlin", 1,
-         lambda c: scaled(lambda m: sig_scl(m, c), sig(c))),
+         lambda c: scaled(lambda m: sig(scl(m, c)), sig(c))),
         # sigma(c+d) = sigma(c) + sigma(d) [+ chi(c,d) when p = 2]
-        ("sigmalin", 2, lambda c, d: (sig_sum(c, d) - sig(c) - sig(d)
+        ("sigmalin", 2, lambda c, d: (sig(add(c, d)) - sig(c) - sig(d)
                                       - (chi(c, d) if p == 2 else 0)) % p != 0),
         # chi(c,c) = 0 and chi(c,d) = -chi(d,c)
         ("chisymp", 1, lambda c: chi(c, c) != 0),
         ("chiskew", 2, lambda c, d: (chi(c, d) + chi(d, c)) % p != 0),
         # chi(n c, d) = n chi(c, d)
         ("chipowerlin", 2,
-         lambda c, d: scaled(lambda m: chi_scl(m, c, d), chi(c, d))),
+         lambda c, d: scaled(lambda m: chi(scl(m, c), d), chi(c, d))),
         # chi(c+d, e) = chi(c,e) + chi(d,e) + 3 alpha(c,d,e)
-        ("chimultilin", 3, lambda c, d, e: (chi_sum(c, d, e) - chi(c, e)
+        ("chimultilin", 3, lambda c, d, e: (chi(add(c, d), e) - chi(c, e)
                                             - chi(d, e) - 3 * alp(c, d, e))
          % p != 0),
     ]
     if p == 2:
         # polarization cross-check: chi = sigma(c+d) - sigma(c) - sigma(d)
         identities.append(
-            ("chi-polarization", 2, lambda c, d: (sig_sum(c, d) - sig(c)
+            ("chi-polarization", 2, lambda c, d: (sig(add(c, d)) - sig(c)
                                                   - sig(d) - chi(c, d))
              % 2 != 0))
     identities += [
@@ -570,7 +519,7 @@ def _identities(C: Cvs, V: np.ndarray, tab: bool) -> list:
          | ((alp(d, c, e) + alp(c, d, e)) % p != 0)),
         # alpha(n c, d, e) = n alpha(c, d, e)
         ("alphapowerlin", 3,
-         lambda c, d, e: scaled(lambda m: alp_scl(m, c, d, e),
+         lambda c, d, e: scaled(lambda m: alp(scl(m, c), d, e),
                                 alp(c, d, e))),
         # alpha(c, d, e) = sum_m e_m alpha(c, d, b_m): linear in the last
         # slot, which with the cyclic symmetry above gives multilinearity
@@ -578,7 +527,7 @@ def _identities(C: Cvs, V: np.ndarray, tab: bool) -> list:
         ("alphamultilin", 3,
          lambda c, d, e: (alp(c, d, e) - alp_last(c, d, e)) % p != 0),
     ]
-    return identities
+    return elem, identities
 
 
 # -- radicals ----------------------------------------------------------------
@@ -598,20 +547,21 @@ def _basis_of_subset(members: np.ndarray, C: Cvs) -> list:
     return [fp_vector(r, C.p) for r in basis]
 
 
-def rad_chi(C: Cvs, max_size: int = 4096) -> list:
+def rad_chi(C: Cvs) -> list:
     """Basis of {c : chi(c,d) = 0 for all d}, by exhaustive evaluation."""
     n = C.size
-    if n > max_size:
-        raise ValueError("rad_chi: |C| = %d exceeds limit %d" % (n, max_size))
+    if n > RAD_CHI_MAX:
+        raise ValueError("rad_chi: |C| = %d exceeds limit %d" % (n, RAD_CHI_MAX))
     rows_ok = ~np.any(chi_table(C), axis=1)
     return _basis_of_subset(all_vectors(C)[rows_ok], C)
 
 
-def rad_alpha(C: Cvs, max_size: int = 256) -> list:
+def rad_alpha(C: Cvs) -> list:
     """Basis of {c : alpha(c,d,e) = 0 for all d,e}, by exhaustive evaluation."""
     n = C.size
-    if n > max_size:
-        raise ValueError("rad_alpha: |C| = %d exceeds limit %d" % (n, max_size))
+    if n > RAD_ALPHA_MAX:
+        raise ValueError("rad_alpha: |C| = %d exceeds limit %d"
+                         % (n, RAD_ALPHA_MAX))
     V = all_vectors(C)
     T = C.forms.alpha_block(V, V)
     rows_ok = ~np.any(T.reshape(n, -1), axis=1)
@@ -628,12 +578,9 @@ def adjoint_translate(C: Cvs, kvec: FpVector) -> Cvs:
     if kvec.dim != C.k:
         raise ValueError("translate vector has wrong dimension")
     kk = np.array(kvec.coords, dtype=np.int64)
-    chi_new = {}
-    for i, j in pair_list(C.k):
-        shift = int(np.einsum("m,m->", kk, C.alpha_tensor[i, :, j])) % C.p
-        chi_new[(i, j)] = (C.chi_entry(i, j) + shift) % C.p
-    out = cvs_new(C.p, C.k, C.sigma_basis, chi_new,
-                  {t: v for t, v in zip(triple_list(C.k), C.alpha_flat)})
+    X = (C.forms.X + np.einsum("m,imj->ij", kk, C.forms.A)) % C.p
+    out = Cvs(C.p, C.k, C.sigma_basis,
+              tuple(X[np.triu_indices(C.k, 1)].tolist()), C.alpha_flat)
     if C.p == 2:
         rep = validate_axioms(out, seed=0)
         if not rep.ok:
@@ -649,9 +596,9 @@ def pullback_tables(C: Cvs, rows) -> tuple:
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, C.k)
     pl = np.array(pair_list(len(rows)), dtype=np.int64).reshape(-1, 2).T
     tl = np.array(triple_list(len(rows)), dtype=np.int64).reshape(-1, 3).T
-    return (tuple(sigma_rows(C, rows).tolist()),
-            tuple(chi_rows(C, *rows[pl]).tolist()),
-            tuple(alpha_rows(C, *rows[tl]).tolist()))
+    F = C.forms
+    return (tuple(F.sigma(rows).tolist()), tuple(F.chi(*rows[pl]).tolist()),
+            tuple(F.alpha(*rows[tl]).tolist()))
 
 
 def transform(C: Cvs, M: FpMatrix) -> Cvs:
@@ -677,7 +624,7 @@ def permute_basis(C: Cvs, perm: list) -> Cvs:
     return transform(C, M)
 
 
-def iso_up_to_scalar(A: Cvs, B: Cvs, max_k: int | None = None) -> Optional[CvsIso]:
+def iso_up_to_scalar(A: Cvs, B: Cvs) -> Optional[CvsIso]:
     """Search for (M, a) with sigma_B(Mc) = a sigma_A(c), chi_B(M.,M.) =
     a chi_A, alpha_B(M.,M.,M.) = a alpha_A.
 
@@ -696,7 +643,7 @@ def iso_up_to_scalar(A: Cvs, B: Cvs, max_k: int | None = None) -> Optional[CvsIs
         targets[a] = (tuple((a * v) % p for v in A.sigma_basis),
                       tuple((a * v) % p for v in A.chi_flat),
                       tuple((a * v) % p for v in A.alpha_flat))
-    for M in enumerate_invertible(k, p, max_k=max_k):
+    for M in enumerate_invertible(k, p):
         got = pullback_tables(B, np.array(M.rows).T)
         for a in range(1, p):
             if targets[a] == got:

@@ -42,9 +42,12 @@ dot_bound < 2^53, cast to the smallest unsigned dtype that holds |Z| - 1
 and reduced mod |Z|), a product
 without a table evaluates one row, and sampled verification works on
 sampled rows at any |C|.  A kappa-isotope adds alpha(u, kappa, w) = u B w,
-so its features are the base features with (u, B w) appended.  The
-literal recursion is kept as an oracle (mul_recursive), and the tests
-compare both with a literal level sum.
+so its features are the base features with (u, B w) appended.  An
+SdcpLoop glues two factor loops in bulk: its theta_rows is the factors'
+theta_rows on the d and e parts plus the gluing term z0 above, evaluated
+on the forms of the restricted CVS, and its table is that over the rank
+grid.  The literal recursion is kept as an oracle (mul_recursive), and
+the tests compare both with a literal level sum.
 """
 
 from __future__ import annotations
@@ -62,8 +65,6 @@ from .cvs import (
     Forms,
     ValidationReport,
     adjoint_translate,
-    alpha_rows,
-    chi_rows,
     chi_table,
     outer,
     pullback_tables,
@@ -78,6 +79,7 @@ DEFAULT_TABLE_BUDGET = 2 ** 13
 _THETA_CACHE_MAX = 4096  # largest |C| for which the full theta table is kept
 _TABLE_CHUNK = 256  # theta table rows computed per matrix product
 _ASSOC_ENTRIES = 1 << 21  # largest associator chunk, in (u, w, t) entries
+_SDCP_PAIRS = 1 << 16  # SDCP theta table pairs evaluated per chunk
 
 
 @dataclass(frozen=True)
@@ -348,7 +350,7 @@ class CodedLoop(LevelSumLoop):
 
     def __init__(self, cvs: Cvs):
         super().__init__(cvs.p, (cvs.p,) * cvs.k, cvs.p, cvs.sigma_basis,
-                         cvs.chi_mat, cvs.alpha_tensor)
+                         cvs.forms.X, cvs.forms.A)
         self.cvs = cvs
 
     def __repr__(self):
@@ -363,7 +365,7 @@ def mul_recursive(L: CodedLoop, a: CodedLoopElement, b: CodedLoopElement,
     'p2', 'p3', 'big' are the specializations valid for p = 2, p = 3 and
     p > 3.  All agree with CodedLoop.mul on every input (tested).
     """
-    C, p = L.cvs, L.p
+    C, F, p = L.cvs, L.cvs.forms, L.p
 
     def lift(prefix: tuple, k: int) -> np.ndarray:
         row = np.zeros((1, L.k), dtype=np.int64)
@@ -377,19 +379,16 @@ def mul_recursive(L: CodedLoop, a: CodedLoopElement, b: CodedLoopElement,
         d1, d2 = u[:k - 1], w[:k - 1]
         e1, e2 = lift((0,) * (k - 1) + (m,), k), lift((0,) * (k - 1) + (nn,), k)
         D1, D2 = lift(d1, k - 1), lift(d2, k - 1)
-        chi_ = int(chi_rows(C, e1, D2)[0])
+        chi_ = int(F.chi(e1, D2)[0])
+        alpha = lambda c, d, e: int(F.alpha(c, d, e)[0])
         if flavor == "general":
-            z0 = (chi_
-                  + int(alpha_rows(C, D1, (e1 - D2) % p, e2)[0])
-                  + 2 * int(alpha_rows(C, D1, e1, D2)[0])
-                  - 2 * int(alpha_rows(C, e1, D2, e2)[0]))
+            z0 = (chi_ + alpha(D1, (e1 - D2) % p, e2)
+                  + 2 * alpha(D1, e1, D2) - 2 * alpha(e1, D2, e2))
         elif flavor == "p2":
-            z0 = chi_ + int(alpha_rows(C, D1, (e1 + D2) % 2, e2)[0])
+            z0 = chi_ + alpha(D1, (e1 + D2) % 2, e2)
         elif flavor == "p3":
-            z0 = (chi_
-                  + int(alpha_rows(C, D1, (e1 - D2) % 3, e2)[0])
-                  - int(alpha_rows(C, D1, e1, D2)[0])
-                  + int(alpha_rows(C, e1, D2, e2)[0]))
+            z0 = (chi_ + alpha(D1, (e1 - D2) % 3, e2)
+                  - alpha(D1, e1, D2) + alpha(e1, D2, e2))
         elif flavor == "big":
             z0 = chi_
         else:
@@ -470,9 +469,11 @@ class SdcpLoop(CentralExtensionLoop):
     """Semidirect central product of two coded extensions inside an ambient CVS.
 
     Elements are flattened (z, d ++ e).  The d and e parts multiply in
-    their own extensions; the correction z0 uses the ambient forms on the
-    embedded images.  Both factors may themselves be SdcpLoops, so larger
-    pieces can be glued iteratively.
+    their own extensions, and the gluing term z0 of the module docstring
+    is evaluated in bulk on the forms of the restricted CVS, with d1, e1,
+    d2, e2 the rows of U and W with the other part zeroed.  Both factors
+    may themselves be SdcpLoops, so larger pieces can be glued
+    iteratively.
     """
 
     def __init__(self, Dext: CentralExtensionLoop, Eext: CentralExtensionLoop,
@@ -502,50 +503,35 @@ class SdcpLoop(CentralExtensionLoop):
                 raise ValueError("ambient restriction does not match the "
                                  "factor's CVS")
 
-    @property
+    @cached_property
     def cvs(self) -> Cvs:
         """Restriction of the ambient CVS to the concatenated basis."""
         p = self.ambient.p
         vecs = [fp_vector(v.tolist(), p) for v in self.embedD + self.embedE]
         return restricted_cvs(self.ambient, vecs)
 
-    def _split(self, v: tuple):
-        kd = self.Dext.k
-        return v[:kd], v[kd:]
-
-    def _lift(self, part: tuple, emb: list) -> np.ndarray:
-        amb_k = self.ambient.k
-        out = np.zeros((1, amb_k), dtype=np.int64)
-        for c, vec in zip(part, emb):
-            out[0] += c * vec
-        return out % self.ambient.p
-
     def theta_rows(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-        return np.array([self.theta_pair(tuple(u), tuple(w))
-                         for u, w in zip(np.asarray(U).tolist(),
-                                         np.asarray(W).tolist())],
-                        dtype=np.int64)
+        U, W = np.asarray(U, dtype=np.int64), np.asarray(W, dtype=np.int64)
+        kd, F = self.Dext.k, self.forms
+        dpart = np.arange(self.k) < kd
+        d1, e1, d2, e2 = U * dpart, U * ~dpart, W * dpart, W * ~dpart
+        z0 = (F.chi(e1, d2) + F.alpha(d1, e1 - d2, e2)
+              + 2 * F.alpha(d1, e1, d2) - 2 * F.alpha(e1, d2, e2))
+        return (self.Dext.theta_rows(U[:, :kd], W[:, :kd])
+                + self.Eext.theta_rows(U[:, kd:], W[:, kd:]) + z0) % self.zmod
 
     def _build_theta_table(self) -> np.ndarray:
-        """Filled elementwise from theta_pair."""
-        rows = [tuple(r) for r in vector_table(self.moduli).tolist()]
-        return np.array([[self.theta_pair(u, w) for w in rows] for u in rows],
-                        dtype=self.theta_dtype)
-
-    def theta_pair(self, u: tuple, w: tuple) -> int:
-        p = self.zmod
-        d1, e1 = self._split(u)
-        d2, e2 = self._split(w)
-        zd = self.Dext.mul(CodedLoopElement(0, d1), CodedLoopElement(0, d2)).z
-        ze = self.Eext.mul(CodedLoopElement(0, e1), CodedLoopElement(0, e2)).z
-        D1, D2 = self._lift(d1, self.embedD), self._lift(d2, self.embedD)
-        E1, E2 = self._lift(e1, self.embedE), self._lift(e2, self.embedE)
-        amb = self.ambient
-        z0 = (int(chi_rows(amb, E1, D2)[0])
-              + int(alpha_rows(amb, D1, (E1 - D2) % p, E2)[0])
-              + 2 * int(alpha_rows(amb, D1, E1, D2)[0])
-              - 2 * int(alpha_rows(amb, E1, D2, E2)[0]))
-        return (z0 + zd + ze) % p
+        """theta_rows over the rank grid, a chunk of u rows at a time."""
+        V = vector_table(self.moduli)
+        n = len(V)
+        T = np.empty((n, n), dtype=self.theta_dtype)
+        step = max(1, _SDCP_PAIRS // n)
+        for lo in range(0, n, step):
+            U = V[lo:lo + step]
+            T[lo:lo + len(U)] = self.theta_rows(
+                np.repeat(U, n, axis=0), np.tile(V, (len(U), 1))
+            ).reshape(len(U), n)
+        return T
 
 
 def restricted_cvs(amb: Cvs, vecs: list) -> Cvs:

@@ -28,6 +28,9 @@ from .loops import (CentralExtensionLoop, LevelSumLoop, kappa_isotope,
                     verify_coded_extension)
 from .tables import rank_rows, vector_table
 
+_MAX_KAPPAS = 81  # module_isotopy_check samples this many kappas beyond it
+_KAPPA_SEED = 0
+
 
 @dataclass(frozen=True)
 class CodedModule:
@@ -135,21 +138,12 @@ def module_new(p: int, orders, z_order: int, z_values,
     return CodedModule(p, orders, z_order, z_values, tuple(chi), tuple(alpha))
 
 
-def chi_rows_module(M: CodedModule, C, D) -> np.ndarray:
-    """chi on rows of mixed-radix vectors (see CodedModule.forms)."""
-    return M.forms.chi(np.atleast_2d(C), np.atleast_2d(D))
-
-
-def alpha_rows_module(M: CodedModule, C, D, E) -> np.ndarray:
-    return M.forms.alpha(np.atleast_2d(C), np.atleast_2d(D), np.atleast_2d(E))
-
-
 def eval_chi_module(M: CodedModule, c, d) -> Residue:
-    return Residue(int(chi_rows_module(M, c, d)[0]), M.z_order)
+    return Residue(int(M.forms.chi([c], [d])[0]), M.z_order)
 
 
 def eval_alpha_module(M: CodedModule, c, d, e) -> Residue:
-    return Residue(int(alpha_rows_module(M, c, d, e)[0]), M.z_order)
+    return Residue(int(M.forms.alpha([c], [d], [e])[0]), M.z_order)
 
 
 def eval_sigma2(M: CodedModule, sigma_basis, c) -> Residue:
@@ -235,8 +229,7 @@ def _powers_agree(L: ModuleLoop, iso: CentralExtensionLoop,
     return True
 
 
-def module_isotopy_check(M: CodedModule, max_kappas: int = 81,
-                         seed: int = 0) -> ValidationReport:
+def module_isotopy_check(M: CodedModule) -> ValidationReport:
     """For p = 3 modules with exponent-3 values: every kappa-isotope has
     unchanged powers and passes verify_coded_extension against its forms,
     the module forms with commutators shifted by 2 alpha(c, kappa, d) =
@@ -246,11 +239,11 @@ def module_isotopy_check(M: CodedModule, max_kappas: int = 81,
     L = build_module_extension(M)
     V = vector_table(L.moduli)
     n = V.shape[0]
-    if n <= max_kappas:
+    if n <= _MAX_KAPPAS:
         kappas = [tuple(r) for r in V.tolist()]
     else:
-        rng = np.random.default_rng(seed)
-        kappas = [tuple(r) for r in V[rng.choice(n, size=max_kappas,
+        rng = np.random.default_rng(_KAPPA_SEED)
+        kappas = [tuple(r) for r in V[rng.choice(n, size=_MAX_KAPPAS,
                                                  replace=False)].tolist()]
     checks = []
     exponent = max(M.orders) * 3

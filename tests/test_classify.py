@@ -6,6 +6,7 @@ iso_up_to_scalar, and check the class data is usable.
 """
 
 import functools
+import importlib
 import itertools
 
 import numpy as np
@@ -15,10 +16,12 @@ from codeloops import (brute_force_isomorphic, build, classify, cvs_new,
                        rep_to_cvs, LoopTable)
 from codeloops.classify import (ClassifyResult, IsoClass, state_invariants,
                                 total_state_count)
-from codeloops.cvs import (Cvs, adjoint_translate, alpha_rows, chi_rows,
-                           iso_up_to_scalar, pair_list, pullback_tables,
-                           sigma_rows, triple_list)
+from codeloops.cvs import (Cvs, adjoint_translate, iso_up_to_scalar,
+                           pair_list, pullback_tables, triple_list)
 from codeloops.modular import enumerate_invertible, fp_vector
+
+# the package's classify attribute is the function, so fetch the module
+classify_module = importlib.import_module("codeloops.classify")
 
 
 def test_dim3_p3_nonassoc():
@@ -107,6 +110,20 @@ def test_classify_error_paths():
         classify(3, -1, 3)
 
 
+def test_classify_refuses_huge_state_spaces_first(monkeypatch):
+    # dim 5 at p = 3 has 3^20 states: its image ranks alone would take
+    # hundreds of GB, so the refusal must come before any generator work
+    def never(*args):
+        raise AssertionError("classify did work before refusing")
+
+    monkeypatch.setattr(classify_module, "_matrix", never)
+    monkeypatch.setattr(classify_module, "_image_ranks", never)
+    with pytest.raises(ValueError, match="3\\^20 states exceed"):
+        classify(3, 5, 3)
+    # the largest spaces classified today stay below the limit
+    assert max(3 ** 14, 5 ** 10) < classify_module.MAX_STATES
+
+
 @pytest.mark.parametrize("p,exponent", [(3, 3), (3, 9), (5, 25)])
 def test_dim0_is_trivial(p, exponent):
     res = classify(p, 0, exponent)
@@ -152,10 +169,10 @@ def _orbit(C):
     a, b, c = np.array(triple_list(_K)).T
     rows = lambda X: X.reshape(-1, _K)
     tables = np.concatenate([
-        sigma_rows(C, rows(R)).reshape(m, -1),
-        chi_rows(C, rows(R[:, I]), rows(R[:, J])).reshape(m, -1),
-        alpha_rows(C, rows(R[:, a]), rows(R[:, b]),
-                   rows(R[:, c])).reshape(m, -1)], axis=1)
+        C.forms.sigma(rows(R)).reshape(m, -1),
+        C.forms.chi(rows(R[:, I]), rows(R[:, J])).reshape(m, -1),
+        C.forms.alpha(rows(R[:, a]), rows(R[:, b]),
+                      rows(R[:, c])).reshape(m, -1)], axis=1)
     return np.unique(np.concatenate([_pack((s * tables) % _P)
                                      for s in range(1, _P)]))
 

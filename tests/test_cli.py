@@ -74,6 +74,20 @@ def test_verify_cvs_octonion(runner, oct_cvs_file):
     assert "extraspecial=true" in res.output
 
 
+def test_verify_cvs_prints_the_verifier_mode(runner, tmp_path):
+    # order 4913 is above the full-report order 512, but |C| = 289 is within
+    # the extension-law verifier's exhaustive budget of 729
+    f = tmp_path / "r17.cvs"
+    f.write_text(emit_cvs(random_cvs(17, 2, 0)))
+    res = _run(runner, ["verify-cvs", str(f), "--samples", "500"])
+    lines = res.output.splitlines()
+    assert lines[4:10] == [
+        "order=4913",
+        "# order above 512: exhaustive law and sampled Moufang checks",
+        "mode=exhaustive", "samples=500", "seed=0", "extension_laws=true"]
+    assert lines[-1] == "moufang=true"
+
+
 def test_cvs2code_round_trip(runner, tmp_path, oct_cvs_file):
     code = str(tmp_path / "oct.code")
     back = str(tmp_path / "back.cvs")
@@ -149,6 +163,14 @@ def test_classify_cli_rejects_nonprime_p(runner, p):
                                "--exponent", p])
     assert res.exit_code == 2
     assert "p must be prime" in res.output
+    assert "states=" not in res.output
+
+
+def test_classify_cli_refuses_huge_state_space(runner):
+    res = runner.invoke(main, ["classify", "--p", "3", "--dim", "5",
+                               "--exponent", "3"])
+    assert res.exit_code == 2
+    assert "3^20 states exceed the classification limit" in res.output
     assert "states=" not in res.output
 
 

@@ -127,11 +127,12 @@ def test_validator_arity3_scan_memory():
     # tuples, which held 3 GB when one identity gathered over all at once
     C = random_cvs(2, 8, 0)
     V = all_vectors(C)
-    checks = {name: check for name, _, check in cvs._identities(C, V, True)}
+    elem, identities = cvs._identities(C, V, True)
+    checks = {name: check for name, _, check in identities}
     tracemalloc.start()
     try:
         res = cvs._scan("alphamultilin", "exhaustive",
-                        checks["alphamultilin"], cvs._grid(256, 3), V, 2)
+                        checks["alphamultilin"], cvs._grid(256, 3), elem, V, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -158,18 +159,15 @@ def test_chi_closed_form_matches_polarization(seed):
 def test_chimultilin_relation():
     # chi(c+d, e) - chi(c,e) - chi(d,e) = 3 alpha(c,d,e): zero for p = 3,
     # alpha itself for p = 2
-    from codeloops.cvs import alpha_rows, all_vectors, chi_rows
-
     for p, seed in ((2, 7), (3, 7)):
         C = random_cvs(p, 3, seed)
-        V = all_vectors(C)
+        F, V = C.forms, all_vectors(C)
         n = V.shape[0]
         Vc = np.repeat(np.repeat(V, n, axis=0), n, axis=0)
         Vd = np.tile(np.repeat(V, n, axis=0), (n, 1))
         Ve = np.tile(V, (n * n, 1))
-        lhs = (chi_rows(C, (Vc + Vd) % p, Ve) - chi_rows(C, Vc, Ve)
-               - chi_rows(C, Vd, Ve)) % p
-        rhs = (3 * alpha_rows(C, Vc, Vd, Ve)) % p
+        lhs = (F.chi((Vc + Vd) % p, Ve) - F.chi(Vc, Ve) - F.chi(Vd, Ve)) % p
+        rhs = (3 * F.alpha(Vc, Vd, Ve)) % p
         assert np.array_equal(lhs, rhs)
 
 
@@ -195,8 +193,8 @@ def test_adjoint_translate_entry_shift():
     C = cvs_new(3, 3, None, None, {(0, 1, 2): 1})
     D = adjoint_translate(C, fp_vector([0, 1, 0], 3))
     # chi(e1, e3) picks up alpha(e1, e2, e3) = 1; other entries stay 0
-    assert D.chi_entry(0, 2) == 1
-    assert D.chi_entry(0, 1) == 0 and D.chi_entry(1, 2) == 0
+    assert D.forms.X[0, 2] == 1
+    assert D.forms.X[0, 1] == 0 and D.forms.X[1, 2] == 0
 
 
 def test_transform_identity_and_composition():

@@ -22,12 +22,10 @@ import numpy as np
 import pytest
 
 from codeloops.codes import builtin_golay24, code_to_cvs
-from codeloops.cvs import (Forms, alpha_rows, chi_rows, cvs_new,
-                           eval_chi_polarized, octonion_cvs, pair_list,
-                           random_cvs, sigma_rows, triple_list)
+from codeloops.cvs import (Forms, cvs_new, eval_chi_polarized, octonion_cvs,
+                           pair_list, random_cvs, triple_list)
 from codeloops.modular import fp_vector
-from codeloops.modules import (alpha_rows_module, chi_rows_module,
-                               eval_sigma2, module_new)
+from codeloops.modules import eval_sigma2, module_new
 from codeloops.tables import vector_table
 
 CAP = 81 ** 3
@@ -126,17 +124,14 @@ MODULES = [
 def test_cvs_forms_are_the_literal_sums(C):
     lit = Literal(C.p, C.k, C.p, C.sigma_basis, C.chi_flat, C.alpha_flat)
     check_forms(lit, vector_table((C.p,) * C.k),
-                lambda c, d: chi_rows(C, c, d),
-                lambda c, d, e: alpha_rows(C, c, d, e),
-                lambda c: sigma_rows(C, c))
+                C.forms.chi, C.forms.alpha, C.forms.sigma)
 
 
 @pytest.mark.parametrize("M", MODULES, ids=repr)
 def test_module_forms_are_the_literal_sums(M):
     lit = Literal(M.p, M.k, M.z_order, M.z_values, M.chi_flat, M.alpha_flat)
     check_forms(lit, vector_table(M.orders),
-                lambda c, d: chi_rows_module(M, c, d),
-                lambda c, d, e: alpha_rows_module(M, c, d, e))
+                M.forms.chi, M.forms.alpha)
 
 
 def test_golay_rows_against_sigma2_and_polarization():
@@ -146,15 +141,15 @@ def test_golay_rows_against_sigma2_and_polarization():
                    dict(zip(triple_list(C.k), C.alpha_flat)))
     rng = np.random.default_rng(500)
     U, W, E = rng.integers(0, 2, size=(3, 500, C.k))
-    assert sigma_rows(C, U).tolist() == [
+    assert C.forms.sigma(U).tolist() == [
         int(eval_sigma2(M, C.sigma_basis, u)) for u in U.tolist()]
-    chi = chi_rows(C, U, W)
+    chi = C.forms.chi(U, W)
     assert chi.tolist() == [
         int(eval_chi_polarized(C, fp_vector(u, 2), fp_vector(w, 2)))
         for u, w in zip(U.tolist(), W.tolist())]
-    assert np.array_equal(chi_rows_module(M, U, W), chi)
+    assert np.array_equal(M.forms.chi(U, W), chi)
     lit = Literal(2, C.k, 2, C.sigma_basis, C.chi_flat, C.alpha_flat)
-    assert alpha_rows(C, U, W, E).tolist() == [
+    assert C.forms.alpha(U, W, E).tolist() == [
         lit.alpha_of(u, w, e)
         for u, w, e in zip(U.tolist(), W.tolist(), E.tolist())]
 
@@ -162,17 +157,17 @@ def test_golay_rows_against_sigma2_and_polarization():
 def test_row_blocks_join_up():
     # at k = 4 a block holds 2^21 / 16 = 131072 rows, so 300000 rows take
     # three blocks; the answer must equal that of many small calls
-    C = random_cvs(3, 4, 1)
+    F = random_cvs(3, 4, 1).forms
     rng = np.random.default_rng(4)
     c, d, e = rng.integers(0, 3, size=(3, 300000, 4))
     parts = range(0, len(c), 1000)
-    assert np.array_equal(alpha_rows(C, c, d, e), np.concatenate(
-        [alpha_rows(C, c[i:i + 1000], d[i:i + 1000], e[i:i + 1000])
+    assert np.array_equal(F.alpha(c, d, e), np.concatenate(
+        [F.alpha(c[i:i + 1000], d[i:i + 1000], e[i:i + 1000])
          for i in parts]))
-    assert np.array_equal(chi_rows(C, c, d), np.concatenate(
-        [chi_rows(C, c[i:i + 1000], d[i:i + 1000]) for i in parts]))
-    assert np.array_equal(sigma_rows(C, c), np.concatenate(
-        [sigma_rows(C, c[i:i + 1000]) for i in parts]))
+    assert np.array_equal(F.chi(c, d), np.concatenate(
+        [F.chi(c[i:i + 1000], d[i:i + 1000]) for i in parts]))
+    assert np.array_equal(F.sigma(c), np.concatenate(
+        [F.sigma(c[i:i + 1000]) for i in parts]))
 
 
 def test_forms_refuse_data_past_the_float64_bound():

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from codeloops.codes import builtin_golay24, code_to_cvs
-from codeloops.cvs import (alpha_rows, chi_rows, cvs_new, octonion_cvs,
-                           pair_list, random_cvs, triple_list)
+from codeloops.cvs import (cvs_new, octonion_cvs, pair_list, random_cvs,
+                           triple_list)
 from codeloops.loops import (LevelSumLoop, build, kappa_isotope,
                              moufang_sampled, mul_recursive,
                              verify_coded_extension)
-from codeloops.modules import (alpha_rows_module, build_module_extension,
-                               chi_rows_module, module_new)
+from codeloops.modules import build_module_extension, module_new
 from codeloops.tables import rank_rows, vector_table
 
 
@@ -40,15 +39,10 @@ def oracle_table(L, zvals, chi, alpha, kappa=None):
                        + shift(u, w)) % L.zmod for w in rows] for u in rows])
 
 
-def cvs_forms(C):
-    return (lambda c, d: int(chi_rows(C, np.array([c]), np.array([d]))[0]),
-            lambda c, d, e: int(alpha_rows(C, np.array([c]), np.array([d]),
-                                           np.array([e]))[0]))
-
-
-def module_forms(M):
-    return (lambda c, d: int(chi_rows_module(M, c, d)[0]),
-            lambda c, d, e: int(alpha_rows_module(M, c, d, e)[0]))
+def scalar_forms(F):
+    """chi and alpha of a Forms object on single vectors, as ints."""
+    return (lambda c, d: int(F.chi([c], [d])[0]),
+            lambda c, d, e: int(F.alpha([c], [d], [e])[0]))
 
 
 CVSS = ([random_cvs(2, 4, s) for s in range(3)]
@@ -72,7 +66,7 @@ MODULES = [
 @pytest.mark.parametrize("C", CVSS, ids=repr)
 def test_theta_table_is_the_level_sum_cvs(C):
     L = build(C, validate=False)
-    want = oracle_table(L, C.sigma_basis, *cvs_forms(C))
+    want = oracle_table(L, C.sigma_basis, *scalar_forms(C.forms))
     assert np.array_equal(L.theta_table(), want)
     assert L.theta_table().dtype == np.uint8
 
@@ -80,7 +74,7 @@ def test_theta_table_is_the_level_sum_cvs(C):
 @pytest.mark.parametrize("M", MODULES, ids=repr)
 def test_theta_table_is_the_level_sum_module(M):
     L = build_module_extension(M)
-    want = oracle_table(L, M.z_values, *module_forms(M))
+    want = oracle_table(L, M.z_values, *scalar_forms(M.forms))
     assert np.array_equal(L.theta_table(), want)
 
 
@@ -91,14 +85,14 @@ def test_theta_table_is_the_level_sum_module(M):
 ])
 def test_theta_table_is_the_level_sum_isotope(C, kappa):
     iso = kappa_isotope(build(C, validate=False), kappa)
-    want = oracle_table(iso, C.sigma_basis, *cvs_forms(C), kappa=kappa)
+    want = oracle_table(iso, C.sigma_basis, *scalar_forms(C.forms), kappa=kappa)
     assert np.array_equal(iso.theta_table(), want)
 
 
 def test_theta_table_is_the_level_sum_module_isotope():
     M = MODULES[3]
     iso = kappa_isotope(build_module_extension(M), (2, 1, 1))
-    want = oracle_table(iso, M.z_values, *module_forms(M), kappa=(2, 1, 1))
+    want = oracle_table(iso, M.z_values, *scalar_forms(M.forms), kappa=(2, 1, 1))
     assert np.array_equal(iso.theta_table(), want)
 
 

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from codeloops.cvs import (adjoint_translate, cvs_new, octonion_cvs, pair_list,
                           random_cvs, triple_list)
-from codeloops.loops import (CodedLoop, CodedLoopElement, _assoc_tables, build,
-                             center_vectors, emit_cayley_csv, kappa_isotope,
-                             moufang_sampled, mul_recursive, parse_cayley_csv,
-                             restricted_cvs, semidirect_central_product,
+from codeloops.loops import (CodedLoop, CodedLoopElement, SdcpLoop,
+                             _assoc_tables, build, center_vectors,
+                             emit_cayley_csv, kappa_isotope, moufang_sampled,
+                             mul_recursive, parse_cayley_csv, restricted_cvs,
+                             semidirect_central_product,
                              verify_coded_extension)
 from codeloops.modular import fp_vector
 from codeloops.tables import vector_table
@@ -228,15 +229,68 @@ def test_kappa_isotope_preserves_associators(cml81_loop):
         assert iso.associator(a, b, c) == L.associator(a, b, c)
 
 
-def test_sdcp_glues_to_octonion():
+def octonion_gluing():
+    """The octonion CVS glued from three one-dimensional pieces, the
+    first two glued first."""
     amb = octonion_cvs()
     e1, e2, e3 = (fp_vector(v, 2) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    one = cvs_new(2, 1, [1], None, None)
-    P1 = build(one)
+    P1 = build(cvs_new(2, 1, [1], None, None))
     P12 = semidirect_central_product(P1, P1, amb, [e1], [e2])
-    P123 = semidirect_central_product(P12, P1, amb, [e1, e2], [e3])
-    L = build(amb)
-    assert np.array_equal(P123.theta_table(), L.theta_table())
+    return semidirect_central_product(P12, P1, amb, [e1, e2], [e3])
+
+
+def basis_gluing(args, kd):
+    """random_cvs(*args) glued from its restrictions to the first kd and
+    the remaining basis vectors."""
+    C = random_cvs(*args)
+    basis = [fp_vector([int(i == j) for j in range(C.k)], C.p)
+             for i in range(C.k)]
+    D, E = basis[:kd], basis[kd:]
+    return semidirect_central_product(build(restricted_cvs(C, D)),
+                                      build(restricted_cvs(C, E)), C, D, E)
+
+
+def sdcp_theta_oracle(S, U, W):
+    """The per-pair gluing formula, literally, for rows of pairs: each
+    factor's cocycle on its own part (nested gluings recurse), plus
+
+      z0 = chi(E1, D2) + alpha(D1, E1 - D2, E2) + 2 alpha(D1, E1, D2)
+           - 2 alpha(E1, D2, E2)
+
+    from the ambient forms, where D1, E1 (of u) and D2, E2 (of w) are the
+    images of the d and e parts under the embeddings."""
+    def factor(L, U, W):
+        return (sdcp_theta_oracle(L, U, W) if isinstance(L, SdcpLoop)
+                else L.theta_rows(U, W))
+
+    p, kd, F = S.zmod, S.Dext.k, S.ambient.forms
+    ED, EE = np.array(S.embedD), np.array(S.embedE)
+    D1, E1 = U[:, :kd] @ ED % p, U[:, kd:] @ EE % p
+    D2, E2 = W[:, :kd] @ ED % p, W[:, kd:] @ EE % p
+    z0 = (F.chi(E1, D2) + F.alpha(D1, (E1 - D2) % p, E2)
+          + 2 * F.alpha(D1, E1, D2) - 2 * F.alpha(E1, D2, E2))
+    return (factor(S.Dext, U[:, :kd], W[:, :kd])
+            + factor(S.Eext, U[:, kd:], W[:, kd:]) + z0) % p
+
+
+def test_sdcp_glues_to_octonion():
+    assert np.array_equal(octonion_gluing().theta_table(),
+                          build(octonion_cvs()).theta_table())
+
+
+@pytest.mark.parametrize("args,kd", [
+    (None, None), ((3, 4, 1), 2), ((2, 5, 1), 2), ((2, 5, 1), 3),
+    ((3, 5, 2), 2), ((2, 8, 0), 4)])
+def test_sdcp_theta_matches_per_pair_oracle(args, kd):
+    # every pair of C x C, up to |C| = 256: the bulk theta_rows on the
+    # restricted CVS's forms and the chunked theta table both equal the
+    # per-pair formula on the ambient forms
+    S = octonion_gluing() if args is None else basis_gluing(args, kd)
+    V = vector_table(S.moduli)
+    U, W = np.repeat(V, len(V), axis=0), np.tile(V, (len(V), 1))
+    want = sdcp_theta_oracle(S, U, W)
+    assert np.array_equal(S.theta_rows(U, W), want)
+    assert np.array_equal(S.theta_table().astype(np.int64).ravel(), want)
 
 
 @pytest.mark.parametrize("args,kd", [((3, 4, 1), 2), ((2, 5, 1), 2)])
@@ -246,15 +300,21 @@ def test_sdcp_gluing_verifies(args, kd):
     # differs from build(C)'s, so this covers more than the octonion test.
     # The verifier takes p from the CVS being verified.
     C = random_cvs(*args)
-    basis = [fp_vector([int(i == j) for j in range(C.k)], C.p)
-             for i in range(C.k)]
-    D, E = basis[:kd], basis[kd:]
-    S = semidirect_central_product(build(restricted_cvs(C, D)),
-                                   build(restricted_cvs(C, E)), C, D, E)
+    S = basis_gluing(args, kd)
     assert not np.array_equal(S.theta_table(), build(C).theta_table())
     rep = verify_coded_extension(S)
     assert rep.ok and {c.mode for c in rep.checks} == {"exhaustive"}
     rep = verify_coded_extension(S, budget=1, samples=300)
+    assert rep.ok and {c.mode for c in rep.checks} == {"sampled"}
+
+
+def test_sdcp_gluing_at_256_verifies():
+    # random_cvs(2, 8, 0) glued 4 + 4: |C| = 256, the largest exhaustive
+    # case above, in both verifier modes
+    S = basis_gluing((2, 8, 0), 4)
+    rep = verify_coded_extension(S)
+    assert rep.ok and {c.mode for c in rep.checks} == {"exhaustive"}
+    rep = verify_coded_extension(S, budget=1, samples=3000)
     assert rep.ok and {c.mode for c in rep.checks} == {"sampled"}
 
 
