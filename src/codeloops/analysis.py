@@ -184,11 +184,12 @@ class LoopTable:
         return int(np.lcm.reduce(self.element_orders))
 
     def power(self, a: int, n: int) -> int:
-        """a^n with the convention a^(n+1) = a * a^n."""
+        """a^n with the convention a^(n+1) = a * a^n, which repeats with
+        period element_orders[a], so n is reduced by it first."""
         if n < 0:
             return self.power(int(self.inverse[a]), -n)
         acc = self.identity
-        for _ in range(n):
+        for _ in range(n % int(self.element_orders[a])):
             acc = int(self.table[a, acc])
         return acc
 

@@ -49,8 +49,12 @@ def _read(path):
 
 def _write_out(text, output):
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            click.echo("error: %s" % e, err=True)
+            sys.exit(2)
         click.echo("# wrote %s" % output)
     else:
         sys.stdout.write(text)

@@ -392,15 +392,16 @@ def validate_axioms(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,
     or sample order.
     """
     p, n = C.p, C.size
-    rng = np.random.default_rng(seed)
     V = all_vectors(C)
     tab = n <= budget and n ** 3 <= _EXHAUSTIVE_CAP[3]
     elem, identities = _identities(C, V, tab)
-    checks = []
+    checks, rng = [], None
     for name, arity, check in identities:
         if n <= budget and n ** arity <= _EXHAUSTIVE_CAP[arity]:
             mode, tuples = "exhaustive", _grid(n, arity)
         else:
+            if rng is None:  # loading numpy.random costs about 6 MB
+                rng = np.random.default_rng(seed)
             sample = rng.integers(0, n, size=(arity, samples))
             mode, tuples = "sampled", (sample[:, lo:lo + _CHECK_CHUNK]
                                        for lo in range(0, samples,
@@ -459,14 +460,17 @@ def _identities(C: Cvs, V: np.ndarray, tab: bool) -> tuple:
         add_rank = index_tables(moduli)[1]
         scl_rank = rank_rows(np.arange(p)[:, None, None] * V, moduli)
         basis = rank_rows(np.eye(k, dtype=np.int64), moduli)
+        # AB[c, d, m] = alpha(c, d, x_m); coordinates are below p <= 256
+        # too, so alp_last gathers uint8 rows and sums them in int64
+        AB, V8 = A3[:, :, basis], V.astype(np.uint8)
         elem = lambda I: I
         sig = lambda c: S1[c]
         chi = lambda c, d: X2[c, d]
         alp = lambda c, d, e: A3[c, d, e].astype(np.int64)
         add = lambda c, d: add_rank[c, d]
         scl = lambda m, c: scl_rank[m, c]
-        alp_last = lambda c, d, e: sum(alp(c, d, b) * V[e, m]
-                                       for m, b in enumerate(basis))
+        alp_last = lambda c, d, e: np.einsum("ij,ij->i", AB[c, d], V8[e],
+                                             dtype=np.int64)
     else:
         elem = lambda I: V[I]
         sig, chi, alp = F.sigma, F.chi, F.alpha

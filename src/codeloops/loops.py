@@ -52,6 +52,7 @@ the tests compare both with a literal level sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
@@ -215,11 +216,15 @@ class CentralExtensionLoop:
         return CodedLoopElement(z, nv)
 
     def pow(self, a: CodedLoopElement, n: int) -> CodedLoopElement:
-        """Iterated product with the convention a^(n+1) = a * a^n."""
+        """Iterated product with the convention a^(n+1) = a * a^n.
+
+        With m = lcm(moduli), the vector part of a^n has period m, so
+        a^(n+m) = a^n (c, 0) for a central value c that does not depend on
+        n, and a^n depends only on n mod |Z| m: n is reduced first."""
         if n < 0:
             return self.pow(self.inv(a), -n)
         acc = self.identity
-        for _ in range(n):
+        for _ in range(n % (self.zmod * math.lcm(*self.moduli))):
             acc = self.mul(a, acc)
         return acc
 
@@ -555,33 +560,61 @@ def semidirect_central_product(Dext, Eext, ambient: Cvs,
 # never build a table: they multiply row elements (z, V), an array of
 # central values and one of vector rows, through theta_rows, so they run at
 # every |C|.
+#
+# The exhaustive commutator and associator scans end in a left division
+# x^{-1} y of two elements with the same vector part s.  The inverse of
+# (z_x, s) is (-z_x - theta(s, -s), -s), so the z-part of x^{-1} y is
+#
+#   z_y - z_x + D[s],   D[s] = theta(-s, s) - theta(s, -s),
+#
+# one n-vector per loop.  D vanishes on a loop with the inverse property,
+# such as every Moufang loop, but the scans must not assume the laws they
+# check.  With it [(0,u),(0,w)] has z-part
+# theta(u, w) - theta(w, u) + D[u + w], and [(0,u),(0,w),(0,t)] has
+#
+#   D[u+w+t] - theta(u, w+t) + theta(u+w, t) + theta(u, w) - theta(w, t),
+#
+# so a chunk of u rows is a gather of E = D[add] - T along its columns by
+# the add table, a gather of the rows of T by add[u], and two broadcasts:
+# no index array larger than n x n is built.
+
+def _inverse_defect(T: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """D[s] = theta(-s, s) - theta(s, -s) for every rank s."""
+    r = np.arange(len(neg))
+    return T[neg, r] - T[r, neg]
+
 
 def _comm_table(L: CentralExtensionLoop) -> np.ndarray:
     """z-part of [(0,u),(0,w)] for all u, w (the v-part is always 0; the
     central lifts cancel structurally, so this covers all loop pairs)."""
     T = L.theta_table().astype(np.int64)
-    _, s, neg = index_tables(L.moduli)  # s[u, w] = rank of u + w
-    return (T - T.T - T[s, neg[s]] + T[neg[s], s]) % L.zmod
+    _, add, neg = index_tables(L.moduli)  # add[u, w] = rank of u + w
+    return (T - T.T + _inverse_defect(T, neg)[add]) % L.zmod
 
 
 def _assoc_tables(L: CentralExtensionLoop):
-    """Yield (slice, z-part of [(0,u),(0,w),(0,t)]) over chunks of u."""
+    """Yield (slice, z-part of [(0,u),(0,w),(0,t)]) over chunks of u.
+
+    The z-part is D[u+w+t] - theta(u, w+t) + theta(u+w, t) + theta(u, w)
+    - theta(w, t), with D[s] = theta(-s, s) - theta(s, -s) the z-part
+    that the left division by an element over s adds (see the section
+    comment).  For u in a chunk: E[u, w+t] with E = D[add] - T is one
+    gather of the rows E[u] by add, theta(u+w, t) one gather of the rows
+    of T by add[u], theta(u, w) broadcasts over t and theta(w, t) over u.
+    """
     T = L.theta_table().astype(np.int64)
     _, add, neg = index_tables(L.moduli)
+    E = _inverse_defect(T, neg)[add] - T
     n = T.shape[0]
     chunk = max(1, _ASSOC_ENTRIES // (n * n))
-    w = np.arange(n)[:, None]
     for lo in range(0, n, chunk):
-        u = np.arange(lo, min(lo + chunk, n))[:, None, None]
-        s = add[u, add]  # rank of u + (w + t)
-        z = T[neg[s], s]
-        z -= T[s, neg[s]]
-        z += T[u, w]  # theta(u, w), the same for every t
-        z += T[add[u, w], w.T]  # theta(u + w, t)
-        z -= T[u, add]  # theta(u, w + t)
+        hi = min(lo + chunk, n)
+        z = np.take(E[lo:hi], add, axis=1)  # D[u+w+t] - theta(u, w+t)
+        z += T[add[lo:hi]]  # theta(u + w, t)
+        z += T[lo:hi, :, None]  # theta(u, w), the same for every t
         z -= T  # theta(w, t)
         z %= L.zmod
-        yield slice(lo, lo + len(u)), z
+        yield slice(lo, hi), z
 
 
 def _rows_mul(L: CentralExtensionLoop, a: tuple, b: tuple) -> tuple:

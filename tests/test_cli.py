@@ -1,12 +1,14 @@
 """End-to-end CLI checks through click's test runner."""
 
+import time
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from codeloops import (build, emit_cayley_csv, emit_cvs, octonion_cvs,
                        parse_cayley_csv, random_cvs)
-from codeloops.cli import main
+from codeloops.cli import _TableWordContext, main
 
 from conftest import intercalate_swap
 
@@ -124,6 +126,39 @@ def test_eval_on_table_source(runner, tmp_path, oct_cvs_file):
     _run(runner, ["build", oct_cvs_file, "--table", csv])
     res = _run(runner, ["eval", csv, "--expr", "[g1,g2,g3]"])
     assert res.output == "z\n"
+
+
+def test_table_powers_reduce_the_exponent_exactly():
+    # the table context's a^n against |n| table lookups (from the inverse
+    # when n < 0), for every element and every n in [-20, 20]
+    for C in (octonion_cvs(), random_cvs(3, 3, 0)):
+        ctx = _TableWordContext(*parse_cayley_csv(emit_cayley_csv(build(C))))
+        T, inv, e = ctx.tbl.table, ctx.tbl.inverse, ctx.tbl.identity
+        for i in range(ctx.tbl.n):
+            a = ctx._decode(i)
+            for n in range(-20, 21):
+                b, acc = (int(inv[i]) if n < 0 else i), e
+                for _ in range(abs(n)):
+                    acc = int(T[b, acc])
+                assert ctx.pow(a, n) == ctx._decode(acc), (i, n)
+
+
+def test_eval_huge_exponent_is_fast(runner, tmp_path):
+    cvs, csv = str(tmp_path / "h.cvs"), str(tmp_path / "h.csv")
+    _run(runner, ["builtin", "hamming", "--as-cvs", "-o", cvs])
+    _run(runner, ["build", cvs, "--table", csv])
+    for source in (cvs, csv):
+        t = time.perf_counter()
+        res = _run(runner, ["eval", source, "--expr", "g1^-99999999999"])
+        assert time.perf_counter() - t < 1.0
+        assert res.output == "g1\n"
+
+
+def test_build_table_into_missing_directory(runner, tmp_path, oct_cvs_file):
+    out = str(tmp_path / "nodir" / "x.csv")
+    res = _run(runner, ["build", oct_cvs_file, "--table", out], code=2)
+    assert res.stderr.startswith("error: ") and "nodir" in res.stderr
+    assert "Traceback" not in res.output
 
 
 def test_isotope_kappa_zero_is_identity(runner, tmp_path, oct_cvs_file):

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -120,6 +123,19 @@ def test_validator_chunks_do_not_change_reports(monkeypatch):
     want = [validate_axioms(C, **kw).lines() for C, kw in runs]
     monkeypatch.setattr(cvs, "_CHECK_CHUNK", 1000)
     assert [validate_axioms(C, **kw).lines() for C, kw in runs] == want
+
+
+def test_exhaustive_validation_leaves_numpy_random_unloaded():
+    # loading numpy.random costs about 6 MB of RSS; a validation whose
+    # checks are all exhaustive draws no samples, so it must not load it
+    src = os.path.dirname(os.path.dirname(cvs.__file__))
+    code = ("import sys; from codeloops.cvs import random_cvs, "
+            "validate_axioms; assert validate_axioms(random_cvs(3, 3, 0)).ok; "
+            "print('numpy.random' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert res.stdout.strip() == "False"
 
 
 def test_validator_arity3_scan_memory():

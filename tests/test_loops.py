@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codeloops import loops
 from codeloops.cvs import (adjoint_translate, cvs_new, octonion_cvs, pair_list,
                           random_cvs, triple_list)
-from codeloops.loops import (CodedLoop, CodedLoopElement, SdcpLoop,
-                             _assoc_tables, build, center_vectors,
+from codeloops.loops import (CentralExtensionLoop, CodedLoop,
+                             CodedLoopElement, SdcpLoop, _assoc_tables,
+                             _comm_table, build, center_vectors,
                              emit_cayley_csv, kappa_isotope, moufang_sampled,
                              mul_recursive, parse_cayley_csv, restricted_cvs,
                              semidirect_central_product,
                              verify_coded_extension)
 from codeloops.modular import fp_vector
+from codeloops.modules import build_module_extension, module_new
 from codeloops.tables import vector_table
 
 
@@ -150,6 +153,83 @@ def test_associator_chunk_memory_at_729():
     assert peak < 128 * 2 ** 20, peak
 
 
+def _scan_oracle(L):
+    """z-parts of every commutator [u, w] and associator [u, w, t] of the
+    vector lifts, from element products alone; the vector parts must
+    vanish.  Products read the theta table once it is built."""
+    L.theta_table()
+    els = [L.element_at(i) for i in range(L.csize)]
+    zero = (0,) * L.k
+    comm = np.zeros((L.csize,) * 2, dtype=np.int64)
+    assoc = np.zeros((L.csize,) * 3, dtype=np.int64)
+    for (i, a), (j, b) in itertools.product(enumerate(els), repeat=2):
+        c = L.commutator(a, b)
+        assert c.v == zero
+        comm[i, j] = c.z
+        for l, d in enumerate(els):
+            c = L.associator(a, b, d)
+            assert c.v == zero
+            assoc[i, j, l] = c.z
+    return comm, assoc
+
+
+class _CocycleLoop(CentralExtensionLoop):
+    """The central extension by a given theta table."""
+
+    def __init__(self, zmod, moduli, T):
+        super().__init__(zmod, moduli)
+        self._T = T
+
+    def _build_theta_table(self):
+        return self._T
+
+
+def _random_cocycle_loop():
+    # a random theta, zero on the identity: a loop without the inverse
+    # property, so theta(-s, s) != theta(s, -s) and the left division term
+    # D of the bulk scans is nonzero (it vanishes on every Moufang loop)
+    T = np.random.default_rng(8).integers(0, 5, size=(27, 27))
+    T[0] = T[:, 0] = 0
+    L = _CocycleLoop(5, (3, 9), T)
+    neg = [L.rank(tuple(-x % m for x, m in zip(L.unrank(s), L.moduli)))
+           for s in range(27)]
+    assert any(T[neg[s], s] != T[s, neg[s]] for s in range(27))
+    return L
+
+
+def _scan_loop(name):
+    C = random_cvs(3, 3, 0)  # sigma, chi and alpha all nonzero
+    M = module_new(3, (9, 3), 3, (1, 0), {(0, 1): 1}, {})
+    return {"cocycle": _random_cocycle_loop,
+            "octonion": lambda: build(octonion_cvs()),
+            "cvs333": lambda: build(C),
+            "isotope100": lambda: kappa_isotope(build(C), (1, 0, 0)),
+            "isotope212": lambda: kappa_isotope(build(C), (2, 1, 2)),
+            "module93": lambda: build_module_extension(M),
+            "sdcp333": lambda: basis_gluing((3, 3, 0), 1)}[name]()
+
+
+@pytest.mark.parametrize("name", ["cocycle", "octonion", "cvs333",
+                                  "isotope100", "isotope212", "module93",
+                                  "sdcp333"])
+def test_bulk_scans_match_element_products(name, monkeypatch):
+    # _comm_table and every _assoc_tables chunk, entry by entry, against
+    # L.commutator and L.associator on element objects; the chunks are
+    # taken whole, one u row each, and 5 rows each (5 divides neither 8
+    # nor 27)
+    L = _scan_loop(name)
+    comm, assoc = _scan_oracle(L)
+    assert np.array_equal(_comm_table(L), comm)
+    n = L.csize
+    for rows in (None, 1, 5):
+        if rows is not None:
+            monkeypatch.setattr(loops, "_ASSOC_ENTRIES", rows * n * n)
+        got = list(_assoc_tables(L))
+        assert [sl.start for sl, _ in got] == list(
+            range(0, n, rows or n))
+        assert np.array_equal(np.concatenate([z for _, z in got]), assoc)
+
+
 def test_inverses_and_powers(oct_loop):
     L = oct_loop
     e = L.identity
@@ -158,6 +238,20 @@ def test_inverses_and_powers(oct_loop):
         assert L.mul(L.inv(a), a) == e
         assert L.pow(a, 4) == e  # exponent of the octonion loop
         assert L.pow(a, -1) == L.inv(a)
+
+
+@pytest.mark.parametrize("L", [
+    build(octonion_cvs()), build(random_cvs(3, 3, 0)),
+    build_module_extension(module_new(2, (4, 2), 2, (1, 0), {(0, 1): 1}, {}))])
+def test_pow_reduces_the_exponent_exactly(L):
+    # a^n against |n| plain products (of a^-1 when n < 0), for every element
+    # and every n in [-20, 20]: |Z| lcm(moduli) is 4, 9 and 8 here
+    for a in all_elements(L):
+        for n in range(-20, 21):
+            b, acc = (L.inv(a) if n < 0 else a), L.identity
+            for _ in range(abs(n)):
+                acc = L.mul(b, acc)
+            assert L.pow(a, n) == acc, (a, n)
 
 
 def test_element_orders_octonion(oct_loop):
