@@ -19,8 +19,8 @@ from .classify import rep_to_cvs
 from .codes import (builtin_golay24, builtin_hamming734, code_to_cvs,
                     cvs_to_code, emit_code, parse_code)
 from .cvs import adjoint_translate, emit_cvs, parse_cvs, validate_axioms
-from .loops import (CodedLoopElement, build, emit_cayley_csv,
-                    moufang_sampled, parse_cayley_csv,
+from .loops import (_THETA_CACHE_MAX, CodedLoopElement, build,
+                    emit_cayley_csv, moufang_sampled, parse_cayley_csv,
                     verify_coded_extension)
 from .modular import fp_vector
 from .tables import rank_of, unrank
@@ -102,6 +102,8 @@ def verify_cvs(cvsfile, samples, seed):
             click.echo("moufang_witness=%s" % (wit,))
             sys.exit(1)
     else:
+        if L.csize <= _THETA_CACHE_MAX:  # at most 16 MiB
+            L.theta_table()  # the sampled products gather from it
         vrep = verify_coded_extension(L, samples=samples, seed=seed)
         mode = vrep.checks[-1].mode  # CEassociate's
         click.echo("# order above %d: %s checks" % (

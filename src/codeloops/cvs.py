@@ -276,7 +276,8 @@ class Forms:
         """alpha(u, v, w) for u in U and v, w in V, as len(U) x n x n."""
         U, V = self._rows(U), self._rows(V)
         n, k = V.shape
-        UV = (U[:, None, :, None] * V[None, :, None, :]).reshape(-1, k * k)
+        UV = (U[:, None, :, None] * V[None, :, None, :]).reshape(
+            len(U) * n, k * k)
         return self._reduce((UV @ self._A) @ V.T).reshape(len(U), n, n)
 
     # -- one block of float64 rows --

@@ -72,8 +72,8 @@ from .cvs import (
     validate_axioms,
 )
 from .modular import FpVector, fp_vector
-from .tables import (add_index_table, index_tables, rank_of, unrank,
-                     vector_table)
+from .tables import (add_index_table, index_tables, place_values, rank_of,
+                     unrank, vector_table)
 
 DEFAULT_VERIFY_BUDGET = 3 ** 6
 DEFAULT_TABLE_BUDGET = 2 ** 13
@@ -558,8 +558,10 @@ def semidirect_central_product(Dext, Eext, ambient: Cvs,
 # add ranks with the per-moduli index_tables (XOR when p = 2, digit by digit
 # otherwise), only for the |C| scanned exhaustively.  The sampled checks
 # never build a table: they multiply row elements (z, V), an array of
-# central values and one of vector rows, through theta_rows, so they run at
-# every |C|.
+# central values and one of vector rows, so they run at every |C|.  Their
+# theta values are gathered from the theta table when the loop already
+# holds one, and come from theta_rows otherwise; both give the same
+# values, so the verdicts do not depend on the table.
 #
 # The exhaustive commutator and associator scans end in a left division
 # x^{-1} y of two elements with the same vector part s.  The inverse of
@@ -617,17 +619,30 @@ def _assoc_tables(L: CentralExtensionLoop):
         yield slice(lo, hi), z
 
 
+def _rows_theta(L: CentralExtensionLoop, U: np.ndarray,
+                W: np.ndarray) -> np.ndarray:
+    """theta on rows of reduced vector parts: gathered from the theta
+    table, widened to int64, when L holds one, else the feature kernel.
+    The rows are reduced, so their ranks are dot products with the place
+    values."""
+    T = L._theta_table
+    if T is None:
+        return L.theta_rows(U, W)
+    place = place_values(L.moduli)
+    return T[U @ place, W @ place].astype(np.int64)
+
+
 def _rows_mul(L: CentralExtensionLoop, a: tuple, b: tuple) -> tuple:
     """Product of row elements a = (z, U), b = (z', W)."""
     (za, U), (zb, W) = a, b
     mods = np.asarray(L.moduli, dtype=np.int64)
-    return (za + zb + L.theta_rows(U, W)) % L.zmod, (U + W) % mods
+    return (za + zb + _rows_theta(L, U, W)) % L.zmod, (U + W) % mods
 
 
 def _rows_inv(L: CentralExtensionLoop, a: tuple) -> tuple:
     z, U = a
     N = -U % np.asarray(L.moduli, dtype=np.int64)
-    return (-z - L.theta_rows(U, N)) % L.zmod, N
+    return (-z - _rows_theta(L, U, N)) % L.zmod, N
 
 
 def _rows_sample(L: CentralExtensionLoop, rng, size: int) -> tuple:
@@ -664,8 +679,10 @@ def verify_coded_extension(L: CentralExtensionLoop,
     otherwise the basis powers x_i^{q_i} = z_i, which is exact at any |C|.
     CEcommute and CEassociate run exhaustively over C^2 and C^3 when
     |C| <= budget, on the theta table; otherwise on seeded sampled rows
-    with random central lifts, through theta_rows.  Central lifts cancel
-    in commutators and associators, so quantifying over C is exact.
+    with random central lifts, through theta_rows, or through the theta
+    table when L already holds one (the sampled path never builds it).
+    Central lifts cancel in commutators and associators, so quantifying
+    over C is exact.
     """
     F = L.forms
     p, n = F.p, L.csize
@@ -730,7 +747,8 @@ def moufang_sampled(L: CentralExtensionLoop, ntriples: int, seed: int = 0):
     """Check the four Moufang identities on seeded random element triples.
 
     Returns (ok, witness_or_None).  Elements are sampled rows with random
-    central lifts, multiplied through theta_rows, so no table is needed.
+    central lifts, multiplied through theta_rows, so no table is needed;
+    when L already holds its theta table, the products read it instead.
     """
     rng = np.random.default_rng(seed)
     g, d, e = (_rows_sample(L, rng, ntriples) for _ in range(3))

@@ -9,13 +9,16 @@ order 2, digit by digit otherwise.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 
+@lru_cache(maxsize=8)
 def vector_table(moduli: tuple) -> np.ndarray:
-    """All vectors with the given slot moduli, one per row, in rank order."""
+    """All vectors with the given slot moduli, one per row, in rank order;
+    built once per moduli and read-only."""
     k = len(moduli)
     n = 1
     for m in moduli:
@@ -27,7 +30,15 @@ def vector_table(moduli: tuple) -> np.ndarray:
         tile = n // (rep * m)
         col = np.repeat(np.arange(m, dtype=np.int64), rep)
         out[:, i] = np.tile(col, tile)
+    out.setflags(write=False)
     return out
+
+
+def place_values(moduli: tuple) -> np.ndarray:
+    """The mixed-radix place values: rank(v) = v . place_values(moduli)
+    for every reduced v."""
+    return np.array([math.prod(moduli[i + 1:]) for i in range(len(moduli))],
+                    dtype=np.int64)
 
 
 def rank_rows(rows: np.ndarray, moduli: tuple) -> np.ndarray:
@@ -78,6 +89,6 @@ def index_tables(moduli: tuple) -> tuple:
     use this only for the small |C| they scan exhaustively."""
     V = vector_table(moduli)
     out = (V, add_index_table(moduli), rank_rows(-V, moduli))
-    for a in out:
+    for a in out[1:]:
         a.setflags(write=False)
     return out

@@ -90,6 +90,42 @@ def test_verify_cvs_prints_the_verifier_mode(runner, tmp_path):
     assert lines[-1] == "moufang=true"
 
 
+GOLAY_SAMPLED = """\
+p=2
+dim=12
+axioms=true
+order=8192
+# order above 512: sampled checks
+mode=sampled
+samples=2000
+seed=0
+extension_laws=true
+moufang=true
+"""
+
+
+def test_verify_cvs_golay_sampled(runner, tmp_path):
+    # |C| = 4096: the sampled checks read the theta table verify-cvs builds
+    cvs = str(tmp_path / "g.cvs")
+    _run(runner, ["builtin", "golay", "--as-cvs", "-o", cvs])
+    res = _run(runner, ["verify-cvs", cvs, "--samples", "2000"])
+    body = res.output.split("\n", 1)[1]  # drop the echo line
+    assert body == GOLAY_SAMPLED
+
+
+def test_verify_cvs_and_build_dim0(runner, tmp_path):
+    # dimension 0: the loop is Z, cyclic of order p
+    f = tmp_path / "d0.cvs"
+    f.write_text("cvs\np 3\ndim 0\n")
+    lines = _run(runner, ["verify-cvs", str(f)]).output.splitlines()
+    assert lines[1:5] == ["p=3", "dim=0", "axioms=true", "order=3"]
+    assert "moufang=true" in lines and "assoc=true" in lines
+    csv = str(tmp_path / "d0.csv")
+    res = _run(runner, ["build", str(f), "--table", csv])
+    assert res.output.splitlines()[0] == "order=3"
+    assert open(csv).read() == "n=3,p=3,k=0\n0,1,2\n1,2,0\n2,0,1\n"
+
+
 def test_cvs2code_round_trip(runner, tmp_path, oct_cvs_file):
     code = str(tmp_path / "oct.code")
     back = str(tmp_path / "back.cvs")

@@ -14,7 +14,8 @@ from codeloops.loops import (LevelSumLoop, build, kappa_isotope,
                              moufang_sampled, mul_recursive,
                              verify_coded_extension)
 from codeloops.modules import build_module_extension, module_new
-from codeloops.tables import rank_rows, vector_table
+from codeloops.tables import (index_tables, place_values, rank_rows,
+                              vector_table)
 
 
 def level_sum(u, w, moduli, zmod, zvals, chi, alpha):
@@ -110,6 +111,18 @@ def test_theta_rows_match_table_lookups(L):
     T = L.theta_table()
     want = T[rank_rows(U, L.moduli), rank_rows(W, L.moduli)]
     assert np.array_equal(L.theta_rows(U, W), want)
+
+
+def test_vector_table_is_shared_and_read_only():
+    # one array per moduli, shared with index_tables; the place values
+    # rank its rows as rank_rows does
+    m = (3, 9, 2)
+    V = vector_table(m)
+    assert V is vector_table(m) is index_tables(m)[0]
+    assert not V.flags.writeable
+    ranks = np.arange(len(V))
+    assert np.array_equal(rank_rows(V, m), ranks)
+    assert np.array_equal(V @ place_values(m), ranks)
 
 
 def test_mul_recursive_golay_rows_and_table():

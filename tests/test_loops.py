@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codeloops import loops
+from codeloops.codes import builtin_golay24, code_to_cvs
 from codeloops.cvs import (adjoint_translate, cvs_new, octonion_cvs, pair_list,
                           random_cvs, triple_list)
-from codeloops.loops import (CentralExtensionLoop, CodedLoop,
-                             CodedLoopElement, SdcpLoop, _assoc_tables,
-                             _comm_table, build, center_vectors,
+from codeloops.loops import (DEFAULT_VERIFY_BUDGET, CentralExtensionLoop,
+                             CodedLoop, CodedLoopElement, LevelSumLoop,
+                             SdcpLoop, _assoc_tables, _comm_table, _rows_inv,
+                             _rows_mul, _rows_sample, build, center_vectors,
                              emit_cayley_csv, kappa_isotope, moufang_sampled,
                              mul_recursive, parse_cayley_csv, restricted_cvs,
                              semidirect_central_product,
@@ -36,6 +38,20 @@ def test_dim1_sigma1_p2_is_cyclic_4():
     L = build(cvs_new(2, 1, [1], None, None))
     assert L.order == 4
     assert L.element_order(L.generator(0)) == 4
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_dim0_is_cyclic_of_order_p(p):
+    # no basis vectors: C = {0} and the loop is its central subgroup Z
+    L = build(cvs_new(p, 0))
+    assert L.order == p and L.moduli == ()
+    assert L.element_order(L.central_generator()) == p
+    for budget in (DEFAULT_VERIFY_BUDGET, 0):
+        rep = verify_coded_extension(L, budget=budget, samples=50)
+        assert rep.ok, rep.lines()
+    assert moufang_sampled(L, 50) == (True, None)
+    T = L.table_array()
+    assert np.array_equal(T, (np.arange(p)[:, None] + np.arange(p)) % p)
 
 
 def test_dim1_sigma0_is_elementary():
@@ -410,6 +426,101 @@ def test_sdcp_gluing_at_256_verifies():
     assert rep.ok and {c.mode for c in rep.checks} == {"exhaustive"}
     rep = verify_coded_extension(S, budget=1, samples=3000)
     assert rep.ok and {c.mode for c in rep.checks} == {"sampled"}
+
+
+def _twin_loop(name):
+    C = random_cvs(3, 5, 0)
+    M = module_new(3, (9, 3, 3), 3, (1, 2, 0), {(0, 1): 1}, {(0, 1, 2): 1})
+    W = module_new(2, (2, 4), 256, (255, 129), {(0, 1): 128}, {})
+    return {"golay": lambda: build(code_to_cvs(builtin_golay24())),
+            "cvs350": lambda: build(C, validate=False),
+            "isotope": lambda: kappa_isotope(build(C, validate=False),
+                                             (1, 0, 2, 1, 0)),
+            "module933": lambda: build_module_extension(M),
+            "sdcp350": lambda: basis_gluing((3, 5, 0), 2),
+            "module24z256": lambda: build_module_extension(W)}[name]()
+
+
+def _twins(name, monkeypatch):
+    """A table-free loop and a twin that holds its theta table; the twin's
+    theta_rows raises, so its products must read the table."""
+    free, held = _twin_loop(name), _twin_loop(name)
+    held.theta_table()
+    assert free._theta_table is None
+
+    def kernel(U, W):
+        raise AssertionError("the feature kernel ran on a loop with a table")
+
+    monkeypatch.setattr(held, "theta_rows", kernel)
+    return free, held
+
+
+TWINS = ["golay", "cvs350", "isotope", "module933", "sdcp350"]
+
+
+@pytest.mark.parametrize("name", TWINS)
+def test_sampled_verdicts_do_not_depend_on_the_table(name, monkeypatch):
+    # the same seeded samples through theta_rows and through the table:
+    # identical names, modes, verdicts and witnesses
+    free, held = _twins(name, monkeypatch)
+    rep, rep_held = (verify_coded_extension(L, budget=0, samples=2000)
+                     for L in (free, held))
+    assert rep == rep_held and rep.ok, rep.lines()
+    assert rep.checks[-1].mode == "sampled"
+    assert moufang_sampled(free, 2000) == moufang_sampled(held, 2000) \
+        == (True, None)
+
+
+@pytest.mark.parametrize("flip, failing", [("chi", "CEcommute"),
+                                           ("alpha", "CEassociate")])
+def test_sampled_negative_controls_do_not_depend_on_the_table(
+        flip, failing, monkeypatch):
+    # the loop of C checked against C with one chi or one alpha value moved
+    C = random_cvs(3, 5, 0)
+    if flip == "chi":
+        chi = dict(zip(pair_list(C.k), C.chi_flat))
+        chi[(1, 3)] = (chi[(1, 3)] + 1) % C.p
+        bad = cvs_new(C.p, C.k, C.sigma_basis, chi,
+                      dict(zip(triple_list(C.k), C.alpha_flat)))
+    else:
+        bad = _alpha_flipped(C, (0, 2, 4))
+    free, held = _twins("cvs350", monkeypatch)
+    free.cvs = held.cvs = bad
+    rep, rep_held = (verify_coded_extension(L, budget=0, samples=2000)
+                     for L in (free, held))
+    assert rep == rep_held
+    assert [c.name for c in rep.failures()] == [failing]
+
+
+def test_sampled_moufang_witness_does_not_depend_on_the_table(monkeypatch):
+    # alpha moved on one ordered triple only: the tensor is no longer
+    # alternating and the loop is not Moufang
+    C = random_cvs(3, 5, 0)
+    A = C.forms.A.copy()
+    A[0, 2, 4] = (A[0, 2, 4] + 1) % 3
+    free, held = (LevelSumLoop(3, (3,) * 5, 3, C.sigma_basis, C.forms.X, A)
+                  for _ in range(2))
+    held.theta_table()
+    ok, wit = moufang_sampled(free, 2000)
+    assert not ok and wit is not None
+    assert moufang_sampled(held, 2000) == (ok, wit)
+
+
+@pytest.mark.parametrize("name", TWINS + ["module24z256"])
+def test_row_products_through_the_table_are_the_kernel(name, monkeypatch):
+    # random reduced rows; |Z| = 256 stores theta as uint8, so the
+    # gathered values must be widened before the central parts are added
+    free, held = _twins(name, monkeypatch)
+    rng = np.random.default_rng(3)
+    a, b = (_rows_sample(free, rng, 1000) for _ in range(2))
+    mods = np.array(free.moduli)
+    z, U = _rows_mul(held, a, b)
+    assert np.array_equal(z, (a[0] + b[0] + free.theta_rows(a[1], b[1]))
+                          % free.zmod)
+    assert np.array_equal(U, (a[1] + b[1]) % mods)
+    z, N = _rows_inv(held, a)
+    assert np.array_equal(N, -a[1] % mods)
+    assert np.array_equal(z, (-a[0] - free.theta_rows(a[1], N)) % free.zmod)
 
 
 def test_sdcp_rejects_dependent_embedding():
