@@ -77,6 +77,7 @@ def main():
 @main.command("verify-cvs")
 @click.argument("cvsfile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--samples", default=100000, show_default=True,
+              type=click.IntRange(min=1),
               help="random tuples when the loop is too big for tables")
 @click.option("--seed", default=0, show_default=True)
 def verify_cvs(cvsfile, samples, seed):

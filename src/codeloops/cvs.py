@@ -33,12 +33,12 @@ from .modular import (
     enumerate_invertible,
     fp_vector,
 )
-from .tables import index_tables, rank_rows, vector_table
+from .tables import (index_tables, rank_rows, unrank, unrank_rows,
+                     vector_table)
 
-# Exhaustive-scan caps for the axiom validator, by identity arity.
-# An identity with a free vectors is checked on all |C|^a tuples when
-# |C|^a stays under these sizes; otherwise it is checked on seeded samples.
-_EXHAUSTIVE_CAP = {1: 1 << 16, 2: 1 << 23, 3: 1 << 24, 4: 1 << 24}
+# largest |C|^a on which the axiom validator checks an identity with a
+# free vectors exhaustively (when |C| is within its budget)
+_GRID_MAX = 1 << 24
 _CHECK_CHUNK = 1 << 21  # tuples one identity check handles at a time
 DEFAULT_VALIDATE_BUDGET = 3 ** 7
 # largest |C| whose chi and alpha radicals are found by exhaustive evaluation
@@ -272,13 +272,15 @@ class Forms:
             out += U @ (outer(W, W) @ self._dd).T
         return self._reduce(out)
 
-    def alpha_block(self, U, V) -> np.ndarray:
-        """alpha(u, v, w) for u in U and v, w in V, as len(U) x n x n."""
+    def alpha_block(self, U, V, W=None) -> np.ndarray:
+        """alpha(u, v, w) for u in U, v in V and w in W (default V), as
+        len(U) x len(V) x len(W)."""
         U, V = self._rows(U), self._rows(V)
-        n, k = V.shape
-        UV = (U[:, None, :, None] * V[None, :, None, :]).reshape(
-            len(U) * n, k * k)
-        return self._reduce((UV @ self._A) @ V.T).reshape(len(U), n, n)
+        W = V if W is None else self._rows(W)
+        k = V.shape[1]
+        # P[u, j, m] = alpha(u, x_j, x_m), so alpha(u, v, w) = v P[u] w
+        P = (U @ self._A.reshape(k, k * k)).reshape(len(U), k, k)
+        return self._reduce((V @ P) @ W.T)
 
     # -- one block of float64 rows --
 
@@ -385,95 +387,88 @@ class ValidationReport:
 
 def validate_axioms(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,
                     seed: int = 0, samples: int = 20000) -> ValidationReport:
-    """Check every CVS identity, exhaustively where |C|^arity permits.
+    """Check every CVS identity, on all tuples when |C| is within the
+    budget and |C|^arity <= _GRID_MAX, otherwise on seeded random tuples.
 
-    When |C| exceeds the budget, all multi-vector identities are checked on
-    seeded random tuples instead.  Each check reports its mode and, on
-    failure, a witness tuple of vectors: the first failing tuple in grid
-    or sample order.
+    Each check reports its mode and, on failure, a witness tuple of
+    vectors: the first failing tuple in grid or sample order.
     """
-    p, n = C.p, C.size
-    V = all_vectors(C)
-    tab = n <= budget and n ** 3 <= _EXHAUSTIVE_CAP[3]
-    elem, identities = _identities(C, V, tab)
+    if samples < 1:
+        raise ValueError("samples must be >= 1, got %r" % (samples,))
+    n, tab = C.size, C.size <= budget
+    elem, identities = _identities(C, tab)
     checks, rng = [], None
     for name, arity, check in identities:
-        if n <= budget and n ** arity <= _EXHAUSTIVE_CAP[arity]:
+        if tab and n ** arity <= _GRID_MAX:
             mode, tuples = "exhaustive", _grid(n, arity)
         else:
             if rng is None:  # loading numpy.random costs about 6 MB
                 rng = np.random.default_rng(seed)
             sample = rng.integers(0, n, size=(arity, samples))
-            mode, tuples = "sampled", (sample[:, lo:lo + _CHECK_CHUNK]
-                                       for lo in range(0, samples,
-                                                       _CHECK_CHUNK))
-        checks.append(_scan(name, mode, check, tuples, elem, V, p))
+            mode, tuples = "sampled", np.split(
+                sample, range(_CHECK_CHUNK, samples, _CHECK_CHUNK), axis=1)
+        checks.append(_scan(name, mode, check, tuples, elem, C))
     return ValidationReport(all(ch.ok for ch in checks), checks)
 
 
 def _grid(n: int, arity: int):
-    """All n^arity index tuples in C order, in chunks of at most
-    _CHECK_CHUNK: one index array per position."""
-    total = n ** arity
-    for lo in range(0, total, _CHECK_CHUNK):
-        flat = np.arange(lo, min(lo + _CHECK_CHUNK, total))
-        yield np.unravel_index(flat, (n,) * arity)
+    """All n^arity rank tuples in C order: open meshes of aranges over runs
+    of first ranks that hold at most _CHECK_CHUNK tuples (or one)."""
+    step = max(1, _CHECK_CHUNK // n ** (arity - 1))
+    for lo in range(0, n, step):
+        yield np.ix_(np.arange(lo, min(lo + step, n)),
+                     *[np.arange(n)] * (arity - 1))
 
 
-def _scan(name: str, mode: str, check, tuples, elem, V: np.ndarray,
-          p: int) -> CheckResult:
-    """Run check on each chunk of index tuples in turn, each index array
-    converted by elem once; the witness is the first failing tuple."""
+def _scan(name: str, mode: str, check, tuples, elem, C: Cvs) -> CheckResult:
+    """Run check on each chunk of rank arrays in turn, each converted by
+    elem once; the witness is the first failing tuple in C order."""
     for idx in tuples:
         bad = check(*(elem(i) for i in idx))
         if bad.any():
-            w = int(np.flatnonzero(bad)[0])
+            w = int(np.argmax(bad))
             return CheckResult(name, mode, False, tuple(
-                fp_vector(V[i[w]].tolist(), p) for i in idx))
+                fp_vector(unrank(int(np.broadcast_to(i, bad.shape).flat[w]),
+                                 (C.p,) * C.k), C.p) for i in idx))
     return CheckResult(name, mode, True)
 
 
-def _identities(C: Cvs, V: np.ndarray, tab: bool) -> tuple:
-    """(elem, identities): elem turns an index array into V into elements,
-    and each identity is (name, arity, check), in reporting order, where
-    check takes one element per free vector and returns the mask of the
-    tuples that fail."""
+def _identities(C: Cvs, tab: bool) -> tuple:
+    """(elem, identities): elem turns an array of ranks into elements, and
+    each identity is (name, arity, check), in reporting order, where check
+    takes one element per free vector and returns the mask of the tuples
+    that fail."""
     p, k, F = C.p, C.k, C.forms
-    # Six primitives serve both representations of an element.  When the
-    # whole space fits the arity-3 cap, an element is a rank: sigma, chi
-    # and alpha are tabulated once and every identity is table gathers,
-    # since the per-call contraction overhead otherwise dominates
-    # exhaustive validation already at k = 5.  Otherwise an element is a
-    # block of rows, evaluated through the forms.
+    moduli = (p,) * k
+    # Six primitives serve both representations of an element.  Within the
+    # budget it is a rank, and every identity, exhaustive or sampled, is
+    # gathers, broadcast over a chunk's rank arrays, from tables of sigma,
+    # chi and AB[c, d, m] = alpha(c, d, x_m): alp_last(c, d, e) is
+    # AB[c, d] . e and alp reads alpha(c, d, e) = alpha(d, e, c) as
+    # AB[d, e] . c, so the two sides of alphamultilin read different
+    # entries.  Both may be unreduced; every identity reduces mod p.  Above
+    # the budget an element is a block of rows, unranked once per chunk.
     if tab:
-        moduli = (p,) * k
-        S1 = F.sigma(V)
-        X2 = chi_table(C)
-        # n^3 fits the cap, so p <= n <= 256 and alpha residues fit uint8.
-        # The table is built a chunk of u rows at a time, and every gather
-        # from it is widened to int64 before any arithmetic, since uint8
-        # arithmetic wraps mod 256.
-        n = len(V)
-        A3 = np.empty((n, n, n), dtype=np.uint8)
-        step = max(1, _CHECK_CHUNK // (n * n))
-        for lo in range(0, n, step):
-            A3[lo:lo + step] = F.alpha_block(V[lo:lo + step], V)
-        add_rank = index_tables(moduli)[1]
+        V, add_rank, _ = index_tables(moduli)
+        # entries are below p <= |C|: narrow tables, built a block of rows
+        # at a time, and every gather is widened to int64 for arithmetic
+        narrow, eye = np.min_scalar_type(p - 1), np.eye(k, dtype=np.int64)
+        step = _CHECK_CHUNK // (len(V) * k or 1) + 1
+        table = lambda fn: np.concatenate([fn(V[lo:lo + step]).astype(narrow)
+                                           for lo in range(0, len(V), step)])
+        S1, X2 = F.sigma(V), table(lambda U: F.chi_table(U, V))
+        AB = table(lambda U: F.alpha_block(U, V, eye))
         scl_rank = rank_rows(np.arange(p)[:, None, None] * V, moduli)
-        basis = rank_rows(np.eye(k, dtype=np.int64), moduli)
-        # AB[c, d, m] = alpha(c, d, x_m); coordinates are below p <= 256
-        # too, so alp_last gathers uint8 rows and sums them in int64
-        AB, V8 = A3[:, :, basis], V.astype(np.uint8)
         elem = lambda I: I
         sig = lambda c: S1[c]
-        chi = lambda c, d: X2[c, d]
-        alp = lambda c, d, e: A3[c, d, e].astype(np.int64)
+        chi = lambda c, d: X2[c, d].astype(np.int64)
         add = lambda c, d: add_rank[c, d]
         scl = lambda m, c: scl_rank[m, c]
-        alp_last = lambda c, d, e: np.einsum("ij,ij->i", AB[c, d], V8[e],
-                                             dtype=np.int64)
+        alp_last = lambda c, d, e: np.einsum(
+            "...m,...m->...", AB[c, d], V[e], dtype=np.int64)
+        alp = lambda c, d, e: alp_last(d, e, c)
     else:
-        elem = lambda I: V[I]
+        elem = lambda I: unrank_rows(I, moduli)
         sig, chi, alp = F.sigma, F.chi, F.alpha
         add = lambda c, d: (c + d) % p
         scl = lambda m, c: (m * c) % p
@@ -490,7 +485,8 @@ def _identities(C: Cvs, V: np.ndarray, tab: bool) -> tuple:
         # identity element facts: sigma(0) = 0, chi(c,0) = 0, alpha(c,d,0) = 0
         ("unit (sigma(0), chi(c,0))", 1,
          lambda c: (sig(zero)[0] != 0) | (chi(c, scl(0, c)) != 0)),
-        ("unit (alpha(c,d,0))", 2, lambda c, d: alp(c, d, scl(0, c)) != 0),
+        ("unit (alpha(c,d,0))", 2,
+         lambda c, d: alp(c, d, scl(0, c)) % p != 0),
         # sigma(n c) = n sigma(c)
         ("sigmapowerlin", 1,
          lambda c: scaled(lambda m: sig(scl(m, c)), sig(c))),
@@ -516,8 +512,8 @@ def _identities(C: Cvs, V: np.ndarray, tab: bool) -> tuple:
              % 2 != 0))
     identities += [
         # alpha vanishes on repeated arguments
-        ("alphasymp", 2, lambda c, d: (alp(c, c, d) != 0)
-         | (alp(c, d, c) != 0) | (alp(d, c, c) != 0)),
+        ("alphasymp", 2, lambda c, d: (alp(c, c, d) % p != 0)
+         | (alp(c, d, c) % p != 0) | (alp(d, c, c) % p != 0)),
         # alpha(c,d,e) = alpha(d,e,c) = -alpha(d,c,e)
         ("alphaskew", 3, lambda c, d, e: ((alp(d, e, c) - alp(c, d, e)) % p
                                           != 0)

@@ -636,12 +636,14 @@ def _rows_mul(L: CentralExtensionLoop, a: tuple, b: tuple) -> tuple:
     """Product of row elements a = (z, U), b = (z', W)."""
     (za, U), (zb, W) = a, b
     mods = np.asarray(L.moduli, dtype=np.int64)
-    return (za + zb + _rows_theta(L, U, W)) % L.zmod, (U + W) % mods
+    S = U + W
+    S -= mods * (S >= mods)  # the rows are reduced
+    return (za + zb + _rows_theta(L, U, W)) % L.zmod, S
 
 
 def _rows_inv(L: CentralExtensionLoop, a: tuple) -> tuple:
     z, U = a
-    N = -U % np.asarray(L.moduli, dtype=np.int64)
+    N = (np.asarray(L.moduli, dtype=np.int64) - U) * (U != 0)
     return (-z - _rows_theta(L, U, N)) % L.zmod, N
 
 
@@ -684,6 +686,8 @@ def verify_coded_extension(L: CentralExtensionLoop,
     Central lifts cancel in commutators and associators, so quantifying
     over C is exact.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1, got %r" % (samples,))
     F = L.forms
     p, n = F.p, L.csize
     elementary = L.zmod == p and all(q == p for q in L.moduli)
@@ -750,6 +754,8 @@ def moufang_sampled(L: CentralExtensionLoop, ntriples: int, seed: int = 0):
     central lifts, multiplied through theta_rows, so no table is needed;
     when L already holds its theta table, the products read it instead.
     """
+    if ntriples < 1:
+        raise ValueError("ntriples must be >= 1, got %r" % (ntriples,))
     rng = np.random.default_rng(seed)
     g, d, e = (_rows_sample(L, rng, ntriples) for _ in range(3))
     mul = lambda x, y: _rows_mul(L, x, y)

@@ -19,18 +19,17 @@ import numpy as np
 def vector_table(moduli: tuple) -> np.ndarray:
     """All vectors with the given slot moduli, one per row, in rank order;
     built once per moduli and read-only."""
-    k = len(moduli)
-    n = 1
-    for m in moduli:
-        n *= m
-    out = np.zeros((n, k), dtype=np.int64)
-    rep = n
-    for i, m in enumerate(moduli):
-        rep //= m
-        tile = n // (rep * m)
-        col = np.repeat(np.arange(m, dtype=np.int64), rep)
-        out[:, i] = np.tile(col, tile)
+    out = unrank_rows(np.arange(math.prod(moduli), dtype=np.int64), moduli)
     out.setflags(write=False)
+    return out
+
+
+def unrank_rows(ranks: np.ndarray, moduli: tuple) -> np.ndarray:
+    """The vector of each rank, as an int64 row: shape ranks.shape + (k,)."""
+    r = np.asarray(ranks, dtype=np.int64)
+    out = np.empty(r.shape + (len(moduli),), dtype=np.int64)
+    for i in reversed(range(len(moduli))):
+        r, out[..., i] = np.divmod(r, moduli[i])
     return out
 
 
@@ -60,11 +59,7 @@ def rank_of(v, moduli: tuple) -> int:
 
 def unrank(r: int, moduli: tuple) -> tuple:
     """The vector of rank r."""
-    out = []
-    for m in reversed(moduli):
-        out.append(r % m)
-        r //= m
-    return tuple(reversed(out))
+    return tuple(unrank_rows(r, moduli).tolist())
 
 
 def add_index_table(moduli: tuple) -> np.ndarray:

@@ -113,6 +113,16 @@ def test_verify_cvs_golay_sampled(runner, tmp_path):
     assert body == GOLAY_SAMPLED
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_cvs_rejects_fewer_than_one_sample(runner, oct_cvs_file,
+                                                  samples):
+    # zero samples would check nothing yet print the laws as true
+    res = runner.invoke(main, ["verify-cvs", str(oct_cvs_file),
+                               "--samples", samples])
+    assert res.exit_code == 2
+    assert "--samples" in res.output and "Traceback" not in res.output
+
+
 def test_verify_cvs_and_build_dim0(runner, tmp_path):
     # dimension 0: the loop is Z, cyclic of order p
     f = tmp_path / "d0.cvs"

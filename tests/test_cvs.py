@@ -118,11 +118,40 @@ def test_validator_witness_is_first_failure(C, kw, witness):
 
 
 def test_validator_chunks_do_not_change_reports(monkeypatch):
+    # 7 * 27 * 27 + 5 tuples hold 7 first ranks of the 27^3 grid and 40 of
+    # the 125^2 grid, and neither step divides its |C|
     runs = [(_BAD5, {}), (_BAD5, dict(budget=64, samples=3000, seed=5)),
-            (random_cvs(3, 3, 1), {})]
+            (random_cvs(3, 3, 1), {}), (_WITNESSES[2][0], {})]
     want = [validate_axioms(C, **kw).lines() for C, kw in runs]
-    monkeypatch.setattr(cvs, "_CHECK_CHUNK", 1000)
-    assert [validate_axioms(C, **kw).lines() for C, kw in runs] == want
+    for chunk in (1000, 7 * 27 * 27 + 5):
+        monkeypatch.setattr(cvs, "_CHECK_CHUNK", chunk)
+        assert [validate_axioms(C, **kw).lines() for C, kw in runs] == want
+
+
+_C5 = Cvs(5, 4, (1, 2, 3, 4), (1, 2, 3, 4, 0, 1), (1, 0, 2, 0))
+_C5_WITNESS = ("witness=(FpVector(coords=(4, 1, 1, 1), moduli=(5, 5, 5, 5)), "
+               "FpVector(coords=(1, 0, 2, 1), moduli=(5, 5, 5, 5)), "
+               "FpVector(coords=(4, 3, 1, 4), moduli=(5, 5, 5, 5)))")
+
+
+@pytest.mark.parametrize("C,failing", [
+    (random_cvs(2, 9, 1), None), (random_cvs(3, 6, 0), None),
+    (_C5, "chimultilin")])
+def test_validator_reports_above_the_arity3_grid(C, failing):
+    # 256 < |C| <= 3^7: the identities of arity <= 2 run on the whole grid
+    # and those of arity 3 on samples; reports recorded when this regime
+    # ran on rows, not on tables
+    names = ["unit (sigma(0), chi(c,0))", "unit (alpha(c,d,0))",
+             "sigmapowerlin", "sigmalin", "chisymp", "chiskew",
+             "chipowerlin", "chimultilin"]
+    names += ["chi-polarization"] * (C.p == 2)
+    names += ["alphasymp", "alphaskew", "alphapowerlin", "alphamultilin"]
+    arity3 = {"chimultilin", "alphaskew", "alphapowerlin", "alphamultilin"}
+    want = ["%s: %s (%s)" % (name, "FAIL" if name == failing else "pass",
+                             "sampled" if name in arity3 else "exhaustive")
+            + (" " + _C5_WITNESS if name == failing else "")
+            for name in names]
+    assert validate_axioms(C).lines() == want
 
 
 def test_exhaustive_validation_leaves_numpy_random_unloaded():
@@ -139,21 +168,34 @@ def test_exhaustive_validation_leaves_numpy_random_unloaded():
 
 
 def test_validator_arity3_scan_memory():
-    # |C| = 256 is the largest tabulated size: its arity-3 grid has 2^24
+    # |C| = 256 is the largest size with an exhaustive arity-3 grid: 2^24
     # tuples, which held 3 GB when one identity gathered over all at once
     C = random_cvs(2, 8, 0)
-    V = all_vectors(C)
-    elem, identities = cvs._identities(C, V, True)
+    elem, identities = cvs._identities(C, True)
     checks = {name: check for name, _, check in identities}
     tracemalloc.start()
     try:
         res = cvs._scan("alphamultilin", "exhaustive",
-                        checks["alphamultilin"], cvs._grid(256, 3), elem, V, 2)
+                        checks["alphamultilin"], cvs._grid(256, 3), elem, C)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert res.ok
     assert peak < 192 * 2 ** 20, peak
+
+
+def test_sampled_validation_builds_no_vector_table():
+    # |C| = 2^20 is above the budget: the sampled ranks are unranked a
+    # chunk at a time, where the table of all vectors alone is 168 MB
+    C = random_cvs(2, 20, 0)
+    tracemalloc.start()
+    try:
+        rep = validate_axioms(C, samples=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and {c.mode for c in rep.checks} == {"sampled"}
+    assert peak < 32 * 2 ** 20, peak
 
 
 def test_cvs_new_rejects_alpha_for_big_p():

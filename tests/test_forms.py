@@ -98,6 +98,16 @@ def check_forms(lit, V, chi, alpha, sigma=None):
         for x, y, z in zip(c.tolist(), d.tolist(), e.tolist())]
 
 
+def check_alpha_block(lit, V, forms):
+    # three unequal row sets; W defaults to V
+    U, Vs, W = V[:3], V[::5][:40], V[2::7][:30]
+    assert forms.alpha_block(U, Vs, W).tolist() == [
+        [[lit.alpha_of(x, y, z) for z in W.tolist()] for y in Vs.tolist()]
+        for x in U.tolist()]
+    assert np.array_equal(forms.alpha_block(U, Vs),
+                          forms.alpha_block(U, Vs, Vs))
+
+
 CVSS = ([random_cvs(2, k, s) for k in (2, 3, 4) for s in range(2)]
         + [octonion_cvs()]
         + [random_cvs(3, k, s) for k in (2, 3) for s in range(3)]
@@ -125,6 +135,7 @@ def test_cvs_forms_are_the_literal_sums(C):
     lit = Literal(C.p, C.k, C.p, C.sigma_basis, C.chi_flat, C.alpha_flat)
     check_forms(lit, vector_table((C.p,) * C.k),
                 C.forms.chi, C.forms.alpha, C.forms.sigma)
+    check_alpha_block(lit, vector_table((C.p,) * C.k), C.forms)
 
 
 @pytest.mark.parametrize("M", MODULES, ids=repr)
@@ -132,6 +143,7 @@ def test_module_forms_are_the_literal_sums(M):
     lit = Literal(M.p, M.k, M.z_order, M.z_values, M.chi_flat, M.alpha_flat)
     check_forms(lit, vector_table(M.orders),
                 M.forms.chi, M.forms.alpha)
+    check_alpha_block(lit, vector_table(M.orders), M.forms)
 
 
 def test_golay_rows_against_sigma2_and_polarization():

@@ -14,8 +14,8 @@ from codeloops.loops import (LevelSumLoop, build, kappa_isotope,
                              moufang_sampled, mul_recursive,
                              verify_coded_extension)
 from codeloops.modules import build_module_extension, module_new
-from codeloops.tables import (index_tables, place_values, rank_rows,
-                              vector_table)
+from codeloops.tables import (index_tables, place_values, rank_rows, unrank,
+                              unrank_rows, vector_table)
 
 
 def level_sum(u, w, moduli, zmod, zvals, chi, alpha):
@@ -123,6 +123,14 @@ def test_vector_table_is_shared_and_read_only():
     ranks = np.arange(len(V))
     assert np.array_equal(rank_rows(V, m), ranks)
     assert np.array_equal(V @ place_values(m), ranks)
+    # unrank_rows inverts rank_rows on any shape of rank array, and every
+    # row agrees with the one-vector unrank
+    R = np.array([[5, 0, 53], [17, 1, 2]])
+    U = unrank_rows(R, m)
+    assert U.shape == (2, 3, 3) and np.array_equal(rank_rows(U, m), R)
+    assert [tuple(r) for r in U.reshape(-1, 3).tolist()] == \
+        [unrank(int(r), m) for r in R.ravel()]
+    assert unrank_rows(np.zeros(2, dtype=np.int64), ()).shape == (2, 0)
 
 
 def test_mul_recursive_golay_rows_and_table():

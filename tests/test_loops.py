@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from codeloops import loops
 from codeloops.codes import builtin_golay24, code_to_cvs
 from codeloops.cvs import (adjoint_translate, cvs_new, octonion_cvs, pair_list,
-                          random_cvs, triple_list)
+                          random_cvs, triple_list, validate_axioms)
 from codeloops.loops import (DEFAULT_VERIFY_BUDGET, CentralExtensionLoop,
                              CodedLoop, CodedLoopElement, LevelSumLoop,
                              SdcpLoop, _assoc_tables, _comm_table, _rows_inv,
@@ -25,6 +25,17 @@ from codeloops.tables import vector_table
 
 def all_elements(L):
     return [L.element_at(i) for i in range(L.order)]
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sampled_checks_refuse_fewer_than_one_sample(samples):
+    C = octonion_cvs()
+    L = build(C)
+    for call in (lambda: validate_axioms(C, samples=samples),
+                 lambda: verify_coded_extension(L, samples=samples),
+                 lambda: moufang_sampled(L, samples)):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            call()
 
 
 def test_dim1_sigma1_p3_is_cyclic_9():
