@@ -21,10 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .cvs import CheckResult, ValidationReport
+from .tables import MAX_ENTRIES
 
-MOUFANG_SCAN_MAX = 512
-DERIVED_SCAN_MAX = 512
-ASSOC_TABLE_MAX = 256
+SCAN_MAX = 512  # largest order whose n^3 triples are scanned
 LATTICE_ORACLE_MAX = 128
 SUBLOOP_CAP = 4096
 ISO_SEARCH_MAX = 256
@@ -159,9 +158,9 @@ class LoopTable:
     @cached_property
     def associator_values(self) -> np.ndarray:
         """Sorted distinct values of the associator over all triples."""
-        if self.n > DERIVED_SCAN_MAX:
+        if self.n > SCAN_MAX:
             raise ValueError("order %d beyond associator scan budget %d"
-                             % (self.n, DERIVED_SCAN_MAX))
+                             % (self.n, SCAN_MAX))
         seen = np.zeros(self.n, dtype=bool)
         for _, block in _associator_blocks(self):
             seen[block] = True
@@ -217,9 +216,9 @@ def is_moufang(L: LoopTable):
     from one contiguous transposed copy.
     """
     T, n = L.table, L.n
-    if n > MOUFANG_SCAN_MAX:
+    if n > SCAN_MAX:
         raise ValueError("order %d beyond Moufang scan budget %d"
-                         % (n, MOUFANG_SCAN_MAX))
+                         % (n, SCAN_MAX))
     TT = np.ascontiguousarray(T.T)  # TT[x] is the column T[:, x]
     for g in range(n):
         A = T[g]        # g*x
@@ -252,17 +251,17 @@ def is_moufang(L: LoopTable):
 
 def is_associative(L: LoopTable) -> bool:
     """A loop is associative exactly when its nucleus is all of it."""
-    if L.n > MOUFANG_SCAN_MAX:
+    if L.n > SCAN_MAX:
         raise ValueError("order %d beyond associativity scan budget %d"
-                         % (L.n, MOUFANG_SCAN_MAX))
+                         % (L.n, SCAN_MAX))
     return bool(L.nucleus_mask.all())
 
 
 def mk_law_holds(L: LoopTable, k: int) -> bool:
     """Does c^k(d(ce)) = ((c^k d)c)e hold for all c, d, e?"""
     T, n = np.asarray(L.table, dtype=np.int64), L.n
-    if n > MOUFANG_SCAN_MAX:
-        raise ValueError("order %d beyond scan budget %d" % (n, MOUFANG_SCAN_MAX))
+    if n > SCAN_MAX:
+        raise ValueError("order %d beyond scan budget %d" % (n, SCAN_MAX))
     pk = L.power_column(k)
     for c in range(n):
         ck = int(pk[c])
@@ -321,9 +320,9 @@ def associator_values(L: LoopTable) -> np.ndarray:
 def associator_table(L: LoopTable) -> np.ndarray:
     """Full A[a,b,c] = (a(bc)) \\ ((ab)c) as a compact integer array."""
     n = L.n
-    if n > ASSOC_TABLE_MAX:
-        raise ValueError("order %d beyond associator table budget %d"
-                         % (n, ASSOC_TABLE_MAX))
+    if n ** 3 > MAX_ENTRIES:
+        raise ValueError("order %d beyond associator table budget: "
+                         "%d^3 > %d entries" % (n, n, MAX_ENTRIES))
     out = np.empty((n, n, n), dtype=np.int16)
     for lo, block in _associator_blocks(L):
         out[lo:lo + len(block)] = block
@@ -484,7 +483,7 @@ def torsion_components(L: LoopTable, p: int) -> Subloop:
     Lp = _subloop_from_mask(L, mask)
 
     others = np.flatnonzero(~mask)
-    if others.size and L.n <= DERIVED_SCAN_MAX:
+    if others.size and L.n <= SCAN_MAX:
         cls = nilpotency_class(L)
         if cls is not None and cls <= 2:
             T = np.asarray(L.table, dtype=np.int64)
@@ -598,9 +597,9 @@ def class2_associator_identities(L: LoopTable) -> ValidationReport:
     run over center-coset representatives after checking that commutators
     and associators only depend on those cosets."""
     n = L.n
-    if n > ASSOC_TABLE_MAX:
-        raise ValueError("order %d beyond identity battery budget %d"
-                         % (n, ASSOC_TABLE_MAX))
+    if n ** 3 > MAX_ENTRIES:
+        raise ValueError("order %d beyond identity battery budget: "
+                         "%d^3 > %d entries" % (n, n, MAX_ENTRIES))
     T = np.asarray(L.table, dtype=np.int64)
     ld = np.asarray(L.ldiv, dtype=np.int64)
     inv = np.asarray(L.inverse, dtype=np.int64)

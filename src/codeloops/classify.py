@@ -26,13 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cvs import (Cvs, adjoint_translate, cvs_new, is_prime, pair_list,
-                  pullback_tables, signed_forms, triple_list)
-from .modular import _rank_mod_p, basis_vector
+                  pullback_tables, rad_alpha, rad_chi, triple_list)
+from .modular import basis_vector, row_reduce
+from .tables import MAX_ENTRIES
 
-# Largest state space classified: ranks and labels are int32, and every
-# generator keeps one image rank per state.  3^14 (dim 4, exponent 9) and
-# 5^10 (p = 5, dim 4, exponent 25) are below it.
-MAX_STATES = 1 << 24
 _IMAGE_CHUNK = 1 << 12  # states imaged per matrix product
 
 
@@ -154,63 +151,19 @@ def _components(images: list, label: np.ndarray) -> np.ndarray:
             return label
 
 
-def _nullspace_mod_p(Mrows: np.ndarray, p: int) -> list:
-    """Basis of {v : M v = 0} over F_p, rows as the matrix."""
-    M = [[int(x) % p for x in row] for row in np.asarray(Mrows).tolist()]
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if M[rr][c] % p:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = pow(M[r][c], -1, p)
-        M[r] = [(x * inv) % p for x in M[r]]
-        for rr in range(rows):
-            if rr != r and M[rr][c]:
-                f = M[rr][c]
-                M[rr] = [(x - f * y) % p for x, y in zip(M[rr], M[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * cols
-        v[fc] = 1
-        for ri, pc in enumerate(pivots):
-            v[pc] = (-M[ri][fc]) % p
-        basis.append(v)
-    return basis
-
-
 def state_invariants(state, k: int, p: int) -> dict:
-    """Radical dimensions of chi and alpha and their containment; these
-    are isomorphism invariants (and partially isotopy invariants)."""
+    """Radical dimensions of chi and alpha and whether rad alpha lies in
+    rad chi; these are isomorphism invariants (and partially isotopy
+    invariants)."""
     sig, chi, alpha = state
-    X, A = signed_forms(k, p, chi, alpha)
-    rad_chi = _nullspace_mod_p(X, p)
-    Aflat = A.reshape(k, k * k).T  # columns indexed by v-slot: rows (j,l)
-    rad_alpha = _nullspace_mod_p(Aflat, p)
-    contained = True
-    if rad_alpha:
-        stacked = [list(r) for r in rad_chi]
-        base_rank = _rank_mod_p([r[:] for r in stacked], p) if stacked else 0
-        for v in rad_alpha:
-            grown = _rank_mod_p([r[:] for r in stacked] + [list(v)], p)
-            if grown != base_rank:
-                contained = False
-                break
+    C = Cvs(p, k, tuple(sig), tuple(chi), tuple(alpha))
+    rc, ra = rad_chi(C), rad_alpha(C)
     return {
         "chi_trivial": not any(chi),
-        "rad_chi_dim": len(rad_chi),
-        "rad_alpha_dim": len(rad_alpha),
-        "rad_alpha_in_rad_chi": contained,
+        "rad_chi_dim": len(rc),
+        "rad_alpha_dim": len(ra),
+        "rad_alpha_in_rad_chi":
+            len(row_reduce([v.coords for v in rc + ra], p)) == len(rc),
     }
 
 
@@ -232,7 +185,10 @@ def classify(p: int, dim: int, exponent: int,
     Only odd p is supported.  For p = 2, sigma(Mc) is not linear in M,
     but the action on states is still linear (not yet implemented), and
     every isotope is isomorphic to the original anyway (G-loops).  State
-    spaces above MAX_STATES are refused before anything is allocated."""
+    spaces above tables.MAX_ENTRIES are refused before anything is
+    allocated: ranks and labels are int32, and every generator keeps one
+    image rank per state.  3^14 (dim 4, exponent 9) and 5^10 (p = 5, dim 4,
+    exponent 25) are below it."""
     if not is_prime(p):
         raise ValueError("p must be prime, got %r" % (p,))
     if p == 2:
@@ -252,9 +208,9 @@ def classify(p: int, dim: int, exponent: int,
                          "forced to vanish)")
     n = int(free.sum())
     n_states = p ** n
-    if n_states > MAX_STATES:
+    if n_states > MAX_ENTRIES:
         raise ValueError("%d^%d states exceed the classification limit %d"
-                         % (p, n, MAX_STATES))
+                         % (p, n, MAX_ENTRIES))
 
     gens = [_matrix(lambda C, M=M: pullback_tables(C, M.T), p, k, free)
             for M in _gl_generators(k, p)]

@@ -11,22 +11,18 @@ from __future__ import annotations
 import sys
 
 import click
-import numpy as np
 
-from .analysis import MOUFANG_SCAN_MAX, LoopTable, loop_report
+from .analysis import SCAN_MAX, LoopTable, loop_report
 from .classify import classify as classify_states
-from .classify import rep_to_cvs
 from .codes import (builtin_golay24, builtin_hamming734, code_to_cvs,
                     cvs_to_code, emit_code, parse_code)
 from .cvs import adjoint_translate, emit_cvs, parse_cvs, validate_axioms
-from .loops import (_THETA_CACHE_MAX, CodedLoopElement, build,
+from .loops import (DEFAULT_TABLE_BUDGET, CodedLoopElement, build,
                     emit_cayley_csv, moufang_sampled, parse_cayley_csv,
                     verify_coded_extension)
 from .modular import fp_vector
-from .tables import rank_of, unrank
+from .tables import MAX_ENTRIES, rank_of, unrank
 from .words import WordSyntaxError, eval_word, parse_word, render_element
-
-FULL_REPORT_MAX = 512  # largest order given the exhaustive table treatment
 
 
 def _fmt(v):
@@ -95,7 +91,7 @@ def verify_cvs(cvsfile, samples, seed):
     _echo_pairs([("axioms", True)])
     L = build(C, validate=False)  # the axioms were just validated
     _echo_pairs([("order", L.order)])
-    if L.order <= FULL_REPORT_MAX:
+    if L.order <= SCAN_MAX:  # the full table report
         report = loop_report(L.to_table())
         wit = report.pop("moufang_witness", None)
         _echo_pairs([(k, v) for k, v in report.items() if k != "order"])
@@ -103,12 +99,12 @@ def verify_cvs(cvsfile, samples, seed):
             click.echo("moufang_witness=%s" % (wit,))
             sys.exit(1)
     else:
-        if L.csize <= _THETA_CACHE_MAX:  # at most 16 MiB
+        if L.csize ** 2 <= MAX_ENTRIES:  # at most 16 MiB
             L.theta_table()  # the sampled products gather from it
         vrep = verify_coded_extension(L, samples=samples, seed=seed)
         mode = vrep.checks[-1].mode  # CEassociate's
         click.echo("# order above %d: %s checks" % (
-            FULL_REPORT_MAX, "sampled" if mode == "sampled"
+            SCAN_MAX, "sampled" if mode == "sampled"
             else "exhaustive law and sampled Moufang"))
         _echo_pairs([("mode", mode), ("samples", samples), ("seed", seed)])
         _echo_pairs([("extension_laws", vrep.ok)])
@@ -133,9 +129,9 @@ def verify_loop(table):
     except (ValueError, OSError) as e:
         click.echo("error: %s" % e, err=True)
         sys.exit(2)
-    if arr.shape[0] > MOUFANG_SCAN_MAX:
+    if arr.shape[0] > SCAN_MAX:
         click.echo("error: order %d beyond Moufang scan budget %d"
-                   % (arr.shape[0], MOUFANG_SCAN_MAX), err=True)
+                   % (arr.shape[0], SCAN_MAX), err=True)
         sys.exit(2)
     click.echo("# verify-loop %s" % table)
     try:
@@ -161,7 +157,7 @@ def verify_loop(table):
 @click.argument("cvsfile", type=click.Path(exists=True, dir_okay=False))
 @click.option("--table", "table_out", type=click.Path(dir_okay=False),
               help="write the Cayley table CSV here")
-@click.option("--max-order", default=8192, show_default=True)
+@click.option("--max-order", default=DEFAULT_TABLE_BUDGET, show_default=True)
 def build_cmd(cvsfile, table_out, max_order):
     """Build the coded extension of a CVS; optionally write its table."""
     C = _load_cvs(cvsfile)
@@ -269,6 +265,9 @@ class _TableWordContext:
     coordinate most significant) pins down generators and the center."""
 
     def __init__(self, arr, meta):
+        if meta["p"] < 2 or meta["k"] < 0:
+            raise ValueError("table header needs p >= 2 and k >= 0, got "
+                             "p=%d, k=%d" % (meta["p"], meta["k"]))
         self.tbl = LoopTable(arr)
         self.k = meta["k"]
         p = meta["p"]

@@ -32,18 +32,13 @@ from .modular import (
     Residue,
     enumerate_invertible,
     fp_vector,
+    nullspace_mod_p,
+    row_reduce,
 )
-from .tables import (index_tables, rank_rows, unrank, unrank_rows,
-                     vector_table)
+from .tables import MAX_ENTRIES, index_tables, rank_rows, unrank, unrank_rows
 
-# largest |C|^a on which the axiom validator checks an identity with a
-# free vectors exhaustively (when |C| is within its budget)
-_GRID_MAX = 1 << 24
 _CHECK_CHUNK = 1 << 21  # tuples one identity check handles at a time
 DEFAULT_VALIDATE_BUDGET = 3 ** 7
-# largest |C| whose chi and alpha radicals are found by exhaustive evaluation
-RAD_CHI_MAX = 4096
-RAD_ALPHA_MAX = 256
 
 
 def is_prime(n: int) -> bool:
@@ -331,32 +326,6 @@ def eval_alpha(C: Cvs, c: FpVector, d: FpVector, e: FpVector) -> Residue:
                                      _as_row(C, e))[0]), C.p)
 
 
-def eval_chi_polarized(C: Cvs, c: FpVector, d: FpVector) -> Residue:
-    """Cross-check oracle for p = 2: chi(c,d) = sigma(c+d) - sigma(c) - sigma(d).
-
-    Independent of the chi closed form; the validator and tests compare it
-    against eval_chi everywhere.
-    """
-    if C.p != 2:
-        raise ValueError("polarized chi only defined for p = 2")
-    rc, rd = _as_row(C, c), _as_row(C, d)
-    sig = C.forms.sigma
-    s = sig((rc + rd) % 2) - sig(rc) - sig(rd)
-    return Residue(int(s[0]), 2)
-
-
-# -- bulk tables over all of C ----------------------------------------------
-
-def all_vectors(C: Cvs) -> np.ndarray:
-    return vector_table((C.p,) * C.k)
-
-
-def chi_table(C: Cvs) -> np.ndarray:
-    """|C| x |C| matrix of chi values, rank-indexed."""
-    V = all_vectors(C)
-    return C.forms.chi_table(V, V)
-
-
 # -- axiom validation --------------------------------------------------------
 
 @dataclass
@@ -388,7 +357,7 @@ class ValidationReport:
 def validate_axioms(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,
                     seed: int = 0, samples: int = 20000) -> ValidationReport:
     """Check every CVS identity, on all tuples when |C| is within the
-    budget and |C|^arity <= _GRID_MAX, otherwise on seeded random tuples.
+    budget and |C|^arity <= MAX_ENTRIES, otherwise on seeded random tuples.
 
     Each check reports its mode and, on failure, a witness tuple of
     vectors: the first failing tuple in grid or sample order.
@@ -399,7 +368,7 @@ def validate_axioms(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,
     elem, identities = _identities(C, tab)
     checks, rng = [], None
     for name, arity, check in identities:
-        if tab and n ** arity <= _GRID_MAX:
+        if tab and n ** arity <= MAX_ENTRIES:
             mode, tuples = "exhaustive", _grid(n, arity)
         else:
             if rng is None:  # loading numpy.random costs about 6 MB
@@ -476,9 +445,14 @@ def _identities(C: Cvs, tab: bool) -> tuple:
             F.alpha_partial(c, d), e).astype(np.int64)
 
     def scaled(image, base):
-        """Where image(m) = m * base fails for some m in F_p."""
-        return np.any([(image(m) - m * base) % p != 0 for m in range(p)],
-                      axis=0)
+        """Where image(m) = m * base fails for some m in F_p; image(1) is
+        base itself, so m = 1 is skipped."""
+        return np.any([(image(m) - m * base) % p != 0 for m in range(p)
+                       if m != 1], axis=0)
+
+    def alphaskew(c, d, e):
+        a = alp(c, d, e)
+        return ((alp(d, e, c) - a) % p != 0) | ((alp(d, c, e) + a) % p != 0)
 
     zero = elem(np.zeros(1, dtype=np.int64))
     identities = [
@@ -515,9 +489,7 @@ def _identities(C: Cvs, tab: bool) -> tuple:
         ("alphasymp", 2, lambda c, d: (alp(c, c, d) % p != 0)
          | (alp(c, d, c) % p != 0) | (alp(d, c, c) % p != 0)),
         # alpha(c,d,e) = alpha(d,e,c) = -alpha(d,c,e)
-        ("alphaskew", 3, lambda c, d, e: ((alp(d, e, c) - alp(c, d, e)) % p
-                                          != 0)
-         | ((alp(d, c, e) + alp(c, d, e)) % p != 0)),
+        ("alphaskew", 3, alphaskew),
         # alpha(n c, d, e) = n alpha(c, d, e)
         ("alphapowerlin", 3,
          lambda c, d, e: scaled(lambda m: alp(scl(m, c), d, e),
@@ -532,41 +504,49 @@ def _identities(C: Cvs, tab: bool) -> tuple:
 
 
 # -- radicals ----------------------------------------------------------------
+#
+# Both radicals are kernels over F_p, found by elimination at every |C| and
+# returned as the rows of their reduced row echelon form.
 
-def _basis_of_subset(members: np.ndarray, C: Cvs) -> list:
-    """Row-reduce the member vectors and return a basis as FpVectors.
-
-    Asserts the member set is a subspace (size p^rank)."""
-    rows = [list(r) for r in members.tolist()]
-    from .modular import _rank_mod_p
-    work = [r[:] for r in rows]
-    rank = _rank_mod_p(work, C.p)
-    if C.p ** rank != len(rows):
-        raise AssertionError("radical is not a subspace (size %d, rank %d)"
-                             % (len(rows), rank))
-    basis = [r for r in work[:rank] if any(x % C.p for x in r)]
-    return [fp_vector(r, C.p) for r in basis]
+def rad_alpha(C: Cvs) -> list:
+    """Basis of {c : alpha(c,d,e) = 0 for all d,e}.  alpha is trilinear,
+    so that is {c : sum_i c_i A[i, j, l] = 0 for all j, l}."""
+    k = C.k
+    rows = nullspace_mod_p(C.forms.A.reshape(k, k * k).T, C.p)
+    return [fp_vector(r, C.p) for r in rows]
 
 
 def rad_chi(C: Cvs) -> list:
-    """Basis of {c : chi(c,d) = 0 for all d}, by exhaustive evaluation."""
-    n = C.size
-    if n > RAD_CHI_MAX:
-        raise ValueError("rad_chi: |C| = %d exceeds limit %d" % (n, RAD_CHI_MAX))
-    rows_ok = ~np.any(chi_table(C), axis=1)
-    return _basis_of_subset(all_vectors(C)[rows_ok], C)
+    """Basis of {c : chi(c,d) = 0 for all d}.
 
-
-def rad_alpha(C: Cvs) -> list:
-    """Basis of {c : alpha(c,d,e) = 0 for all d,e}, by exhaustive evaluation."""
-    n = C.size
-    if n > RAD_ALPHA_MAX:
-        raise ValueError("rad_alpha: |C| = %d exceeds limit %d"
-                         % (n, RAD_ALPHA_MAX))
-    V = all_vectors(C)
-    T = C.forms.alpha_block(V, V)
-    rows_ok = ~np.any(T.reshape(n, -1), axis=1)
-    return _basis_of_subset(V[rows_ok], C)
+    For odd p, chi(c, d) = c X d, and this is the kernel of X^T.  For p = 2
+    chi is not bilinear, but rad chi lies in rad alpha, and on rad alpha
+    it is the kernel of the linear map c -> (chi(x_i, c))_i.  Proof, with
+    chimultilin chi(c + d, e) = chi(c, e) + chi(d, e) + 3 alpha(c, d, e),
+    where 3 alpha = alpha since 2 alpha = 0 over F_2, chiskew and the
+    cyclic symmetry of alpha:
+      - if chi(c, .) = 0 then chi(., c) = 0 by chiskew, so
+        0 = chi(d + e, c) = alpha(d, e, c) = alpha(c, d, e) for all d, e:
+        c lies in rad alpha;
+      - for c in rad alpha, alpha(d, e, c) = 0 makes d -> chi(d, c)
+        additive, hence linear over F_2, so chi(., c) = 0 exactly when
+        chi(x_i, c) = 0 for every basis vector x_i, and chi(c, .) = 0
+        then too by chiskew;
+      - for c, c' in rad alpha, chi(x_i, c + c') = chi(x_i, c)
+        + chi(x_i, c') because chi(c + c', x_i) expands with the vanishing
+        alpha(c, c', x_i): the map is linear on rad alpha.
+    So with B a basis of rad alpha, rad chi = {t B : sum_j t_j chi(x_i,
+    b_j) = 0 for all i}."""
+    p, F = C.p, C.forms
+    if p != 2:
+        return [fp_vector(r, p) for r in nullspace_mod_p(F.X.T, p)]
+    rad = rad_alpha(C)
+    if not rad:
+        return []
+    B = np.array([v.coords for v in rad], dtype=np.int64)
+    N = F.chi_table(np.eye(C.k, dtype=np.int64), B)  # N[i, j] = chi(x_i, b_j)
+    T = np.array(nullspace_mod_p(N, p), dtype=np.int64).reshape(-1, len(B))
+    return [fp_vector(r, p) for r in row_reduce(T @ B, p)]
 
 
 # -- adjoint translates and isomorphism --------------------------------------

@@ -46,8 +46,8 @@ so its features are the base features with (u, B w) appended.  An
 SdcpLoop glues two factor loops in bulk: its theta_rows is the factors'
 theta_rows on the d and e parts plus the gluing term z0 above, evaluated
 on the forms of the restricted CVS, and its table is that over the rank
-grid.  The literal recursion is kept as an oracle (mul_recursive), and
-the tests compare both with a literal level sum.
+grid.  The tests keep the literal recursion as an oracle and compare
+both with a literal level sum.
 """
 
 from __future__ import annotations
@@ -66,18 +66,16 @@ from .cvs import (
     Forms,
     ValidationReport,
     adjoint_translate,
-    chi_table,
     outer,
     pullback_tables,
     validate_axioms,
 )
-from .modular import FpVector, fp_vector
-from .tables import (add_index_table, index_tables, place_values, rank_of,
-                     unrank, vector_table)
+from .modular import FpVector, fp_vector, row_reduce
+from .tables import (MAX_ENTRIES, add_index_table, index_tables,
+                     place_values, rank_of, unrank, vector_table)
 
 DEFAULT_VERIFY_BUDGET = 3 ** 6
 DEFAULT_TABLE_BUDGET = 2 ** 13
-_THETA_CACHE_MAX = 4096  # largest |C| for which the full theta table is kept
 _TABLE_CHUNK = 256  # theta table rows computed per matrix product
 _ASSOC_ENTRIES = 1 << 21  # largest associator chunk, in (u, w, t) entries
 _SDCP_PAIRS = 1 << 16  # SDCP theta table pairs evaluated per chunk
@@ -192,9 +190,10 @@ class CentralExtensionLoop:
     # -- loop operations --
 
     def theta_table(self) -> np.ndarray:
-        """theta over C x C, rank-indexed, stored as theta_dtype."""
+        """theta over C x C, rank-indexed, stored as theta_dtype; built
+        when it has at most MAX_ENTRIES entries (|C| <= 4096)."""
         if self._theta_table is None:
-            if self.csize > _THETA_CACHE_MAX:
+            if self.csize ** 2 > MAX_ENTRIES:
                 raise ValueError("theta table too large (|C| = %d)" % self.csize)
             self._theta_table = self._build_theta_table()
         return self._theta_table
@@ -362,51 +361,6 @@ class CodedLoop(LevelSumLoop):
         return "CodedLoop(order %d, %r)" % (self.order, self.cvs)
 
 
-def mul_recursive(L: CodedLoop, a: CodedLoopElement, b: CodedLoopElement,
-                  flavor: str = "general") -> CodedLoopElement:
-    """Literal recursive semidirect central product; oracle for mul.
-
-    flavor selects the z0 error term: 'general' is the four-factor formula;
-    'p2', 'p3', 'big' are the specializations valid for p = 2, p = 3 and
-    p > 3.  All agree with CodedLoop.mul on every input (tested).
-    """
-    C, F, p = L.cvs, L.cvs.forms, L.p
-
-    def lift(prefix: tuple, k: int) -> np.ndarray:
-        row = np.zeros((1, L.k), dtype=np.int64)
-        row[0, :k] = prefix
-        return row
-
-    def rec(z1, u, z2, w, k):
-        if k == 0:
-            return (z1 + z2) % p, ()
-        m, nn = u[k - 1], w[k - 1]
-        d1, d2 = u[:k - 1], w[:k - 1]
-        e1, e2 = lift((0,) * (k - 1) + (m,), k), lift((0,) * (k - 1) + (nn,), k)
-        D1, D2 = lift(d1, k - 1), lift(d2, k - 1)
-        chi_ = int(F.chi(e1, D2)[0])
-        alpha = lambda c, d, e: int(F.alpha(c, d, e)[0])
-        if flavor == "general":
-            z0 = (chi_ + alpha(D1, (e1 - D2) % p, e2)
-                  + 2 * alpha(D1, e1, D2) - 2 * alpha(e1, D2, e2))
-        elif flavor == "p2":
-            z0 = chi_ + alpha(D1, (e1 + D2) % 2, e2)
-        elif flavor == "p3":
-            z0 = (chi_ + alpha(D1, (e1 - D2) % 3, e2)
-                  - alpha(D1, e1, D2) + alpha(e1, D2, e2))
-        elif flavor == "big":
-            z0 = chi_
-        else:
-            raise ValueError("unknown flavor %r" % flavor)
-        zd, dd = rec(0, d1, 0, d2, k - 1)
-        ze = C.sigma_basis[k - 1] * ((m + nn) // p)
-        ee = (m + nn) % p
-        return (z0 + z1 + z2 + zd + ze) % p, dd + (ee,)
-
-    z, v = rec(a.z, a.v, b.z, b.v, L.k)
-    return CodedLoopElement(z, v)
-
-
 def build(V: Cvs, validate: bool = True) -> CodedLoop:
     """Build the coded extension of V (validated when |C| is small).
 
@@ -494,11 +448,9 @@ class SdcpLoop(CentralExtensionLoop):
         self._check_embedding()
 
     def _check_embedding(self):
-        from .modular import _rank_mod_p
-
         amb, p = self.ambient, self.ambient.p
-        stack = [[int(x) for x in v] for v in self.embedD + self.embedE]
-        if stack and _rank_mod_p([r[:] for r in stack], p) != len(stack):
+        stack = self.embedD + self.embedE
+        if stack and len(row_reduce(stack, p)) != len(stack):
             raise ValueError("embedded subspaces are linearly dependent")
         for looppart, emb in ((self.Dext, self.embedD), (self.Eext, self.embedE)):
             sub = getattr(looppart, "cvs", None)
@@ -774,17 +726,6 @@ def moufang_sampled(L: CentralExtensionLoop, ntriples: int, seed: int = 0):
                                        for z, U in (g, d, e))
             return False, wit
     return True, None
-
-
-def center_vectors(L: CodedLoop) -> list:
-    """Vector parts c with chi(c,.) = 0 and alpha(c,.,.) = 0; the center of
-    the loop is Z x (these cosets).  Works at Parker-loop scale."""
-    C = L.cvs
-    V = vector_table(L.moduli)
-    # the chi rows kill almost every candidate before any alpha work
-    cand = V[~np.any(chi_table(C), axis=1)]
-    return [tuple(c) for c in cand.tolist()
-            if not C.forms.alpha_block([c], V).any()]
 
 
 # -- Cayley table CSV ---------------------------------------------------------

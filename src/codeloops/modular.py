@@ -1,4 +1,5 @@
-"""Residue arithmetic, exponent vectors, and small matrix enumeration over F_p.
+"""Residue arithmetic, exponent vectors, elimination and small matrix
+enumeration over F_p.
 
 Central values live in a cyclic group Z of order m (a prime or prime power)
 and are stored additively: the group element z^a is represented by the
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 
 class Residue(int):
@@ -194,6 +197,31 @@ def _rank_mod_p(rows: list, p: int) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def row_reduce(rows, p: int) -> list:
+    """The nonzero rows of the reduced row echelon form of rows over F_p,
+    which is unique for their span."""
+    rows = (np.asarray(rows, dtype=np.int64) % p).tolist()
+    return rows[:_rank_mod_p(rows, p)]
+
+
+def nullspace_mod_p(M, p: int) -> list:
+    """{v : M v = 0} over F_p, as the row_reduce rows of a basis.
+
+    Each non-pivot column f of the reduced M gives the kernel vector with
+    1 at f and minus column f of the reduced rows at their pivots."""
+    M = np.asarray(M, dtype=np.int64)
+    rows = row_reduce(M, p)
+    pivots = [next(c for c, x in enumerate(r) if x) for r in rows]
+    basis = []
+    for f in sorted(set(range(M.shape[1])) - set(pivots)):
+        v = [0] * M.shape[1]
+        v[f] = 1
+        for r, c in zip(rows, pivots):
+            v[c] = -r[f] % p
+        basis.append(v)
+    return row_reduce(basis, p)
 
 
 DEFAULT_ENUM_LIMITS = {2: 5, 3: 4}

@@ -14,6 +14,12 @@ from functools import lru_cache
 
 import numpy as np
 
+# The one bound on the entries of a full table or grid: every n x n table
+# (the theta table, |C| <= 4096), n x n x n table (the associator table,
+# order <= 256), exhaustive grid of |C|^arity tuples and classified state
+# space holds at most this many.
+MAX_ENTRIES = 1 << 24
+
 
 @lru_cache(maxsize=8)
 def vector_table(moduli: tuple) -> np.ndarray:

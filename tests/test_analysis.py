@@ -282,6 +282,17 @@ def test_report_scans_associators_once(cml81_table, monkeypatch):
     assert np.array_equal(np.unique(A), associator_values(T))
 
 
+def test_associator_table_entry_bound():
+    # the table holds n^3 <= 2^24 entries: order 256 is the largest built,
+    # order 343 the smallest refused
+    T = build(random_cvs(2, 7, 0)).to_table()
+    A = associator_table(T)
+    assert A.shape == (256, 256, 256)
+    assert not (A[T.identity] != T.identity).any()
+    with pytest.raises(ValueError, match="beyond associator table budget"):
+        associator_table(build(cvs_new(7, 2)).to_table())
+
+
 def test_torsion_components():
     C6 = LoopTable(cyclic_table(6))
     L2 = torsion_components(C6, 2)

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from codeloops import (build, emit_cayley_csv, emit_cvs, octonion_cvs,
                        parse_cayley_csv, random_cvs)
+from codeloops import cli
 from codeloops.cli import _TableWordContext, main
 
 from conftest import intercalate_swap
@@ -88,6 +89,26 @@ def test_verify_cvs_prints_the_verifier_mode(runner, tmp_path):
         "# order above 512: exhaustive law and sampled Moufang checks",
         "mode=exhaustive", "samples=500", "seed=0", "extension_laws=true"]
     assert lines[-1] == "moufang=true"
+
+
+def test_verify_cvs_scan_bound_boundary(runner, tmp_path, monkeypatch):
+    # order 512 is the largest given the full table report; order 729 is
+    # the smallest above it and prints the verifier's mode lines instead.
+    # The report itself (10 s at order 512) is stubbed: only the branch
+    # taken is under test.
+    small, big = tmp_path / "r512.cvs", tmp_path / "r729.cvs"
+    small.write_text(emit_cvs(random_cvs(2, 8, 0)))
+    big.write_text(emit_cvs(random_cvs(3, 5, 0)))
+    monkeypatch.setattr(cli, "loop_report",
+                        lambda T: {"order": T.n, "moufang": True})
+    lines = _run(runner, ["verify-cvs", str(small)]).output.splitlines()
+    assert lines[4:] == ["order=512", "moufang=true"]
+    lines = _run(runner, ["verify-cvs", str(big), "--samples", "500"]
+                 ).output.splitlines()
+    assert lines[4:10] == [
+        "order=729",
+        "# order above 512: exhaustive law and sampled Moufang checks",
+        "mode=exhaustive", "samples=500", "seed=0", "extension_laws=true"]
 
 
 GOLAY_SAMPLED = """\
@@ -172,6 +193,18 @@ def test_eval_on_table_source(runner, tmp_path, oct_cvs_file):
     _run(runner, ["build", oct_cvs_file, "--table", csv])
     res = _run(runner, ["eval", csv, "--expr", "[g1,g2,g3]"])
     assert res.output == "z\n"
+
+
+@pytest.mark.parametrize("header", ["n=2,p=0,k=1", "n=2,p=2,k=-1"])
+def test_eval_rejects_a_bad_table_header(runner, tmp_path, header):
+    # the cyclic group of order 2 under a header whose p or k makes no
+    # vector space: p = 0 used to divide by zero, k = -1 to evaluate
+    # against a float |C|
+    f = tmp_path / "bad.csv"
+    f.write_text(header + "\n0,1\n1,0\n")
+    res = _run(runner, ["eval", str(f), "--expr", "z"], code=2)
+    assert "p >= 2 and k >= 0" in res.stderr
+    assert res.stdout == "" and "Traceback" not in res.output
 
 
 def test_table_powers_reduce_the_exponent_exactly():

@@ -10,13 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codeloops import cvs
-from codeloops.cvs import (Cvs, adjoint_translate, all_vectors, chi_table,
-                           cvs_new, emit_cvs, eval_alpha, eval_chi,
-                           eval_chi_polarized, eval_sigma, iso_up_to_scalar,
+from codeloops.codes import builtin_golay24, code_to_cvs
+from codeloops.cvs import (Cvs, adjoint_translate, cvs_new, emit_cvs,
+                           eval_alpha, eval_chi, eval_sigma, iso_up_to_scalar,
                            octonion_cvs, parse_cvs, permute_basis, rad_alpha,
                            rad_chi, random_cvs, scale_cvs, transform,
                            validate_axioms)
 from codeloops.modular import FpMatrix, _rank_mod_p, fp_vector
+
+from oracles import (all_vectors, chi_table, eval_chi_polarized,
+                     rad_alpha_exhaustive, rad_chi_exhaustive)
 
 
 def vecs(p, k):
@@ -63,6 +66,47 @@ def test_degenerate_radicals():
     D = cvs_new(3, 3, None, {(0, 1): 1}, {(0, 1, 2): 1})
     assert len(rad_alpha(D)) == 0
     assert [v.coords for v in rad_chi(D)] == [(0, 0, 1)]
+
+
+def _radical_corpus():
+    """random_cvs(p, k, s) with |C| <= 256, each also with chi zeroed and
+    with every third chi and every other alpha zeroed."""
+    for p, kmax in ((2, 8), (3, 5), (5, 3), (7, 2)):
+        for k in range(kmax + 1):
+            for s in range(12):
+                C = random_cvs(p, k, s)
+                yield C
+                yield Cvs(p, k, C.sigma_basis, (0,) * len(C.chi_flat),
+                          C.alpha_flat)
+                yield Cvs(p, k, C.sigma_basis,
+                          tuple(v * (i % 3 != 0)
+                                for i, v in enumerate(C.chi_flat)),
+                          tuple(v * (i % 2 != 0)
+                                for i, v in enumerate(C.alpha_flat)))
+
+
+def test_radicals_match_exhaustive_evaluation():
+    # the elimination against the forms evaluated on all of C^2 and C^3
+    n = proper = 0
+    for C in _radical_corpus():
+        rc = [v.coords for v in rad_chi(C)]
+        assert rc == [v.coords for v in rad_chi_exhaustive(C)], C
+        assert [v.coords for v in rad_alpha(C)] == \
+            [v.coords for v in rad_alpha_exhaustive(C)], C
+        n += 1
+        proper += 0 < len(rc) < C.k
+    # 104 radicals are proper and nonzero: p = 2 exercises the restriction
+    # to rad alpha, not only the trivial cases
+    assert (n, proper) == (792, 104)
+
+
+def test_golay_radicals():
+    # |C| = 4096 was beyond the exhaustive limits; both radicals are the
+    # all-ones word of the Golay code
+    C = code_to_cvs(builtin_golay24())
+    want = [(1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1)]
+    assert [v.coords for v in rad_chi(C)] == want
+    assert [v.coords for v in rad_alpha(C)] == want
 
 
 def test_validator_accepts_octonion():

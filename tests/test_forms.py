@@ -22,11 +22,13 @@ import numpy as np
 import pytest
 
 from codeloops.codes import builtin_golay24, code_to_cvs
-from codeloops.cvs import (Forms, cvs_new, eval_chi_polarized, octonion_cvs,
-                           pair_list, random_cvs, triple_list)
+from codeloops.cvs import (Forms, cvs_new, octonion_cvs, pair_list,
+                           random_cvs, triple_list)
 from codeloops.modular import fp_vector
 from codeloops.modules import eval_sigma2, module_new
 from codeloops.tables import vector_table
+
+from oracles import eval_chi_polarized
 
 CAP = 81 ** 3
 SAMPLES = 3000

@@ -11,11 +11,12 @@ from codeloops.codes import builtin_golay24, code_to_cvs
 from codeloops.cvs import (cvs_new, octonion_cvs, pair_list, random_cvs,
                            triple_list)
 from codeloops.loops import (LevelSumLoop, build, kappa_isotope,
-                             moufang_sampled, mul_recursive,
-                             verify_coded_extension)
+                             moufang_sampled, verify_coded_extension)
 from codeloops.modules import build_module_extension, module_new
 from codeloops.tables import (index_tables, place_values, rank_rows, unrank,
                               unrank_rows, vector_table)
+
+from oracles import mul_recursive
 
 
 def level_sum(u, w, moduli, zmod, zvals, chi, alpha):

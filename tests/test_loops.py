@@ -13,14 +13,15 @@ from codeloops.cvs import (adjoint_translate, cvs_new, octonion_cvs, pair_list,
 from codeloops.loops import (DEFAULT_VERIFY_BUDGET, CentralExtensionLoop,
                              CodedLoop, CodedLoopElement, LevelSumLoop,
                              SdcpLoop, _assoc_tables, _comm_table, _rows_inv,
-                             _rows_mul, _rows_sample, build, center_vectors,
-                             emit_cayley_csv, kappa_isotope, moufang_sampled,
-                             mul_recursive, parse_cayley_csv, restricted_cvs,
-                             semidirect_central_product,
+                             _rows_mul, _rows_sample, build, emit_cayley_csv,
+                             kappa_isotope, moufang_sampled, parse_cayley_csv,
+                             restricted_cvs, semidirect_central_product,
                              verify_coded_extension)
 from codeloops.modular import fp_vector
 from codeloops.modules import build_module_extension, module_new
 from codeloops.tables import vector_table
+
+from oracles import center_vectors, mul_recursive
 
 
 def all_elements(L):
