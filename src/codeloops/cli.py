@@ -16,7 +16,8 @@ from .analysis import SCAN_MAX, LoopTable, loop_report
 from .classify import classify as classify_states
 from .codes import (builtin_golay24, builtin_hamming734, code_to_cvs,
                     cvs_to_code, emit_code, parse_code)
-from .cvs import adjoint_translate, emit_cvs, parse_cvs, validate_axioms
+from .cvs import (adjoint_translate, content_lines, emit_cvs, parse_cvs,
+                  validate_axioms)
 from .loops import (DEFAULT_TABLE_BUDGET, CodedLoopElement, build,
                     emit_cayley_csv, moufang_sampled, parse_cayley_csv,
                     verify_coded_extension)
@@ -168,6 +169,10 @@ def build_cmd(cvsfile, table_out, max_order):
             raise click.UsageError(
                 "order %d exceeds --max-order %d; refusing to write a table"
                 % (L.order, max_order))
+        if L.order > DEFAULT_TABLE_BUDGET:
+            raise click.UsageError(
+                "order %d exceeds the table budget %d; refusing to write a "
+                "table" % (L.order, DEFAULT_TABLE_BUDGET))
         _write_out(emit_cayley_csv(L), table_out)
 
 
@@ -322,7 +327,7 @@ def eval_cmd(source, exprs, assoc):
     """Evaluate words in the loop given by a CVS file or a table CSV and
     print one normal form per line."""
     text = _read(source)
-    first = text.lstrip().splitlines()[0] if text.strip() else ""
+    first = next(content_lines(text), (0, ""))[1]
     try:
         if first.startswith("cvs"):
             L = build(parse_cvs(text))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cvs import Cvs, cvs_new, pair_list, triple_list
+from .cvs import Cvs, body_lines, cvs_new, pair_list, triple_list
 
 
 @dataclass(frozen=True)
@@ -239,20 +239,10 @@ def builtin_golay24() -> BinaryCode:
 
 
 def parse_code(text: str) -> BinaryCode:
-    """Parse the code text format ('code' header, 0/1 rows, '#' comments)."""
-    rows = []
-    length = None
-    saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not saw_header:
-            if line != "code":
-                raise ValueError("line %d: expected 'code' header, got %r"
-                                 % (lineno, line))
-            saw_header = True
-            continue
+    """Parse the code text format ('code' header, then one 0/1 row per
+    generator, '#' comments)."""
+    rows, length = [], None
+    for lineno, line in body_lines(text, "code"):
         for col, ch in enumerate(line, start=1):
             if ch not in "01":
                 raise ValueError("line %d, column %d: invalid character %r "
@@ -263,8 +253,6 @@ def parse_code(text: str) -> BinaryCode:
             raise ValueError("line %d: ragged row (length %d, expected %d)"
                              % (lineno, len(line), length))
         rows.append(_bits(line, 0))
-    if not saw_header:
-        raise ValueError("empty input: missing 'code' header")
     if length is None:
         raise ValueError("code has no generator rows")
     if _gf2_rank(list(rows)) != len(rows):

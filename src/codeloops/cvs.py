@@ -19,6 +19,7 @@ and p), and construction rejects nonzero alpha.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -127,30 +128,39 @@ def cvs_new(p: int, k: int, sigma_basis=None, chi_basis=None,
         raise ValueError("p must be prime, got %r" % (p,))
     if k < 0:
         raise ValueError("dimension must be >= 0")
+    chi = place_entries(k, 2, chi_basis or {}, p, "chi")
+    alpha = place_entries(k, 3, alpha_basis or {}, p, "alpha")
     sigma = tuple(int(v) % p for v in (sigma_basis or (0,) * k))
     if len(sigma) != k:
         raise ValueError("sigma_basis must have length k=%d" % k)
-
-    pairs = pair_list(k)
-    chi = [0] * len(pairs)
-    for key, v in (chi_basis or {}).items():
-        i, j = key
-        if not (0 <= i < j < k):
-            raise ValueError("chi index %r out of range (need 0 <= i < j < k)" % (key,))
-        chi[pairs.index((i, j))] = int(v) % p
-
-    triples = triple_list(k)
-    alpha = [0] * len(triples)
-    for key, v in (alpha_basis or {}).items():
-        i, j, l = key
-        if not (0 <= i < j < l < k):
-            raise ValueError("alpha index %r out of range (need i < j < l)" % (key,))
-        alpha[triples.index((i, j, l))] = int(v) % p
-
     if p > 3 and any(alpha):
         raise ValueError(
             "alpha must vanish for p > 3 (alpha has exponent dividing 6)")
-    return Cvs(p, k, sigma, tuple(chi), tuple(alpha))
+    return Cvs(p, k, sigma, chi, alpha)
+
+
+def place_entries(k: int, r: int, entries: dict, modulus: int,
+                  name: str) -> tuple:
+    """The C(k, r) residues mod modulus of a map from strictly increasing
+    0-based index r-tuples to values, in itertools.combinations order
+    (pair_list for r = 2, triple_list for r = 3); absent tuples are 0.
+
+    Refuses k^3 > MAX_ENTRIES, since the alpha tensor of Forms holds k^3
+    entries.  A tuple c sits at C(k, r) - 1 - sum_t C(k - 1 - c_t, r - t),
+    the number of tuples after it subtracted from the last position."""
+    if k ** 3 > MAX_ENTRIES:
+        raise ValueError("dimension %d too large: the alpha tensor would "
+                         "hold k^3 > %d entries" % (k, MAX_ENTRIES))
+    n = math.comb(k, r)
+    out = [0] * n
+    for key, v in entries.items():
+        if not (len(key) == r and 0 <= key[0] and key[-1] < k and all(
+                a < b for a, b in zip(key, key[1:]))):
+            raise ValueError("%s key %r out of range (need 0 <= %s < %d)"
+                             % (name, key, " < ".join("ijl"[:r]), k))
+        out[n - 1 - sum(math.comb(k - 1 - c, r - t)
+                        for t, c in enumerate(key))] = int(v) % modulus
+    return tuple(out)
 
 
 def octonion_cvs() -> Cvs:
@@ -646,75 +656,110 @@ def random_cvs(p: int, k: int, seed: int) -> Cvs:
 
 # -- text format --------------------------------------------------------------
 
-def parse_cvs(text: str) -> Cvs:
-    """Parse the CVS text format; raises ValueError with line diagnostics."""
-    p = None
-    k = None
-    sigma: dict = {}
-    chi: dict = {}
-    alpha: dict = {}
-    saw_header = False
+def content_lines(text: str):
+    """(line number, content) of each content line of a text format: '#'
+    starts a comment, surrounding space is dropped and blank lines are
+    skipped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not saw_header:
-            if line != "cvs":
-                raise ValueError("line %d: expected 'cvs' header, got %r"
-                                 % (lineno, line))
-            saw_header = True
-            continue
-        parts = line.split()
-        key = parts[0]
+        if line:
+            yield lineno, line
 
-        def ints(n):
-            if len(parts) != n + 1:
-                raise ValueError("line %d: '%s' takes %d arguments"
-                                 % (lineno, key, n))
-            try:
-                return [int(x) for x in parts[1:]]
-            except ValueError:
-                raise ValueError("line %d: non-integer argument in %r"
-                                 % (lineno, raw.strip())) from None
 
-        if key == "p":
-            (p,) = ints(1)
-            if not is_prime(p):
-                raise ValueError("line %d: p must be prime, got %d" % (lineno, p))
-        elif key == "dim":
-            (k,) = ints(1)
-            if k < 0:
-                raise ValueError("line %d: dim must be >= 0" % lineno)
-        elif key in ("sigma", "chi", "alpha"):
-            if p is None or k is None:
-                raise ValueError("line %d: p and dim must come before entries"
-                                 % lineno)
-            nidx = {"sigma": 1, "chi": 2, "alpha": 3}[key]
-            vals = ints(nidx + 1)
-            idx, v = vals[:-1], vals[-1]
-            if not all(1 <= t <= k for t in idx):
-                raise ValueError("line %d: index out of range 1..%d" % (lineno, k))
-            if list(idx) != sorted(set(idx)):
-                raise ValueError("line %d: indices must be strictly increasing"
-                                 % lineno)
-            if not 0 <= v < p:
-                raise ValueError("line %d: value must be in [0, %d)" % (lineno, p))
-            key0 = tuple(t - 1 for t in idx)
-            store = {"sigma": sigma, "chi": chi, "alpha": alpha}[key]
-            if key0 in store:
-                raise ValueError("line %d: duplicate %s entry for %s"
-                                 % (lineno, key, " ".join(map(str, idx))))
-            store[key0] = v
+def body_lines(text: str, header: str):
+    """The content lines after the first, which must be the header word."""
+    lines = content_lines(text)
+    lineno, first = next(lines, (0, None))
+    if first is None:
+        raise ValueError("empty input: missing %r header" % header)
+    if first != header:
+        raise ValueError("line %d: expected %r header, got %r"
+                         % (lineno, header, first))
+    return lines
+
+
+def read_directives(lines, scalars: dict, entries: dict) -> tuple:
+    """Read directive lines, each a name and then integers.
+
+    scalars maps each scalar directive to its argument count (None for
+    any); each must appear exactly once.  entries maps each entry
+    directive to its index count; an entry line is that many 1-based,
+    strictly increasing indices and then a value, at most once per index
+    tuple.  Returns (values, found): values holds (line number, arguments)
+    per scalar in the order of scalars, and found maps each entry
+    directive to {0-based index tuple: (line number, value)}.  Every error
+    on a line starts with 'line N: '."""
+    values, found = {}, {name: {} for name in entries}
+    for lineno, line in lines:
+        name, *args = line.split()
+        if name in scalars:
+            want = scalars[name]
+        elif name in entries:
+            want = entries[name] + 1
         else:
-            raise ValueError("line %d: unknown directive %r" % (lineno, key))
-    if not saw_header:
-        raise ValueError("empty input: missing 'cvs' header")
-    if p is None or k is None:
-        raise ValueError("missing 'p' or 'dim' line")
-    sig = [0] * k
-    for (i,), v in sigma.items():
-        sig[i] = v
-    return cvs_new(p, k, sig, chi, alpha)
+            raise ValueError("line %d: unknown directive %r" % (lineno, name))
+        if want is not None and len(args) != want:
+            raise ValueError("line %d: '%s' takes %d arguments"
+                             % (lineno, name, want))
+        try:
+            args = tuple(int(x) for x in args)
+        except ValueError:
+            raise ValueError("line %d: non-integer argument in %r"
+                             % (lineno, line)) from None
+        if name in scalars:
+            if name in values:
+                raise ValueError("line %d: repeated '%s' (first on line %d)"
+                                 % (lineno, name, values[name][0]))
+            values[name] = (lineno, args)
+            continue
+        idx = args[:-1]
+        if idx[0] < 1:
+            raise ValueError("line %d: index %d out of range (indices start "
+                             "at 1)" % (lineno, idx[0]))
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValueError("line %d: indices must be strictly increasing"
+                             % lineno)
+        key = tuple(t - 1 for t in idx)
+        if key in found[name]:
+            raise ValueError("line %d: duplicate %s entry for %s"
+                             % (lineno, name, " ".join(map(str, idx))))
+        found[name][key] = (lineno, args[-1])
+    missing = [name for name in scalars if name not in values]
+    if missing:
+        raise ValueError("missing '%s' line (%s are all required)"
+                         % (missing[0], ", ".join(scalars)))
+    return [values[name] for name in scalars], found
+
+
+def checked_entries(found: dict, k: int) -> dict:
+    """{index tuple: value} per entry directive, once every index is
+    within 1..k."""
+    for entries in found.values():
+        for key, (lineno, _) in entries.items():
+            if key[-1] >= k:
+                raise ValueError("line %d: index out of range 1..%d"
+                                 % (lineno, k))
+    return {name: {key: v for key, (_, v) in entries.items()}
+            for name, entries in found.items()}
+
+
+def parse_cvs(text: str) -> Cvs:
+    """Parse the CVS text format; raises ValueError with line diagnostics."""
+    ((n_p, (p,)), (n_k, (k,))), found = read_directives(
+        body_lines(text, "cvs"), {"p": 1, "dim": 1},
+        {"sigma": 1, "chi": 2, "alpha": 3})
+    if not is_prime(p):
+        raise ValueError("line %d: p must be prime, got %d" % (n_p, p))
+    if k < 0:
+        raise ValueError("line %d: dim must be >= 0" % n_k)
+    for entries in found.values():
+        for lineno, v in entries.values():
+            if not 0 <= v < p:
+                raise ValueError("line %d: value must be in [0, %d)"
+                                 % (lineno, p))
+    got = checked_entries(found, k)
+    return cvs_new(p, k, place_entries(k, 1, got["sigma"], p, "sigma"),
+                   got["chi"], got["alpha"])
 
 
 def emit_cvs(C: Cvs) -> str:

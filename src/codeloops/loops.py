@@ -61,6 +61,7 @@ import numpy as np
 
 from .cvs import (
     FLOAT_EXACT,
+    _BLOCK_ENTRIES,
     CheckResult,
     Cvs,
     Forms,
@@ -574,12 +575,15 @@ def _assoc_tables(L: CentralExtensionLoop):
 def _rows_theta(L: CentralExtensionLoop, U: np.ndarray,
                 W: np.ndarray) -> np.ndarray:
     """theta on rows of reduced vector parts: gathered from the theta
-    table, widened to int64, when L holds one, else the feature kernel.
-    The rows are reduced, so their ranks are dot products with the place
-    values."""
+    table, widened to int64, when L holds one, else the feature kernel on
+    blocks of rows small enough that the k^2-wide quadratic features stay
+    within _BLOCK_ENTRIES.  The rows are reduced, so their ranks are dot
+    products with the place values."""
     T = L._theta_table
     if T is None:
-        return L.theta_rows(U, W)
+        step = max(1, _BLOCK_ENTRIES // max(1, L.k * L.k))
+        return np.concatenate([L.theta_rows(U[lo:lo + step], W[lo:lo + step])
+                               for lo in range(0, max(len(U), 1), step)])
     place = place_values(L.moduli)
     return T[U @ place, W @ place].astype(np.int64)
 

@@ -21,8 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cvs import (CheckResult, Forms, ValidationReport, is_prime, pair_list,
-                  signed_forms, triple_list)
+from .cvs import (CheckResult, Forms, ValidationReport, body_lines,
+                  checked_entries, is_prime, pair_list, place_entries,
+                  read_directives, signed_forms, triple_list)
 from .modular import Residue
 from .loops import (CentralExtensionLoop, LevelSumLoop, kappa_isotope,
                     verify_coded_extension)
@@ -95,20 +96,16 @@ def module_new(p: int, orders, z_order: int, z_values,
     if len(z_values) != k:
         raise ValueError("need one z value per basis slot")
 
-    pairs = pair_list(k)
-    chi = [0] * len(pairs)
-    for key, v in chi_basis.items():
-        i, j = key
+    for i, j in chi_basis:
         if i == j:
             raise ValueError("condition (1) violated: chi(%d,%d) must be 0"
                              % (i + 1, j + 1))
-        if not (0 <= i < j < k):
-            raise ValueError("chi key %r: need 0 <= i < j < %d "
-                             "(condition (2) fixes chi(j,i) = -chi(i,j))"
-                             % (key, k))
-        chi[pairs.index((i, j))] = int(v) % z_order
-    for pos, (i, j) in enumerate(pairs):
-        ordv = _additive_order(chi[pos], z_order)
+        if i > j:
+            raise ValueError("chi key %r: need i < j (condition (2) fixes "
+                             "chi(j,i) = -chi(i,j))" % ((i, j),))
+    chi = place_entries(k, 2, chi_basis, z_order, "chi")
+    for (i, j), v in zip(pair_list(k), chi):
+        ordv = _additive_order(v, z_order)
         if math.gcd(orders[i], orders[j]) % ordv != 0:
             raise ValueError(
                 "condition (3) violated: chi(%d,%d) has additive order %d, "
@@ -117,13 +114,8 @@ def module_new(p: int, orders, z_order: int, z_values,
                    orders[i] if orders[i] % ordv else orders[j],
                    i + 1 if orders[i] % ordv else j + 1))
 
-    triples = triple_list(k)
-    alpha = [0] * len(triples)
-    for key, v in alpha_basis.items():
-        i, j, l = key
-        if not (0 <= i < j < l < k):
-            raise ValueError("alpha key %r: need 0 <= i < j < l < %d"
-                             % (key, k))
+    alpha = place_entries(k, 3, alpha_basis, z_order, "alpha")
+    for (i, j, l), v in alpha_basis.items():
         v = int(v) % z_order
         if p == 2 and (2 * v) % z_order != 0:
             raise ValueError("alpha(%d,%d,%d) = %d violates 2*alpha = 0"
@@ -134,8 +126,7 @@ def module_new(p: int, orders, z_order: int, z_values,
         if p > 3 and v != 0:
             raise ValueError("alpha must vanish for p > 3, got alpha(%d,%d,%d)"
                              " = %d" % (i + 1, j + 1, l + 1, v))
-        alpha[triples.index((i, j, l))] = v
-    return CodedModule(p, orders, z_order, z_values, tuple(chi), tuple(alpha))
+    return CodedModule(p, orders, z_order, z_values, chi, alpha)
 
 
 def eval_chi_module(M: CodedModule, c, d) -> Residue:
@@ -281,56 +272,11 @@ def emit_module(M: CodedModule) -> str:
 
 
 def parse_module(text: str) -> CodedModule:
-    p = None
-    orders = None
-    z_order = None
-    z_entries = {}
-    chi = {}
-    alpha = {}
-    seen_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "module":
-                seen_header = True
-            elif parts[0] == "p":
-                p = int(parts[1])
-            elif parts[0] == "orders":
-                orders = tuple(int(x) for x in parts[1:])
-            elif parts[0] == "zorder":
-                z_order = int(parts[1])
-            elif parts[0] == "zi":
-                i, v = int(parts[1]), int(parts[2])
-                if i in z_entries:
-                    raise ValueError("duplicate zi %d" % i)
-                z_entries[i] = v
-            elif parts[0] == "chi":
-                i, j, v = int(parts[1]), int(parts[2]), int(parts[3])
-                if (i, j) in chi:
-                    raise ValueError("duplicate chi %d %d" % (i, j))
-                chi[(i, j)] = v
-            elif parts[0] == "alpha":
-                i, j, l, v = (int(parts[1]), int(parts[2]), int(parts[3]),
-                              int(parts[4]))
-                if (i, j, l) in alpha:
-                    raise ValueError("duplicate alpha %d %d %d" % (i, j, l))
-                alpha[(i, j, l)] = v
-            else:
-                raise ValueError("unknown directive %r" % parts[0])
-        except (IndexError, ValueError) as ex:
-            raise ValueError("line %d: %s" % (lineno, ex)) from None
-    if not seen_header:
-        raise ValueError("missing 'module' header line")
-    if p is None or orders is None or z_order is None:
-        raise ValueError("p, orders and zorder are all required")
-    k = len(orders)
-    for i in z_entries:
-        if not 1 <= i <= k:
-            raise ValueError("zi index %d out of range 1..%d" % (i, k))
-    z_values = [z_entries.get(i + 1, 0) for i in range(k)]
-    chi0 = {(i - 1, j - 1): v for (i, j), v in chi.items()}
-    alpha0 = {(i - 1, j - 1, l - 1): v for (i, j, l), v in alpha.items()}
-    return module_new(p, orders, z_order, z_values, chi0, alpha0)
+    """Parse the module text format; raises ValueError with line
+    diagnostics, or module_new's on data that breaks its conditions."""
+    ((_, (p,)), (_, orders), (_, (z_order,))), found = read_directives(
+        body_lines(text, "module"), {"p": 1, "orders": None, "zorder": 1},
+        {"zi": 1, "chi": 2, "alpha": 3})
+    got = checked_entries(found, len(orders))
+    z_values = [got["zi"].get((i,), 0) for i in range(len(orders))]
+    return module_new(p, orders, z_order, z_values, got["chi"], got["alpha"])

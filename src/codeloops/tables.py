@@ -70,15 +70,17 @@ def unrank(r: int, moduli: tuple) -> tuple:
 
 def add_index_table(moduli: tuple) -> np.ndarray:
     """n x n table: entry (a, b) is the rank of vector_a + vector_b,
-    computed from the ranks alone."""
+    computed from the ranks alone.  Digit by digit, the carry mask is the
+    only other n x n array, one byte per entry."""
     r = np.arange(int(np.prod(moduli, dtype=np.int64)), dtype=np.int64)
-    a, b = r[:, None], r[None, :]
     if all(m == 2 for m in moduli):
-        return a ^ b
-    s = a + b  # digitwise sums; take m off every digit that reaches m
+        return np.bitwise_xor.outer(r, r)
+    s = np.add.outer(r, r)  # take m off every digit that reaches m
     w = 1
     for m in reversed(moduli):
-        s = s - (a // w % m + b // w % m >= m) * (m * w)
+        d = (r // w % m).astype(np.min_scalar_type(m))
+        # digit(a) + digit(b) >= m exactly when m - digit(a) <= digit(b)
+        np.subtract(s, m * w, out=s, where=np.less_equal.outer(m - d, d))
         w *= m
     return s
 

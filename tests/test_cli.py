@@ -368,6 +368,38 @@ def test_build_max_order_guard(runner, tmp_path, oct_cvs_file):
     assert "refusing" in res.stderr
 
 
+def test_build_refuses_tables_above_the_budget(runner, tmp_path):
+    # order 16807 lies between the table budget 8192 and --max-order: the
+    # refusal comes before any table is built, and no file is written
+    f, out = tmp_path / "r.cvs", tmp_path / "r.csv"
+    f.write_text(emit_cvs(random_cvs(7, 4, 0)))
+    res = _run(runner, ["build", str(f), "--table", str(out),
+                        "--max-order", "20000"], code=2)
+    assert "8192" in res.stderr and "refusing" in res.stderr
+    assert "Traceback" not in res.output and not out.exists()
+
+
+def test_verify_cvs_rejects_a_repeated_directive(runner, tmp_path):
+    f = tmp_path / "dup.cvs"
+    f.write_text("cvs\np 5\ndim 2\nsigma 1 4\np 2\n")
+    res = _run(runner, ["verify-cvs", str(f)], code=2)
+    assert res.stderr == "error: line 5: repeated 'p' (first on line 2)\n"
+    f.write_text("cvs\np 2\ndim 300\n")
+    res = _run(runner, ["verify-cvs", str(f)], code=2)
+    assert "dimension 300 too large" in res.stderr
+
+
+def test_eval_reads_a_cvs_after_comments(runner, tmp_path, oct_cvs_file):
+    # the source kind comes from the first content line, as the parsers
+    # see it
+    f = tmp_path / "commented.cvs"
+    f.write_text("# octonion\n\n" + open(oct_cvs_file).read())
+    args = ["--expr", "[g1,g2,g3]", "--expr", "(g1*g2)*g3"]
+    want = _run(runner, ["eval", oct_cvs_file] + args).output
+    assert _run(runner, ["eval", str(f)] + args).output == want == \
+        "z\ng1(g2(g3))\n"
+
+
 def test_code2cvs_rejects_bad_code(runner, tmp_path):
     f = tmp_path / "bad.code"
     f.write_text("code\n1100\n")  # weight 2: not doubly even

@@ -89,6 +89,13 @@ def test_parse_code_errors():
         parse_code("nope\n11\n")
     with pytest.raises(ValueError):
         parse_code("code\n12\n")  # not binary
+    # a row is one 0/1 word; the header may follow comments
+    with pytest.raises(ValueError,
+                       match="line 3, column 3: invalid character ' '"):
+        parse_code("# two rows\ncode\n11 00\n")
+    with pytest.raises(ValueError, match="no generator rows"):
+        parse_code("code\n# none\n")
+    assert parse_code("# c\ncode\n1111  # row 1\n").generators == (15,)
 
 
 def test_dependent_generators_rejected():

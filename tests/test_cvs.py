@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,10 +14,11 @@ from codeloops import cvs
 from codeloops.codes import builtin_golay24, code_to_cvs
 from codeloops.cvs import (Cvs, adjoint_translate, cvs_new, emit_cvs,
                            eval_alpha, eval_chi, eval_sigma, iso_up_to_scalar,
-                           octonion_cvs, parse_cvs, permute_basis, rad_alpha,
-                           rad_chi, random_cvs, scale_cvs, transform,
-                           validate_axioms)
+                           octonion_cvs, pair_list, parse_cvs, permute_basis,
+                           place_entries, rad_alpha, rad_chi, random_cvs,
+                           scale_cvs, transform, triple_list, validate_axioms)
 from codeloops.modular import FpMatrix, _rank_mod_p, fp_vector
+from codeloops.modules import parse_module
 
 from oracles import (all_vectors, chi_table, eval_chi_polarized,
                      rad_alpha_exhaustive, rad_chi_exhaustive)
@@ -351,3 +353,81 @@ def test_parse_rejects_garbage():
         parse_cvs("cvs\np 2\ndim 2\nchi 1 5 1\n")  # index out of range
     with pytest.raises(ValueError):
         parse_cvs("cvs\np 2\ndim 2\nalpha 1 1 2 1\n")  # repeated index
+
+
+_MODULE = "module\np 2\norders 2 2\nzorder 2\n"
+
+
+@pytest.mark.parametrize("parse, text, lineno, what", [
+    # a scalar directive read twice: the last p used to win silently
+    (parse_cvs, "cvs\np 5\ndim 2\nsigma 1 4\np 2\n", 5, "repeated 'p'"),
+    (parse_cvs, "cvs\np 2\ndim 2\ndim 3\n", 4, "repeated 'dim'"),
+    (parse_module, _MODULE + "p 3\n", 5, "repeated 'p'"),
+    # the header must be the first content line, and only that
+    (parse_module, "p 2\nmodule\norders 2\nzorder 2\n", 1, "header"),
+    (parse_module, "module\np 2\nmodule\norders 2\nzorder 2\n", 3,
+     "unknown directive 'module'"),
+    (parse_cvs, "# comment\ncvs 2\np 2\ndim 1\n", 2, "header"),
+    # argument counts, both ways
+    (parse_module, _MODULE + "zi 1 2 7\n", 5, "'zi' takes 2 arguments"),
+    (parse_module, _MODULE + "\nchi 1 2\n", 6, "'chi' takes 3 arguments"),
+    (parse_cvs, "cvs\np 2\ndim 2\nchi 1 2\n", 4, "'chi' takes 3"),
+    # indices are 1-based, strictly increasing and at most k
+    (parse_module, _MODULE + "chi 0 1 1\n", 5, "index 0 out of range"),
+    (parse_cvs, "cvs\np 2\ndim 2\nchi 2 1 1\n", 4, "strictly increasing"),
+    (parse_cvs, "cvs\nchi 1 3 1\np 2\ndim 2\n", 2, "out of range 1..2"),
+    (parse_module, _MODULE + "alpha 1 2 3 1\n", 5, "out of range 1..2"),
+    (parse_cvs, "cvs\np 3\ndim 1\nsigma 1 3\n", 4, "value must be in"),
+    (parse_module, _MODULE + "chi 1 2 1\nchi 1 2 0\n", 6,
+     "duplicate chi entry"),
+    (parse_cvs, "cvs\np 2\ndim x\n", 3, "non-integer"),
+    (parse_cvs, "cvs\np 4\ndim 1\n", 2, "p must be prime"),
+])
+def test_parsers_name_the_offending_line(parse, text, lineno, what):
+    with pytest.raises(ValueError) as ei:
+        parse(text)
+    msg = str(ei.value)
+    assert msg.startswith("line %d: " % lineno) and what in msg, msg
+
+
+def test_shared_format_rules():
+    # comments and blank lines anywhere, the header after them, entries
+    # before p and dim (they are range-checked once everything is read)
+    C = octonion_cvs()
+    text = emit_cvs(C)
+    body = text.split("\n", 3)[3]
+    assert parse_cvs("# octonion\n\n" + text) == C
+    assert parse_cvs("cvs  # header\n" + body + "p 2\ndim 3\n") == C
+    with pytest.raises(ValueError, match="'p' line .*required"):
+        parse_cvs("cvs\ndim 1\n")
+    with pytest.raises(ValueError, match="empty input"):
+        parse_cvs("# nothing\n\n")
+
+
+def test_place_entries_follows_combinations_order():
+    for k in range(6):
+        for r, combos in ((1, [(i,) for i in range(k)]), (2, pair_list(k)),
+                          (3, triple_list(k))):
+            got = place_entries(k, r, {c: n + 1 for n, c in
+                                       enumerate(combos)}, 1000, "x")
+            assert got == tuple(range(1, len(combos) + 1))
+    with pytest.raises(ValueError, match="chi key"):
+        place_entries(3, 2, {(2, 1): 1}, 2, "chi")
+    # the alpha tensor of a CVS holds k^3 entries: 256^3 is the last
+    # dimension within MAX_ENTRIES
+    assert len(place_entries(256, 3, {}, 2, "alpha")) == 2763520
+    with pytest.raises(ValueError, match="dimension 257 too large"):
+        cvs_new(2, 257)
+    with pytest.raises(ValueError, match="dimension 300 too large"):
+        parse_cvs("cvs\np 2\ndim 300\n")
+    with pytest.raises(ValueError, match="dimension 300 too large"):
+        parse_module("module\np 2\norders%s\nzorder 2\n" % (" 2" * 300))
+
+
+def test_random_cvs_at_dimension_50_is_fast():
+    # placing the 19,600 alpha entries used to search a list per entry
+    # (4.7 s); the placement is now arithmetic on the index tuple
+    t = time.perf_counter()
+    C = random_cvs(2, 50, 0)
+    assert time.perf_counter() - t < 1.0
+    assert parse_cvs(emit_cvs(C)) == C

@@ -3,6 +3,7 @@ a literal level sum, table lookups, the recursive product oracle, and
 sampled verification at a size with no theta table."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from codeloops.cvs import (cvs_new, octonion_cvs, pair_list, random_cvs,
 from codeloops.loops import (LevelSumLoop, build, kappa_isotope,
                              moufang_sampled, verify_coded_extension)
 from codeloops.modules import build_module_extension, module_new
-from codeloops.tables import (index_tables, place_values, rank_rows, unrank,
-                              unrank_rows, vector_table)
+from codeloops.tables import (add_index_table, index_tables, place_values,
+                              rank_rows, unrank, unrank_rows, vector_table)
 
 from oracles import mul_recursive
 
@@ -132,6 +133,29 @@ def test_vector_table_is_shared_and_read_only():
     assert [tuple(r) for r in U.reshape(-1, 3).tolist()] == \
         [unrank(int(r), m) for r in R.ravel()]
     assert unrank_rows(np.zeros(2, dtype=np.int64), ()).shape == (2, 0)
+
+
+@pytest.mark.parametrize("m", [(3, 3, 3), (2, 3, 4), (9, 3), (2, 2, 2), (),
+                               (300, 2)])
+def test_add_index_table_adds_vectors(m):
+    V = vector_table(m)
+    want = rank_rows(V[:, None] + V[None, :], m)
+    got = add_index_table(m)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_add_index_table_peak_stays_near_its_result():
+    # the digit corrections run in place under a one-byte carry mask, so
+    # the traced peak at |C| = 2187 stays under twice the 36.5 MiB table
+    # (the sum and one int64 carry array per digit traced 109.5 MiB)
+    tracemalloc.start()
+    try:
+        T = add_index_table((3,) * 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T[1, 2] == 0 and T[2186, 1] == 2184  # each digit wraps alone
+    assert peak < 2 * T.nbytes, (peak, T.nbytes)
 
 
 def test_mul_recursive_golay_rows_and_table():

@@ -13,9 +13,10 @@ from codeloops.cvs import (adjoint_translate, cvs_new, octonion_cvs, pair_list,
 from codeloops.loops import (DEFAULT_VERIFY_BUDGET, CentralExtensionLoop,
                              CodedLoop, CodedLoopElement, LevelSumLoop,
                              SdcpLoop, _assoc_tables, _comm_table, _rows_inv,
-                             _rows_mul, _rows_sample, build, emit_cayley_csv,
-                             kappa_isotope, moufang_sampled, parse_cayley_csv,
-                             restricted_cvs, semidirect_central_product,
+                             _rows_mul, _rows_sample, _rows_theta, build,
+                             emit_cayley_csv, kappa_isotope, moufang_sampled,
+                             parse_cayley_csv, restricted_cvs,
+                             semidirect_central_product,
                              verify_coded_extension)
 from codeloops.modular import fp_vector
 from codeloops.modules import build_module_extension, module_new
@@ -468,6 +469,24 @@ def _twins(name, monkeypatch):
 
 
 TWINS = ["golay", "cvs350", "isotope", "module933", "sdcp350"]
+
+
+def test_table_free_row_products_run_in_bounded_blocks():
+    # without a theta table, theta on 20,000 row pairs at k = 20 runs the
+    # kernel on blocks of _BLOCK_ENTRIES // k^2 rows: all at once, the
+    # 400-wide quadratic features traced 76 MiB
+    L = build(random_cvs(2, 20, 0), validate=False)
+    rng = np.random.default_rng(0)
+    U, W = (rng.integers(0, 2, size=(20000, 20)) for _ in range(2))
+    tracemalloc.start()
+    try:
+        got = _rows_theta(L, U, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
+    assert np.array_equal(got, L.theta_rows(U, W))
+    assert _rows_theta(L, U[:0], W[:0]).shape == (0,)
 
 
 @pytest.mark.parametrize("name", TWINS)

@@ -312,6 +312,13 @@ def test_emit_parse_round_trip():
     assert "zi 1 1" in text and "chi 1 2 1" in text and "alpha 1 2 3 1" in text
 
 
+def test_dimension_zero_module_round_trips():
+    # its orders line carries no values
+    M = module_new(3, (), 9, (), {}, {})
+    text = emit_module(M)
+    assert "orders \n" in text and parse_module(text) == M
+
+
 def test_parse_module_errors():
     with pytest.raises(ValueError, match="header"):
         parse_module("p 2\norders 2\nzorder 2\n")
