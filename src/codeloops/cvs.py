@@ -36,7 +36,8 @@ from .modular import (
     nullspace_mod_p,
     row_reduce,
 )
-from .tables import MAX_ENTRIES, index_tables, rank_rows, unrank, unrank_rows
+from .tables import (MAX_ENTRIES, index_tables, rank_rows, reduce_mod, unrank,
+                     unrank_rows)
 
 _CHECK_CHUNK = 1 << 21  # tuples one identity check handles at a time
 DEFAULT_VALIDATE_BUDGET = 3 ** 7
@@ -125,18 +126,40 @@ def cvs_new(p: int, k: int, sigma_basis=None, chi_basis=None,
     axioms force alpha to have exponent dividing 6, and Z has order p.
     """
     if not is_prime(p):
-        raise ValueError("p must be prime, got %r" % (p,))
+        raise DataError("p", "p must be prime, got %r" % (p,))
     if k < 0:
-        raise ValueError("dimension must be >= 0")
+        raise DataError("k", "dimension must be >= 0")
     chi = place_entries(k, 2, chi_basis or {}, p, "chi")
     alpha = place_entries(k, 3, alpha_basis or {}, p, "alpha")
     sigma = tuple(int(v) % p for v in (sigma_basis or (0,) * k))
     if len(sigma) != k:
         raise ValueError("sigma_basis must have length k=%d" % k)
     if p > 3 and any(alpha):
-        raise ValueError(
-            "alpha must vanish for p > 3 (alpha has exponent dividing 6)")
+        key = next(key for key, v in alpha_basis.items() if int(v) % p)
+        raise DataError(("alpha", key), "alpha must vanish for p > 3 "
+                        "(alpha has exponent dividing 6)")
     return Cvs(p, k, sigma, chi, alpha)
+
+
+class DataError(ValueError):
+    """A ValueError about one item of basis data, so that a parser can name
+    the line it read the item from (see located).  item is 'p', 'k',
+    'orders', 'zorder', or (directive, 0-based index tuple) for an entry."""
+
+    def __init__(self, item, message: str):
+        super().__init__(message)
+        self.item = item
+
+
+def located(build, lines: dict):
+    """build(), with a DataError about an item read on line N raised again
+    as 'line N: ...'; lines maps each item to its line number."""
+    try:
+        return build()
+    except DataError as e:
+        if e.item not in lines:
+            raise
+        raise ValueError("line %d: %s" % (lines[e.item], e)) from None
 
 
 def place_entries(k: int, r: int, entries: dict, modulus: int,
@@ -149,15 +172,16 @@ def place_entries(k: int, r: int, entries: dict, modulus: int,
     entries.  A tuple c sits at C(k, r) - 1 - sum_t C(k - 1 - c_t, r - t),
     the number of tuples after it subtracted from the last position."""
     if k ** 3 > MAX_ENTRIES:
-        raise ValueError("dimension %d too large: the alpha tensor would "
-                         "hold k^3 > %d entries" % (k, MAX_ENTRIES))
+        raise DataError("k", "dimension %d too large: the alpha tensor "
+                        "would hold k^3 > %d entries" % (k, MAX_ENTRIES))
     n = math.comb(k, r)
     out = [0] * n
     for key, v in entries.items():
         if not (len(key) == r and 0 <= key[0] and key[-1] < k and all(
                 a < b for a, b in zip(key, key[1:]))):
-            raise ValueError("%s key %r out of range (need 0 <= %s < %d)"
-                             % (name, key, " < ".join("ijl"[:r]), k))
+            raise DataError((name, key),
+                            "%s key %r out of range (need 0 <= %s < %d)"
+                            % (name, key, " < ".join("ijl"[:r]), k))
         out[n - 1 - sum(math.comb(k - 1 - c, r - t)
                         for t, c in enumerate(key))] = int(v) % modulus
     return tuple(out)
@@ -244,9 +268,7 @@ class Forms:
         return (np.asarray(V, dtype=np.int64) % self._orders).astype(np.float64)
 
     def _reduce(self, out: np.ndarray) -> np.ndarray:
-        out = out.astype(np.int64)
-        out %= self.modulus
-        return out
+        return reduce_mod(out.astype(np.int64), self.modulus)
 
     def _blocks(self, fn, *rows) -> np.ndarray:
         """fn on float64 rows, one block of at most self._step rows at a time."""
@@ -731,16 +753,18 @@ def read_directives(lines, scalars: dict, entries: dict) -> tuple:
     return [values[name] for name in scalars], found
 
 
-def checked_entries(found: dict, k: int) -> dict:
-    """{index tuple: value} per entry directive, once every index is
-    within 1..k."""
-    for entries in found.values():
+def checked_entries(found: dict, k: int) -> tuple:
+    """({index tuple: value} per entry directive, {(directive, index
+    tuple): line number}), once every index is within 1..k."""
+    lines = {}
+    for name, entries in found.items():
         for key, (lineno, _) in entries.items():
             if key[-1] >= k:
                 raise ValueError("line %d: index out of range 1..%d"
                                  % (lineno, k))
+            lines[name, key] = lineno
     return {name: {key: v for key, (_, v) in entries.items()}
-            for name, entries in found.items()}
+            for name, entries in found.items()}, lines
 
 
 def parse_cvs(text: str) -> Cvs:
@@ -757,9 +781,11 @@ def parse_cvs(text: str) -> Cvs:
             if not 0 <= v < p:
                 raise ValueError("line %d: value must be in [0, %d)"
                                  % (lineno, p))
-    got = checked_entries(found, k)
-    return cvs_new(p, k, place_entries(k, 1, got["sigma"], p, "sigma"),
-                   got["chi"], got["alpha"])
+    got, lines = checked_entries(found, k)
+    lines.update(p=n_p, k=n_k)
+    return located(lambda: cvs_new(
+        p, k, place_entries(k, 1, got["sigma"], p, "sigma"), got["chi"],
+        got["alpha"]), lines)
 
 
 def emit_cvs(C: Cvs) -> str:

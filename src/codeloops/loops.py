@@ -39,15 +39,16 @@ and that one kernel serves every use: theta_rows is the row-wise dot
 product, the theta table is Phi(V) Psi(V)^T over all of C (a float64
 GEMM per chunk of rows, exact because every row sum stays below
 dot_bound < 2^53, cast to the smallest unsigned dtype that holds |Z| - 1
-and reduced mod |Z|), a product
-without a table evaluates one row, and sampled verification works on
-sampled rows at any |C|.  A kappa-isotope adds alpha(u, kappa, w) = u B w,
-so its features are the base features with (u, B w) appended.  An
-SdcpLoop glues two factor loops in bulk: its theta_rows is the factors'
-theta_rows on the d and e parts plus the gluing term z0 above, evaluated
-on the forms of the restricted CVS, and its table is that over the rank
-grid.  The tests keep the literal recursion as an oracle and compare
-both with a literal level sum.
+and reduced mod |Z| by tables.reduce_mod), a product without a table
+evaluates one row, and sampled verification works on sampled rows at any
+|C|.  A kappa-isotope adds alpha(u, kappa, w) = u B w, so its features are
+the base features with (u, B w) appended, and its table is the base's
+table, built once and kept by the base, plus the GEMM of the appended
+features alone.  An SdcpLoop glues two factor loops in bulk: its
+theta_rows is the factors' theta_rows on the d and e parts plus the
+gluing term z0 above, evaluated on the forms of the restricted CVS, and
+its table is that over the rank grid.  The tests keep the literal
+recursion as an oracle and compare both with a literal level sum.
 """
 
 from __future__ import annotations
@@ -67,13 +68,14 @@ from .cvs import (
     Forms,
     ValidationReport,
     adjoint_translate,
+    content_lines,
     outer,
     pullback_tables,
     validate_axioms,
 )
 from .modular import FpVector, fp_vector, row_reduce
 from .tables import (MAX_ENTRIES, add_index_table, index_tables,
-                     place_values, rank_of, unrank, vector_table)
+                     place_values, rank_of, reduce_mod, unrank, vector_table)
 
 DEFAULT_VERIFY_BUDGET = 3 ** 6
 DEFAULT_TABLE_BUDGET = 2 ** 13
@@ -130,17 +132,28 @@ class CentralExtensionLoop:
         return np.einsum("ij,ij->i", self.phi(U), self.psi(W)) % self.zmod
 
     def _build_theta_table(self) -> np.ndarray:
-        """Phi(V) Psi(V)^T as float64 GEMMs, exact below dot_bound; each
-        chunk is cast straight to the stored dtype when dot_bound fits it."""
+        """Phi(V) Psi(V)^T mod |Z| (see _gemm_table)."""
         V = vector_table(self.moduli)
-        P = self.phi(V).astype(np.float64)
-        Q = np.ascontiguousarray(self.psi(V).T, dtype=np.float64)
+        return self._gemm_table(self.phi(V), self.psi(V))
+
+    def _gemm_table(self, P: np.ndarray, Q: np.ndarray,
+                    base: Optional[np.ndarray] = None) -> np.ndarray:
+        """(P Q^T + base) mod |Z| as float64 GEMMs on chunks of
+        _TABLE_CHUNK rows, exact while every entry stays below dot_bound;
+        each chunk is cast straight to the stored dtype when dot_bound and
+        |Z| fit it (reduce_mod needs |Z| in the dtype).  base, read and
+        never written, defaults to 0."""
+        P = P.astype(np.float64)
+        Q = np.ascontiguousarray(Q.T, dtype=np.float64)
         dt = self.theta_dtype
-        acc = dt if self.dot_bound <= np.iinfo(dt).max else np.int64
+        fits = max(self.dot_bound, self.zmod) <= np.iinfo(dt).max
+        acc = dt if fits else np.int64
         T = np.empty((self.csize, self.csize), dtype=dt)
         for lo in range(0, self.csize, _TABLE_CHUNK):
             G = P[lo:lo + _TABLE_CHUNK] @ Q
-            T[lo:lo + _TABLE_CHUNK] = G.astype(acc) % self.zmod
+            if base is not None:
+                G += base[lo:lo + _TABLE_CHUNK]
+            T[lo:lo + _TABLE_CHUNK] = reduce_mod(G.astype(acc), self.zmod)
         return T
 
     # -- element plumbing --
@@ -381,7 +394,11 @@ class KappaIsotope(CentralExtensionLoop):
     """The kappa-isotope: a o b = ab * alpha(v_a, kappa, v_b), same carrier.
 
     Works for any central-extension loop exposing alpha_bilinear_for and
-    forms; its features are the base features with (u, B w) appended."""
+    forms.  With B the matrix of alpha(., kappa, .), theta is the base's
+    plus u . (B w mod |Z|): the features, for products without a table,
+    are the base features with (u, B w) appended, and the table is the
+    base's table plus that term over V x V, so the isotopes of one base
+    share its table build."""
 
     def __init__(self, base: CentralExtensionLoop, kappa):
         coords = tuple(kappa.coords) if isinstance(kappa, FpVector) else tuple(kappa)
@@ -419,6 +436,13 @@ class KappaIsotope(CentralExtensionLoop):
         W = np.asarray(W, dtype=np.int64)
         return np.concatenate([self.base.psi(W), W @ self._BT % self.zmod],
                               axis=1)
+
+    def _build_theta_table(self) -> np.ndarray:
+        """The base's table plus V (B V^T mod |Z|), the appended features'
+        GEMM, which keeps every entry below dot_bound."""
+        V = vector_table(self.moduli)
+        return self._gemm_table(V, V @ self._BT % self.zmod,
+                                self.base.theta_table())
 
 
 def kappa_isotope(L: CentralExtensionLoop, kvec) -> KappaIsotope:
@@ -544,7 +568,7 @@ def _comm_table(L: CentralExtensionLoop) -> np.ndarray:
     central lifts cancel structurally, so this covers all loop pairs)."""
     T = L.theta_table().astype(np.int64)
     _, add, neg = index_tables(L.moduli)  # add[u, w] = rank of u + w
-    return (T - T.T + _inverse_defect(T, neg)[add]) % L.zmod
+    return reduce_mod(T - T.T + _inverse_defect(T, neg)[add], L.zmod)
 
 
 def _assoc_tables(L: CentralExtensionLoop):
@@ -568,8 +592,7 @@ def _assoc_tables(L: CentralExtensionLoop):
         z += T[add[lo:hi]]  # theta(u + w, t)
         z += T[lo:hi, :, None]  # theta(u, w), the same for every t
         z -= T  # theta(w, t)
-        z %= L.zmod
-        yield slice(lo, hi), z
+        yield slice(lo, hi), reduce_mod(z, L.zmod)
 
 
 def _rows_theta(L: CentralExtensionLoop, U: np.ndarray,
@@ -747,14 +770,15 @@ def emit_cayley_csv(L: CentralExtensionLoop) -> str:
 
 
 def parse_cayley_csv(text: str):
-    """Returns (table ndarray, meta dict with n, p, k)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Returns (table ndarray, meta dict with n, p, k).  Comments and blank
+    lines follow cvs.content_lines, as in the other text formats."""
+    lines = list(content_lines(text))
     if not lines:
         raise ValueError("empty table file")
-    meta = {}
-    for part in lines[0].split(","):
+    header, meta = lines[0][1], {}
+    for part in header.split(","):
         if "=" not in part:
-            raise ValueError("bad header %r (expected n=..,p=..,k=..)" % lines[0])
+            raise ValueError("bad header %r (expected n=..,p=..,k=..)" % header)
         key, val = part.split("=", 1)
         try:
             meta[key.strip()] = int(val)
@@ -766,7 +790,7 @@ def parse_cayley_csv(text: str):
     if len(lines) != n + 1:
         raise ValueError("expected %d table rows, found %d" % (n, len(lines) - 1))
     rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         vals = [int(x) for x in ln.split(",")]
         if len(vals) != n:
             raise ValueError("line %d: expected %d entries" % (lineno, n))

@@ -21,9 +21,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .cvs import (CheckResult, Forms, ValidationReport, body_lines,
-                  checked_entries, is_prime, pair_list, place_entries,
-                  read_directives, signed_forms, triple_list)
+from .cvs import (CheckResult, DataError, Forms, ValidationReport,
+                  body_lines, checked_entries, is_prime, located, pair_list,
+                  place_entries, read_directives, signed_forms, triple_list)
 from .modular import Residue
 from .loops import (CentralExtensionLoop, LevelSumLoop, kappa_isotope,
                     verify_coded_extension)
@@ -76,21 +76,21 @@ def module_new(p: int, orders, z_order: int, z_values,
                chi_basis: dict, alpha_basis: dict) -> CodedModule:
     """Validate and freeze module data; errors name the violated clause."""
     if not is_prime(p):
-        raise ValueError("p must be prime, got %d" % p)
+        raise DataError("p", "p must be prime, got %d" % p)
     orders = tuple(int(q) for q in orders)
     for q in orders:
         qq = q
         while qq % p == 0:
             qq //= p
         if qq != 1 or q < p:
-            raise ValueError("basis order %d is not a positive power of %d"
-                             % (q, p))
+            raise DataError("orders", "basis order %d is not a positive "
+                            "power of %d" % (q, p))
     zz = z_order
     while zz % p == 0:
         zz //= p
     if zz != 1 or z_order < p:
-        raise ValueError("Z order %d is not a positive power of %d"
-                         % (z_order, p))
+        raise DataError("zorder", "Z order %d is not a positive power of %d"
+                        % (z_order, p))
     k = len(orders)
     z_values = tuple(int(v) % z_order for v in z_values)
     if len(z_values) != k:
@@ -107,7 +107,8 @@ def module_new(p: int, orders, z_order: int, z_values,
     for (i, j), v in zip(pair_list(k), chi):
         ordv = _additive_order(v, z_order)
         if math.gcd(orders[i], orders[j]) % ordv != 0:
-            raise ValueError(
+            raise DataError(
+                ("chi", (i, j)),
                 "condition (3) violated: chi(%d,%d) has additive order %d, "
                 "which does not divide the order %d of x_%d"
                 % (i + 1, j + 1, ordv,
@@ -117,15 +118,13 @@ def module_new(p: int, orders, z_order: int, z_values,
     alpha = place_entries(k, 3, alpha_basis, z_order, "alpha")
     for (i, j, l), v in alpha_basis.items():
         v = int(v) % z_order
-        if p == 2 and (2 * v) % z_order != 0:
-            raise ValueError("alpha(%d,%d,%d) = %d violates 2*alpha = 0"
-                             % (i + 1, j + 1, l + 1, v))
-        if (6 * v) % z_order != 0:
-            raise ValueError("alpha(%d,%d,%d) = %d violates 6*alpha = 0"
-                             % (i + 1, j + 1, l + 1, v))
-        if p > 3 and v != 0:
-            raise ValueError("alpha must vanish for p > 3, got alpha(%d,%d,%d)"
-                             " = %d" % (i + 1, j + 1, l + 1, v))
+        # 2 alpha = 0 is 6 alpha = 0 in a 2-group; for p > 3, 6 alpha = 0
+        # forces alpha = 0, since 6 is a unit mod |Z|
+        e = 2 if p == 2 else 6
+        if (e * v) % z_order != 0:
+            raise DataError(("alpha", (i, j, l)),
+                            "alpha(%d,%d,%d) = %d violates %d*alpha = 0"
+                            % (i + 1, j + 1, l + 1, v, e))
     return CodedModule(p, orders, z_order, z_values, chi, alpha)
 
 
@@ -274,9 +273,11 @@ def emit_module(M: CodedModule) -> str:
 def parse_module(text: str) -> CodedModule:
     """Parse the module text format; raises ValueError with line
     diagnostics, or module_new's on data that breaks its conditions."""
-    ((_, (p,)), (_, orders), (_, (z_order,))), found = read_directives(
+    ((n_p, (p,)), (n_o, orders), (n_z, (z_order,))), found = read_directives(
         body_lines(text, "module"), {"p": 1, "orders": None, "zorder": 1},
         {"zi": 1, "chi": 2, "alpha": 3})
-    got = checked_entries(found, len(orders))
+    got, lines = checked_entries(found, len(orders))
+    lines.update(p=n_p, k=n_o, orders=n_o, zorder=n_z)
     z_values = [got["zi"].get((i,), 0) for i in range(len(orders))]
-    return module_new(p, orders, z_order, z_values, got["chi"], got["alpha"])
+    return located(lambda: module_new(p, orders, z_order, z_values,
+                                      got["chi"], got["alpha"]), lines)

@@ -400,6 +400,24 @@ def test_eval_reads_a_cvs_after_comments(runner, tmp_path, oct_cvs_file):
         "z\ng1(g2(g3))\n"
 
 
+def test_table_commands_read_a_table_after_comments(runner, tmp_path,
+                                                   oct_cvs_file):
+    # the Cayley CSV takes comments and blank lines as the other formats
+    # do: a first line '# t' used to fail as a bad header
+    plain, commented = tmp_path / "a" / "t.csv", tmp_path / "b" / "t.csv"
+    plain.parent.mkdir()
+    commented.parent.mkdir()
+    _run(runner, ["build", oct_cvs_file, "--table", str(plain)])
+    commented.write_text("# t\n\n" + plain.read_text())
+    outs = []
+    for args in (["verify-loop"], ["eval", "--expr", "[g1,g2,g3]"]):
+        want = _run(runner, args[:1] + [str(plain)] + args[1:]).output
+        got = _run(runner, args[:1] + [str(commented)] + args[1:]).output
+        assert got.replace(str(commented), str(plain)) == want
+        outs.append(want)
+    assert "moufang=true" in outs[0] and outs[1] == "z\n"
+
+
 def test_code2cvs_rejects_bad_code(runner, tmp_path):
     f = tmp_path / "bad.code"
     f.write_text("code\n1100\n")  # weight 2: not doubly even

@@ -382,6 +382,19 @@ _MODULE = "module\np 2\norders 2 2\nzorder 2\n"
      "duplicate chi entry"),
     (parse_cvs, "cvs\np 2\ndim x\n", 3, "non-integer"),
     (parse_cvs, "cvs\np 4\ndim 1\n", 2, "p must be prime"),
+    # errors found after reading name the line of the item they are about
+    (parse_cvs, "cvs\np 2\ndim 300\n", 3, "dimension 300 too large"),
+    (parse_cvs, "cvs\np 5\ndim 3\n\nalpha 1 2 3 1\n", 5,
+     "alpha must vanish for p > 3"),
+    (parse_module, "module\np 2\norders 2 4\nzorder 4\nchi 1 2 1\n", 5,
+     "condition (3) violated"),
+    (parse_module, "module\np 3\norders 3 3 3\nzorder 9\nalpha 1 2 3 1\n",
+     5, "violates 6*alpha = 0"),
+    (parse_module, "module\np 4\norders 2\nzorder 2\n", 2,
+     "p must be prime"),
+    (parse_module, "module\np 3\norders 3 4\nzorder 3\n", 3,
+     "basis order 4"),
+    (parse_module, "module\np 3\norders 3\nzorder 6\n", 4, "Z order 6"),
 ])
 def test_parsers_name_the_offending_line(parse, text, lineno, what):
     with pytest.raises(ValueError) as ei:
@@ -420,7 +433,7 @@ def test_place_entries_follows_combinations_order():
         cvs_new(2, 257)
     with pytest.raises(ValueError, match="dimension 300 too large"):
         parse_cvs("cvs\np 2\ndim 300\n")
-    with pytest.raises(ValueError, match="dimension 300 too large"):
+    with pytest.raises(ValueError, match="^line 3: dimension 300 too large"):
         parse_module("module\np 2\norders%s\nzorder 2\n" % (" 2" * 300))
 
 

@@ -11,11 +11,13 @@ import pytest
 from codeloops.codes import builtin_golay24, code_to_cvs
 from codeloops.cvs import (cvs_new, octonion_cvs, pair_list, random_cvs,
                            triple_list)
-from codeloops.loops import (LevelSumLoop, build, kappa_isotope,
-                             moufang_sampled, verify_coded_extension)
+from codeloops.loops import (CentralExtensionLoop, LevelSumLoop, build,
+                             kappa_isotope, moufang_sampled,
+                             verify_coded_extension)
 from codeloops.modules import build_module_extension, module_new
 from codeloops.tables import (add_index_table, index_tables, place_values,
-                              rank_rows, unrank, unrank_rows, vector_table)
+                              rank_rows, reduce_mod, unrank, unrank_rows,
+                              vector_table)
 
 from oracles import mul_recursive
 
@@ -97,6 +99,67 @@ def test_theta_table_is_the_level_sum_module_isotope():
     iso = kappa_isotope(build_module_extension(M), (2, 1, 1))
     want = oracle_table(iso, M.z_values, *scalar_forms(M.forms), kappa=(2, 1, 1))
     assert np.array_equal(iso.theta_table(), want)
+
+
+@pytest.mark.parametrize("L", [
+    build(random_cvs(2, 4, 1), validate=False),
+    build(random_cvs(3, 3, 1), validate=False),
+    build(random_cvs(5, 2, 0), validate=False),
+    build_module_extension(module_new(3, (9, 3, 3), 9, (4, 2, 1),
+                                      {(0, 1): 3, (1, 2): 3}, {(0, 1, 2): 3})),
+    build_module_extension(MODULES[5]),
+], ids=["cvs2", "cvs3", "cvs5", "module9", "module256"])
+def test_isotope_table_is_the_feature_gemm(L):
+    # an isotope's table is its base's table plus the GEMM of the appended
+    # features; the GEMM of all its features stays the oracle
+    assert L.alpha_tensor.any() or L.p > 3 or L.k < 3
+    for kv in vector_table(L.moduli).tolist():
+        iso = kappa_isotope(L, kv)
+        want = CentralExtensionLoop._build_theta_table(iso)
+        got = iso.theta_table()
+        assert got.dtype == want.dtype == L.theta_dtype
+        assert np.array_equal(got, want), kv
+
+
+def test_isotope_tables_leave_the_base_table_alone():
+    L = build(random_cvs(3, 3, 1), validate=False)
+    T = L.theta_table()
+    before = T.tobytes()
+    isos = [kappa_isotope(L, kv) for kv in vector_table(L.moduli).tolist()]
+    assert any(not np.array_equal(iso.theta_table(), T) for iso in isos)
+    assert L.theta_table() is T and T.tobytes() == before
+
+
+def test_isotope_theta_table_keeps_the_size_limit():
+    # |C| = 8192 > 4096: neither the base nor its isotope builds a table
+    iso = kappa_isotope(build(random_cvs(2, 13, 0), validate=False),
+                        (1,) + (0,) * 12)
+    with pytest.raises(ValueError, match="too large"):
+        iso.theta_table()
+    assert iso.base._theta_table is None
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.uint16])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 9, 17, 256])
+def test_reduce_mod_is_the_remainder(dtype, m):
+    info = np.iinfo(dtype)
+    lo = max(int(info.min), -2 ** 40)
+    hi = min(int(info.max), 2 ** 40)
+    rng = np.random.default_rng(m)
+    for a in (np.zeros(0, dtype=dtype), np.zeros((0, 5), dtype=dtype),
+              np.array([info.min, info.max, 0, m - 1 if m <= hi else 0],
+                       dtype=dtype),
+              rng.integers(lo, hi, size=(7, 27, 27), endpoint=True).astype(dtype)):
+        if m > info.max:  # m does not fit the dtype: both refuse it
+            with pytest.raises(OverflowError):
+                a % m
+            with pytest.raises(OverflowError):
+                reduce_mod(a.copy(), m)
+            continue
+        want = a % m
+        got = reduce_mod(a, m)
+        assert got is a and got.dtype == dtype
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("L", [
@@ -184,6 +247,15 @@ def test_table_consumers_widen_before_summing():
     for i, j in rng.integers(0, L.order, size=(200, 2)):
         a, b = L.element_at(int(i)), L.element_at(int(j))
         assert arr[i, j] == L.index(L.mul(a, b))
+
+
+def test_dimension_zero_module_with_z_of_order_256():
+    # dot_bound is 0 at k = 0, but |Z| = 256 does not fit the uint8 table,
+    # so the reduction must not run in it (it raised OverflowError)
+    L = build_module_extension(module_new(2, (), 256, (), {}, {}))
+    assert L.theta_table().tolist() == [[0]]
+    assert L.theta_table().dtype == np.uint8
+    assert verify_coded_extension(L).ok
 
 
 def test_sampled_verification_without_a_table():
