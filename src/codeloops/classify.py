@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cvs import (Cvs, adjoint_translate, cvs_new, is_prime, pair_list,
-                  pullback_tables, rad_alpha, rad_chi, triple_list)
+from .cvs import (Cvs, adjoint_translate, cvs_new, exact_float, is_prime,
+                  pair_list, pullback_tables, rad_alpha, rad_chi, triple_list)
 from .modular import basis_vector, row_reduce
-from .tables import MAX_ENTRIES
+from .tables import MAX_ENTRIES, reduce_mod
 
 _IMAGE_CHUNK = 1 << 12  # states imaged per matrix product
 
@@ -113,15 +113,18 @@ def _digits(ranks, p: int, n: int) -> np.ndarray:
 
 def _image_ranks(gens: list, p: int, n: int, n_states: int) -> np.ndarray:
     """Row g holds the rank of gens[g] s for every state s, states taken in
-    rank order, as int32.  The float64 product is exact: its entries are
-    integers of at most n (p - 1)^2."""
+    rank order, as int32.  The product's entries are integers of at most
+    n (p - 1)^2: it runs in exact_float's dtype and is reduced mod p in the
+    narrowest integer dtype holding them and p (an int64 % was slower)."""
     w = p ** np.arange(n - 1, -1, -1)
-    G = np.concatenate(gens)
+    bound = n * (p - 1) ** 2 + 1
+    fl, narrow = exact_float(bound, "images"), np.min_scalar_type(bound + p)
+    GT = np.concatenate(gens).T.astype(fl)
     out = np.empty((len(gens), n_states), dtype=np.int32)
     for lo in range(0, n_states, _IMAGE_CHUNK):
         ranks = np.arange(lo, min(lo + _IMAGE_CHUNK, n_states))
-        images = (_digits(ranks, p, n) @ G.T).astype(np.int64) % p
-        images = images.reshape(len(ranks), len(gens), n)
+        images = (_digits(ranks, p, n).astype(fl) @ GT).astype(narrow)
+        images = reduce_mod(images, p).reshape(len(ranks), len(gens), n)
         out[:, lo:lo + len(ranks)] = (images @ w).T
     return out
 

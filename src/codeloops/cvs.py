@@ -202,13 +202,24 @@ def octonion_cvs() -> Cvs:
 # term is rowdot(F @ M, G) and a cubic term is
 # rowdot(outer(F, G) @ A.reshape(k*k, k), H).
 #
-# Exactness: every product runs in float64, so that it goes through BLAS
+# Exactness: every product runs in floats, so that it goes through BLAS
 # (numpy has none for integers).  Rows are reduced into [0, q) and every
 # coefficient into [0, |Z|), so each partial sum is a nonnegative integer
-# below 3 k^3 q^3 |Z|.  Forms refuses data for which that bound reaches
-# 2^53; below it float64 holds every partial sum exactly.
+# below 3 k^3 q^3 |Z|.  Forms takes the float dtype exact_float picks for
+# that bound, and so refuses data for which it reaches 2^53.
 
-FLOAT_EXACT = 2 ** 53  # float64 holds every integer below this exactly
+def exact_float(bound: int, what: str) -> type:
+    """The float dtype for a product whose partial sums are nonnegative
+    integers below bound: float32 below 2^24 and float64 below 2^53, where
+    each holds every integer exactly; ValueError naming what beyond."""
+    if bound < 2 ** 24:
+        return np.float32
+    if bound < 2 ** 53:
+        return np.float64
+    raise ValueError("%s not exact in float64: sums may reach %d >= 2^53"
+                     % (what, bound))
+
+
 _BLOCK_ENTRIES = 1 << 21  # entries of the largest temporary per block
 
 
@@ -232,11 +243,11 @@ class Forms:
     def __init__(self, p: int, orders: tuple, modulus: int, sigma, X, A):
         k = len(orders)
         q = max(orders, default=1)
-        if 3 * k ** 3 * q ** 3 * modulus >= FLOAT_EXACT:
-            raise ValueError("forms not exact in float64: 3 k^3 q^3 |Z| = "
-                             "3 * %d^3 * %d^3 * %d >= 2^53" % (k, q, modulus))
+        self._float = fl = exact_float(3 * k ** 3 * q ** 3 * modulus,
+                                       "forms (3 k^3 q^3 |Z|)")
         self.p, self.orders, self.modulus = p, tuple(orders), modulus
         self._orders = np.array(orders, dtype=np.int64)
+        self._q = orders[0] if len(set(orders)) == 1 else None
         # rows per block, so that a k^2-wide outer product stays bounded
         self._step = max(1, _BLOCK_ENTRIES // max(1, k * k))
         self.sigma_basis = np.asarray(sigma, dtype=np.int64) % modulus
@@ -245,14 +256,14 @@ class Forms:
         lt = np.less.outer(np.arange(k), np.arange(k))  # lt[a, b] = a < b
 
         def cubic(T):  # (k*k, k) coefficients, or None for a vanishing term
-            return T.reshape(k * k, k).astype(np.float64) if T.any() else None
+            return T.reshape(k * k, k).astype(fl) if T.any() else None
 
-        self._s = self.sigma_basis.astype(np.float64)
-        self._X = X.astype(np.float64)
-        self._A = A.reshape(k * k, k).astype(np.float64)
+        self._s = self.sigma_basis.astype(fl)
+        self._X = X.astype(fl)
+        self._A = A.reshape(k * k, k).astype(fl)
         self._sX = self._sA = self._cc = self._dd = None
         if p == 2:
-            self._sX = np.where(lt, X, 0).astype(np.float64)  # i < j
+            self._sX = np.where(lt, X, 0).astype(fl)  # i < j
             self._sA = cubic(np.where(lt[:, :, None] & lt[None, :, :], A, 0))
             self._cc = cubic(np.where(lt[:, :, None], A, 0))  # c_i c_j d_m
             self._dd = cubic(np.where(lt[:, :, None],  # d_j d_m c_i
@@ -264,14 +275,17 @@ class Forms:
                      self.X + S, self.A)
 
     def _rows(self, V) -> np.ndarray:
-        """Rows reduced into [0, q), as float64."""
-        return (np.asarray(V, dtype=np.int64) % self._orders).astype(np.float64)
+        """Rows reduced into [0, q), by the one slot order when there is
+        one (as in every CVS), in the exact float dtype."""
+        V = np.array(V, dtype=np.int64)
+        V = V % self._orders if self._q is None else reduce_mod(V, self._q)
+        return V.astype(self._float)
 
     def _reduce(self, out: np.ndarray) -> np.ndarray:
         return reduce_mod(out.astype(np.int64), self.modulus)
 
     def _blocks(self, fn, *rows) -> np.ndarray:
-        """fn on float64 rows, one block of at most self._step rows at a time."""
+        """fn on float rows, one block of at most self._step rows at a time."""
         rows = [np.asarray(R) for R in rows]
         return np.concatenate([
             fn(*(self._rows(R[lo:lo + self._step]) for R in rows))
@@ -309,7 +323,7 @@ class Forms:
         P = (U @ self._A.reshape(k, k * k)).reshape(len(U), k, k)
         return self._reduce((V @ P) @ W.T)
 
-    # -- one block of float64 rows --
+    # -- one block of float rows --
 
     def _sigma(self, V):
         out = V @ self._s

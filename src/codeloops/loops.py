@@ -36,9 +36,9 @@ So theta(u, w) = Phi(u) . Psi(w) mod |Z| with about 3k integer features
   Psi(w) = (X_< w + Q(w) - R(w), z_m [w_m >= q_m - t],  w)
 
 and that one kernel serves every use: theta_rows is the row-wise dot
-product, the theta table is Phi(V) Psi(V)^T over all of C (a float64
-GEMM per chunk of rows, exact because every row sum stays below
-dot_bound < 2^53, cast to the smallest unsigned dtype that holds |Z| - 1
+product, the theta table is Phi(V) Psi(V)^T over all of C (a GEMM per
+chunk of rows in the dtype cvs.exact_float picks from dot_bound, a bound
+on every row sum, cast to the smallest unsigned dtype that holds |Z| - 1
 and reduced mod |Z| by tables.reduce_mod), a product without a table
 evaluates one row, and sampled verification works on sampled rows at any
 |C|.  A kappa-isotope adds alpha(u, kappa, w) = u B w, so its features are
@@ -61,7 +61,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .cvs import (
-    FLOAT_EXACT,
     _BLOCK_ENTRIES,
     CheckResult,
     Cvs,
@@ -69,6 +68,7 @@ from .cvs import (
     ValidationReport,
     adjoint_translate,
     content_lines,
+    exact_float,
     outer,
     pullback_tables,
     validate_axioms,
@@ -138,13 +138,14 @@ class CentralExtensionLoop:
 
     def _gemm_table(self, P: np.ndarray, Q: np.ndarray,
                     base: Optional[np.ndarray] = None) -> np.ndarray:
-        """(P Q^T + base) mod |Z| as float64 GEMMs on chunks of
-        _TABLE_CHUNK rows, exact while every entry stays below dot_bound;
+        """(P Q^T + base) mod |Z| as GEMMs on chunks of _TABLE_CHUNK rows,
+        in the exact float dtype for dot_bound, which bounds every entry;
         each chunk is cast straight to the stored dtype when dot_bound and
         |Z| fit it (reduce_mod needs |Z| in the dtype).  base, read and
         never written, defaults to 0."""
-        P = P.astype(np.float64)
-        Q = np.ascontiguousarray(Q.T, dtype=np.float64)
+        fl = exact_float(self.dot_bound, "theta kernel")
+        P = P.astype(fl)
+        Q = np.ascontiguousarray(Q.T, dtype=fl)
         dt = self.theta_dtype
         fits = max(self.dot_bound, self.zmod) <= np.iinfo(dt).max
         acc = dt if fits else np.int64
@@ -284,18 +285,11 @@ class CentralExtensionLoop:
 
 
 def _quadratic(U: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Rows of sum_{i,j} u_i u_j coef[i*k + j], in float64 (numpy has no
-    BLAS for integers); exact by the bound LevelSumLoop checks."""
-    F = U.astype(np.float64)
+    """Rows of sum_{i,j} u_i u_j coef[i*k + j], in coef's float dtype
+    (numpy has no BLAS for integers); exact by the bound LevelSumLoop
+    picked that dtype for."""
+    F = U.astype(coef.dtype)
     return (outer(F, F) @ coef).astype(np.int64)
-
-
-def _exact(bound: int) -> int:
-    """bound, once checked to be below 2^53, where float64 is exact."""
-    if bound >= FLOAT_EXACT:
-        raise ValueError("theta kernel not exact in float64: sums may "
-                         "reach %d >= 2^53" % bound)
-    return bound
 
 
 class LevelSumLoop(CentralExtensionLoop):
@@ -319,18 +313,19 @@ class LevelSumLoop(CentralExtensionLoop):
                                        A.transpose(1, 2, 0), 0)
         quad_u = -2 * below.transpose(0, 2, 1)  # S: [i, m, j] = -2 A[i, j, m]
 
-        def block(q):  # None for a block that vanishes mod |Z|
-            q = q.reshape(k * k, k) % zmod
-            return q.astype(np.float64) if q.any() else None
-
-        # S vanishes whenever 2 alpha = 0, so for p = 2 it is left out
-        self._quad_w, self._quad_u = block(quad_w), block(quad_u)
-        # Float64 exactness, with q and z the largest slot entry and
+        # Float exactness, with q and z the largest slot entry and
         # residue: a quadratic feature is at most k^2 q^2 z, and Phi . Psi
         # at most k q z (u . lin) + k z (carries) + k q z (S(u) . w).
         q, z = max(self.moduli, default=1) - 1, zmod - 1
+        fl = exact_float(k * k * q * q * z, "theta kernel")
+
+        def block(T):  # None for a block that vanishes mod |Z|
+            T = T.reshape(k * k, k) % zmod
+            return T.astype(fl) if T.any() else None
+
+        # S vanishes whenever 2 alpha = 0, so for p = 2 it is left out
+        self._quad_w, self._quad_u = block(quad_w), block(quad_u)
         self.dot_bound = k * z * (q * (1 + (self._quad_u is not None)) + 1)
-        _exact(max(k * k * q * q * z, self.dot_bound))
         # carries: one feature per (slot m, digit t = 1 .. q_m - 1)
         slot_t = np.array([(m, t) for m, q in enumerate(self.moduli)
                            for t in range(1, q)], dtype=np.int64).reshape(-1, 2)
@@ -410,8 +405,8 @@ class KappaIsotope(CentralExtensionLoop):
         self.kappa = tuple(int(c) % m for c, m in zip(coords, base.moduli))
         self._BT = base.alpha_bilinear_for(self.kappa).T
         # the appended u . (B w mod |Z|) adds at most k q z
-        self.dot_bound = _exact(base.dot_bound + self.k * (self.zmod - 1)
-                                * (max(self.moduli, default=1) - 1))
+        self.dot_bound = base.dot_bound + self.k * (self.zmod - 1) * (
+            max(self.moduli, default=1) - 1)
 
     @cached_property
     def forms(self) -> Forms:
@@ -627,10 +622,12 @@ def _rows_inv(L: CentralExtensionLoop, a: tuple) -> tuple:
 
 
 def _rows_sample(L: CentralExtensionLoop, rng, size: int) -> tuple:
-    """Seeded row elements with random central lifts."""
+    """Seeded row elements with random central lifts; equal moduli take a
+    scalar bound, which draws what the array bound draws, faster."""
+    m = L.moduli
+    high = m[0] if len(set(m)) == 1 else np.asarray(m, dtype=np.int64)
     return (rng.integers(0, L.zmod, size=size),
-            rng.integers(0, np.asarray(L.moduli, dtype=np.int64),
-                         size=(size, L.k)))
+            rng.integers(0, high, size=(size, L.k)))
 
 
 def _rows_central(a: tuple, want: np.ndarray) -> np.ndarray:

@@ -61,9 +61,9 @@ def reduce_mod(a: np.ndarray, m: int) -> np.ndarray:
     integer floor division by a scalar is several times faster than its
     remainder (numpy 2.4 on a shared 2-core VM, best of 5: a 27^3 int64
     associator block with negative entries 215 us by % against 43 us
-    here; a 256 x 4096 float64 theta-table chunk cast to uint8 and
-    reduced, 4.0 ms against 0.85 ms).  Three ufunc calls cost more than
-    one on a few entries, so single products keep %."""
+    here; a 256 x 4096 theta-table chunk from the float GEMM, cast to
+    uint8 and reduced, 4.0 ms against 0.85 ms).  Three ufunc calls cost
+    more than one on a few entries, so single products keep %."""
     q = a // m
     q *= m
     a -= q

@@ -14,8 +14,8 @@ import pytest
 
 from codeloops import (brute_force_isomorphic, build, classify, cvs_new,
                        rep_to_cvs, LoopTable)
-from codeloops.classify import (ClassifyResult, IsoClass, state_invariants,
-                                total_state_count)
+from codeloops.classify import (ClassifyResult, IsoClass, _image_ranks,
+                                state_invariants, total_state_count)
 from codeloops.cvs import (Cvs, adjoint_translate, iso_up_to_scalar,
                            pair_list, pullback_tables, triple_list)
 from codeloops.modular import enumerate_invertible, fp_vector
@@ -123,6 +123,21 @@ def test_classify_refuses_huge_state_spaces_first(monkeypatch):
         classify(3, 5, 3)
     # the largest spaces classified today stay below the limit
     assert max(3 ** 14, 5 ** 10) < MAX_ENTRIES
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (3, 8), (5, 3), (7, 2), (4099, 1)])
+def test_image_ranks_match_an_integer_product(p, n):
+    # random generators against an int64 matmul over every state; 3^8
+    # spans two chunks, and (p - 1)^2 >= 2^24 at p = 4099 takes float64
+    rng = np.random.default_rng(p + n)
+    gens = [rng.integers(0, p, size=(n, n)).astype(np.float64)
+            for _ in range(3)]
+    states = np.array(list(itertools.product(range(p), repeat=n)),
+                      dtype=np.int64)  # rank order
+    w = p ** np.arange(n - 1, -1, -1)
+    want = [(states @ g.astype(np.int64).T % p) @ w for g in gens]
+    got = _image_ranks(gens, p, n, p ** n)
+    assert got.dtype == np.int32 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("p,exponent", [(3, 3), (3, 9), (5, 25)])

@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 
 from codeloops.codes import builtin_golay24, code_to_cvs
-from codeloops.cvs import (Forms, cvs_new, octonion_cvs, pair_list,
-                           random_cvs, triple_list)
+from codeloops.cvs import (Forms, cvs_new, exact_float, octonion_cvs,
+                           pair_list, random_cvs, signed_forms, triple_list)
 from codeloops.modular import fp_vector
 from codeloops.modules import eval_sigma2, module_new
 from codeloops.tables import vector_table
@@ -182,6 +182,49 @@ def test_row_blocks_join_up():
         [F.chi(c[i:i + 1000], d[i:i + 1000]) for i in parts]))
     assert np.array_equal(F.sigma(c), np.concatenate(
         [F.sigma(c[i:i + 1000]) for i in parts]))
+
+
+def test_exact_float_picks_the_narrowest_exact_dtype():
+    assert exact_float(0, "x") is np.float32
+    assert exact_float(2 ** 24 - 1, "x") is np.float32
+    assert exact_float(2 ** 24, "x") is np.float64
+    assert exact_float(2 ** 53 - 1, "x") is np.float64
+    with pytest.raises(ValueError, match="^sums of x not exact.*2\\^53"):
+        exact_float(2 ** 53, "sums of x")
+
+
+@pytest.mark.parametrize("zorder, dtype", [(10922, np.float32),
+                                           (10923, np.float64)])
+def test_forms_are_the_literal_sums_at_the_float32_bound(zorder, dtype):
+    # 3 k^3 q^3 |Z| = 1536 |Z| is just below 2^24 at |Z| = 10922 and just
+    # above it at 10923; both dtypes must give the exact literal sums
+    k = 4
+    rng = np.random.default_rng(zorder)
+    sigma = rng.integers(0, zorder, k).tolist()
+    chi_flat = rng.integers(0, zorder, len(pair_list(k))).tolist()
+    alpha_flat = rng.integers(0, zorder, len(triple_list(k))).tolist()
+    F = Forms(2, (2,) * k, zorder, sigma,
+              *signed_forms(k, zorder, chi_flat, alpha_flat))
+    assert F._X.dtype == dtype
+    lit = Literal(2, k, zorder, sigma, chi_flat, alpha_flat)
+    V = vector_table((2,) * k)
+    check_forms(lit, V, F.chi, F.alpha, F.sigma)
+    check_alpha_block(lit, V, F)
+    assert F.chi_table(V[:5], V).tolist() == [
+        [lit.chi_of(x, y) for y in V.tolist()] for x in V[:5].tolist()]
+
+
+def test_forms_reduce_rows_without_writing_them():
+    # rows are reduced into [0, q) on a copy: the caller's array, with
+    # entries out of range and negative, is left as it was
+    for F, q in ((random_cvs(3, 4, 0).forms, 3),
+                 (MODULES[2].forms, np.array(MODULES[2].orders))):
+        c = np.random.default_rng(0).integers(-20, 20, size=(50, F.A.shape[0]))
+        d = c[::-1].copy()
+        before = c.copy()
+        assert np.array_equal(F.chi(c, d), F.chi(c % q, d % q))
+        assert np.array_equal(F.sigma(c), F.sigma(c % q))
+        assert np.array_equal(c, before)
 
 
 def test_forms_refuse_data_past_the_float64_bound():

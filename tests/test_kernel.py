@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from codeloops.codes import builtin_golay24, code_to_cvs
-from codeloops.cvs import (cvs_new, octonion_cvs, pair_list, random_cvs,
-                           triple_list)
-from codeloops.loops import (CentralExtensionLoop, LevelSumLoop, build,
-                             kappa_isotope, moufang_sampled,
+from codeloops.cvs import (cvs_new, exact_float, octonion_cvs, pair_list,
+                           random_cvs, signed_forms, triple_list)
+from codeloops.loops import (CentralExtensionLoop, LevelSumLoop, _rows_sample,
+                             build, kappa_isotope, moufang_sampled,
                              verify_coded_extension)
 from codeloops.modules import build_module_extension, module_new
 from codeloops.tables import (add_index_table, index_tables, place_values,
@@ -289,8 +289,9 @@ def test_sampled_verification_catches_a_wrong_chi():
 
 
 def test_float64_bound_comes_from_the_data():
-    # the theta table and the quadratic features are float64 products,
-    # exact while every partial sum stays below 2^53
+    # the theta table and the quadratic features are float products in
+    # the dtype exact_float picks from the data's bounds: float32 while
+    # every partial sum stays below 2^24, float64 below 2^53
     k = 3
     X, A = np.zeros((k, k), dtype=np.int64), np.zeros((k, k, k), dtype=np.int64)
     L = LevelSumLoop(2, (2,) * k, 2 ** 48, (1,) * k, X, A)
@@ -300,3 +301,43 @@ def test_float64_bound_comes_from_the_data():
     # Parker's bound fits the stored uint8, so the table is cast directly
     G = build(code_to_cvs(builtin_golay24()), validate=False)
     assert G.dot_bound <= 255 and G.theta_dtype == np.uint8
+    # and Parker's forms, quadratic features and theta GEMM run in float32
+    assert G.forms._X.dtype == np.float32
+    assert G._quad_w.dtype == np.float32
+    assert exact_float(G.dot_bound, "theta kernel") is np.float32
+
+
+@pytest.mark.parametrize("zmod, dtype", [(1864136, np.float32),
+                                         (1864137, np.float64)])
+def test_theta_table_at_the_float32_bound(zmod, dtype):
+    # k = 3 over F_2 with alpha != 0 mod |Z|: dot_bound = 9 (|Z| - 1) is
+    # just below 2^24 at |Z| = 1864136 and just above it at 1864137; the
+    # GEMM table must equal the int64 product Phi(V) Psi(V)^T in both
+    k = 3
+    rng = np.random.default_rng(zmod)
+    X, A = signed_forms(k, zmod, rng.integers(0, zmod, 3).tolist(),
+                        [int(rng.integers(1, zmod))])
+    L = LevelSumLoop(2, (2,) * k, zmod, rng.integers(0, zmod, k), X, A)
+    assert L.dot_bound == 9 * (zmod - 1)
+    assert exact_float(L.dot_bound, "theta kernel") is dtype
+    V = vector_table(L.moduli)
+    want = L.phi(V) @ L.psi(V).T % zmod
+    assert np.array_equal(L.theta_table(), want)
+    I = kappa_isotope(L, (1, 1, 0))
+    assert np.array_equal(I.theta_table(), I.phi(V) @ I.psi(V).T % zmod)
+
+
+@pytest.mark.parametrize("L", [build(random_cvs(p, 3, 0), validate=False)
+                               for p in (2, 3, 5)]
+                         + [build_module_extension(module_new(
+                             2, (4, 2), 2, (1, 1), {(0, 1): 1}, {}))],
+                         ids=repr)
+def test_rows_sample_draws_what_the_array_bound_draws(L):
+    # equal moduli are drawn with a scalar bound; the draws, and so every
+    # sampled verdict and witness, must be those of the array bound
+    for seed in range(4):
+        z, U = _rows_sample(L, np.random.default_rng(seed), 500)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(z, rng.integers(0, L.zmod, size=500))
+        assert np.array_equal(U, rng.integers(
+            0, np.asarray(L.moduli), size=(500, L.k)))
