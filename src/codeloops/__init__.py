@@ -1,8 +1,7 @@
 """Code loops, small Frattini Moufang loops, and class-2 Moufang loops
 built from coded vector spaces over F_p."""
 
-from .modular import (FpMatrix, FpVector, Residue, basis_vector, fp_vector,
-                      zero_vector)
+from .modular import basis_vector, fp_vector
 from .cvs import (Cvs, CheckResult, ValidationReport, adjoint_translate,
                   cvs_new, emit_cvs, eval_alpha, eval_chi, eval_sigma,
                   iso_up_to_scalar, octonion_cvs, parse_cvs, rad_alpha,
@@ -29,8 +28,7 @@ from .classify import ClassifyResult, classify, rep_to_cvs
 __version__ = "0.1.0"
 
 __all__ = [
-    "FpMatrix", "FpVector", "Residue", "basis_vector", "fp_vector",
-    "zero_vector",
+    "basis_vector", "fp_vector",
     "Cvs", "CheckResult", "ValidationReport", "adjoint_translate",
     "cvs_new", "emit_cvs", "eval_alpha", "eval_chi", "eval_sigma",
     "iso_up_to_scalar", "octonion_cvs", "parse_cvs", "rad_alpha",

@@ -166,7 +166,7 @@ def state_invariants(state, k: int, p: int) -> dict:
         "rad_chi_dim": len(rc),
         "rad_alpha_dim": len(ra),
         "rad_alpha_in_rad_chi":
-            len(row_reduce([v.coords for v in rc + ra], p)) == len(rc),
+            len(row_reduce(rc + ra, p)) == len(rc),
     }
 
 

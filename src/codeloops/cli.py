@@ -227,7 +227,7 @@ def isotope(cvsfile, kappa, output):
     if len(coords) != C.k:
         raise click.UsageError("--kappa needs %d coordinates, got %d"
                                % (C.k, len(coords)))
-    kvec = fp_vector([c % C.p for c in coords], C.p)
+    kvec = fp_vector(coords, C.p)
     _write_out(emit_cvs(adjoint_translate(C, kvec)), output)
 
 

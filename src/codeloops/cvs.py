@@ -27,15 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .modular import (
-    FpMatrix,
-    FpVector,
-    Residue,
-    enumerate_invertible,
-    fp_vector,
-    nullspace_mod_p,
-    row_reduce,
-)
+from .modular import enumerate_invertible, nullspace_mod_p, row_reduce
 from .tables import (MAX_ENTRIES, index_tables, rank_rows, reduce_mod, unrank,
                      unrank_rows)
 
@@ -109,10 +101,11 @@ def signed_forms(k: int, modulus: int, chi_flat, alpha_flat) -> tuple:
 
 @dataclass(frozen=True)
 class CvsIso:
-    """An isomorphism up to scalar: c -> Mc on C, z -> a*z on Z."""
+    """An isomorphism up to scalar: c -> Mc on C, z -> a*z on Z, with M
+    a tuple of row tuples."""
 
-    matrix: FpMatrix
-    scalar: Residue
+    matrix: tuple
+    scalar: int
 
 
 def cvs_new(p: int, k: int, sigma_basis=None, chi_basis=None,
@@ -352,24 +345,26 @@ class Forms:
 
 # -- public single-vector evaluators ---------------------------------------
 
-def _as_row(C: Cvs, v: FpVector) -> np.ndarray:
-    if v.dim != C.k or set(v.moduli or (C.p,)) != {C.p}:
+def _as_row(C: Cvs, v) -> np.ndarray:
+    """The int vector v as a one-row array; ValueError unless it has k
+    coordinates."""
+    row = np.array([v], dtype=np.int64)
+    if row.shape != (1, C.k):
         raise ValueError("vector does not live in this CVS (dim %d over F_%d)"
                          % (C.k, C.p))
-    return np.array([v.coords], dtype=np.int64)
+    return row
 
 
-def eval_sigma(C: Cvs, c: FpVector) -> Residue:
-    return Residue(int(C.forms.sigma(_as_row(C, c))[0]), C.p)
+def eval_sigma(C: Cvs, c) -> int:
+    return int(C.forms.sigma(_as_row(C, c))[0])
 
 
-def eval_chi(C: Cvs, c: FpVector, d: FpVector) -> Residue:
-    return Residue(int(C.forms.chi(_as_row(C, c), _as_row(C, d))[0]), C.p)
+def eval_chi(C: Cvs, c, d) -> int:
+    return int(C.forms.chi(_as_row(C, c), _as_row(C, d))[0])
 
 
-def eval_alpha(C: Cvs, c: FpVector, d: FpVector, e: FpVector) -> Residue:
-    return Residue(int(C.forms.alpha(_as_row(C, c), _as_row(C, d),
-                                     _as_row(C, e))[0]), C.p)
+def eval_alpha(C: Cvs, c, d, e) -> int:
+    return int(C.forms.alpha(_as_row(C, c), _as_row(C, d), _as_row(C, e))[0])
 
 
 # -- axiom validation --------------------------------------------------------
@@ -405,7 +400,7 @@ def validate_axioms(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,
     """Check every CVS identity, on all tuples when |C| is within the
     budget and |C|^arity <= MAX_ENTRIES, otherwise on seeded random tuples.
 
-    Each check reports its mode and, on failure, a witness tuple of
+    Each check reports its mode and, on failure, a witness tuple of int
     vectors: the first failing tuple in grid or sample order.
     """
     if samples < 1:
@@ -443,8 +438,8 @@ def _scan(name: str, mode: str, check, tuples, elem, C: Cvs) -> CheckResult:
         if bad.any():
             w = int(np.argmax(bad))
             return CheckResult(name, mode, False, tuple(
-                fp_vector(unrank(int(np.broadcast_to(i, bad.shape).flat[w]),
-                                 (C.p,) * C.k), C.p) for i in idx))
+                unrank(int(np.broadcast_to(i, bad.shape).flat[w]),
+                       (C.p,) * C.k) for i in idx))
     return CheckResult(name, mode, True)
 
 
@@ -558,8 +553,8 @@ def rad_alpha(C: Cvs) -> list:
     """Basis of {c : alpha(c,d,e) = 0 for all d,e}.  alpha is trilinear,
     so that is {c : sum_i c_i A[i, j, l] = 0 for all j, l}."""
     k = C.k
-    rows = nullspace_mod_p(C.forms.A.reshape(k, k * k).T, C.p)
-    return [fp_vector(r, C.p) for r in rows]
+    return [tuple(r) for r in nullspace_mod_p(C.forms.A.reshape(k, k * k).T,
+                                              C.p)]
 
 
 def rad_chi(C: Cvs) -> list:
@@ -585,26 +580,27 @@ def rad_chi(C: Cvs) -> list:
     b_j) = 0 for all i}."""
     p, F = C.p, C.forms
     if p != 2:
-        return [fp_vector(r, p) for r in nullspace_mod_p(F.X.T, p)]
+        return [tuple(r) for r in nullspace_mod_p(F.X.T, p)]
     rad = rad_alpha(C)
     if not rad:
         return []
-    B = np.array([v.coords for v in rad], dtype=np.int64)
+    B = np.array(rad, dtype=np.int64)
     N = F.chi_table(np.eye(C.k, dtype=np.int64), B)  # N[i, j] = chi(x_i, b_j)
     T = np.array(nullspace_mod_p(N, p), dtype=np.int64).reshape(-1, len(B))
-    return [fp_vector(r, p) for r in row_reduce(T @ B, p)]
+    return [tuple(r) for r in row_reduce(T @ B, p)]
 
 
 # -- adjoint translates and isomorphism --------------------------------------
 
-def adjoint_translate(C: Cvs, kvec: FpVector) -> Cvs:
+def adjoint_translate(C: Cvs, kvec) -> Cvs:
     """adt_k(C): chi(c,d) shifted to chi(c,d) + alpha(c,k,d); sigma, alpha kept.
 
-    Defined for every p.  For p = 2 the output is validated rather than
-    assumed legal (the translate equations are only stated for p = 3)."""
-    if kvec.dim != C.k:
+    kvec is any sequence of k ints.  Defined for every p.  For p = 2 the
+    output is validated rather than assumed legal (the translate equations
+    are only stated for p = 3)."""
+    kk = np.array(kvec, dtype=np.int64)
+    if kk.shape != (C.k,):
         raise ValueError("translate vector has wrong dimension")
-    kk = np.array(kvec.coords, dtype=np.int64)
     X = (C.forms.X + np.einsum("m,imj->ij", kk, C.forms.A)) % C.p
     out = Cvs(C.p, C.k, C.sigma_basis,
               tuple(X[np.triu_indices(C.k, 1)].tolist()), C.alpha_flat)
@@ -628,9 +624,10 @@ def pullback_tables(C: Cvs, rows) -> tuple:
             tuple(F.alpha(*rows[tl]).tolist()))
 
 
-def transform(C: Cvs, M: FpMatrix) -> Cvs:
-    """The CVS with basis data pulled back along M (basis e_i -> M e_i)."""
-    return Cvs(C.p, C.k, *pullback_tables(C, np.array(M.rows).T))
+def transform(C: Cvs, M) -> Cvs:
+    """The CVS with basis data pulled back along the matrix M, given as
+    rows (basis e_i -> M e_i, column i of M)."""
+    return Cvs(C.p, C.k, *pullback_tables(C, np.transpose(M)))
 
 
 def scale_cvs(C: Cvs, a: int) -> Cvs:
@@ -644,11 +641,8 @@ def scale_cvs(C: Cvs, a: int) -> Cvs:
 
 def permute_basis(C: Cvs, perm: list) -> Cvs:
     """The CVS seen in the reordered basis e_i -> e_perm[i]."""
-    rows = tuple(tuple(1 if j == perm[i] else 0 for j in range(C.k))
-                 for i in range(C.k))
-    # columns of M are the new basis vectors, so M[:, i] = e_perm[i]
-    M = FpMatrix(tuple(zip(*rows)), C.p)
-    return transform(C, M)
+    # column i of M is the new basis vector e_perm[i]
+    return transform(C, np.eye(C.k, dtype=np.int64)[:, list(perm)])
 
 
 def iso_up_to_scalar(A: Cvs, B: Cvs) -> Optional[CvsIso]:
@@ -663,18 +657,17 @@ def iso_up_to_scalar(A: Cvs, B: Cvs) -> Optional[CvsIso]:
         raise ValueError("CVSs must share p and k")
     p, k = A.p, A.k
     if k == 0:
-        from .modular import identity_matrix
-        return CvsIso(identity_matrix(0, p), Residue(1, p))
+        return CvsIso((), 1)
     targets = {}
     for a in range(1, p):
         targets[a] = (tuple((a * v) % p for v in A.sigma_basis),
                       tuple((a * v) % p for v in A.chi_flat),
                       tuple((a * v) % p for v in A.alpha_flat))
     for M in enumerate_invertible(k, p):
-        got = pullback_tables(B, np.array(M.rows).T)
+        got = pullback_tables(B, tuple(zip(*M)))
         for a in range(1, p):
             if targets[a] == got:
-                return CvsIso(M, Residue(a, p))
+                return CvsIso(M, a)
     return None
 
 

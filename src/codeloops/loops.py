@@ -73,7 +73,7 @@ from .cvs import (
     pullback_tables,
     validate_axioms,
 )
-from .modular import FpVector, fp_vector, row_reduce
+from .modular import row_reduce
 from .tables import (MAX_ENTRIES, add_index_table, index_tables,
                      place_values, rank_of, reduce_mod, unrank, vector_table)
 
@@ -396,7 +396,7 @@ class KappaIsotope(CentralExtensionLoop):
     share its table build."""
 
     def __init__(self, base: CentralExtensionLoop, kappa):
-        coords = tuple(kappa.coords) if isinstance(kappa, FpVector) else tuple(kappa)
+        coords = tuple(kappa)
         if len(coords) != base.k:
             raise ValueError("kappa has wrong dimension")
         super().__init__(base.zmod, base.moduli)
@@ -421,7 +421,7 @@ class KappaIsotope(CentralExtensionLoop):
         """adt_{2 kappa} of the base CVS, or None over a module base."""
         C = getattr(self.base, "cvs", None)
         return None if C is None else adjoint_translate(
-            C, fp_vector([2 * c for c in self.kappa], C.p))
+            C, [2 * c for c in self.kappa])
 
     def phi(self, U: np.ndarray) -> np.ndarray:
         U = np.asarray(U, dtype=np.int64)
@@ -463,8 +463,8 @@ class SdcpLoop(CentralExtensionLoop):
             raise ValueError("embedding size does not match factor dimension")
         super().__init__(ambient.p, Dext.moduli + Eext.moduli)
         self.Dext, self.Eext, self.ambient = Dext, Eext, ambient
-        self.embedD = [np.array(v.coords, dtype=np.int64) for v in embedD]
-        self.embedE = [np.array(v.coords, dtype=np.int64) for v in embedE]
+        self.embedD = [tuple(v) for v in embedD]
+        self.embedE = [tuple(v) for v in embedE]
         self._check_embedding()
 
     def _check_embedding(self):
@@ -476,16 +476,14 @@ class SdcpLoop(CentralExtensionLoop):
             sub = getattr(looppart, "cvs", None)
             if sub is None:
                 continue
-            if restricted_cvs(amb, [fp_vector(v.tolist(), p) for v in emb]) != sub:
+            if restricted_cvs(amb, emb) != sub:
                 raise ValueError("ambient restriction does not match the "
                                  "factor's CVS")
 
     @cached_property
     def cvs(self) -> Cvs:
         """Restriction of the ambient CVS to the concatenated basis."""
-        p = self.ambient.p
-        vecs = [fp_vector(v.tolist(), p) for v in self.embedD + self.embedE]
-        return restricted_cvs(self.ambient, vecs)
+        return restricted_cvs(self.ambient, self.embedD + self.embedE)
 
     def theta_rows(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
         U, W = np.asarray(U, dtype=np.int64), np.asarray(W, dtype=np.int64)
@@ -512,9 +510,9 @@ class SdcpLoop(CentralExtensionLoop):
 
 
 def restricted_cvs(amb: Cvs, vecs: list) -> Cvs:
-    """The CVS induced on the span of the given (independent) vectors,
-    with the vectors as its basis."""
-    return Cvs(amb.p, len(vecs), *pullback_tables(amb, [v.coords for v in vecs]))
+    """The CVS induced on the span of the given (independent) int
+    vectors, with the vectors as its basis."""
+    return Cvs(amb.p, len(vecs), *pullback_tables(amb, vecs))
 
 
 def semidirect_central_product(Dext, Eext, ambient: Cvs,
@@ -642,7 +640,7 @@ def _basis_powers(L: CentralExtensionLoop, F: Forms) -> CheckResult:
     for i, q in enumerate(L.moduli):
         if L.pow(L.generator(i), q) != L.element(F.sigma_basis[i], (0,) * L.k):
             return CheckResult("CEpower", "exhaustive", False,
-                               (FpVector(L.generator(i).v, L.moduli),))
+                               (L.generator(i).v,))
     return CheckResult("CEpower", "exhaustive", True)
 
 
@@ -714,13 +712,13 @@ def verify_coded_extension(L: CentralExtensionLoop,
 
 
 def _witness(L, bad, first: int = 0):
-    """The vectors at the first True entry of bad (ranks; the first axis
-    starts at rank first), or None."""
+    """The int vectors at the first True entry of bad (ranks; the first
+    axis starts at rank first), or None."""
     if not bad.any():
         return None
     idx = np.argwhere(bad)[0]
     idx[0] += first
-    return tuple(FpVector(L.unrank(int(i)), L.moduli) for i in idx)
+    return tuple(L.unrank(int(i)) for i in idx)
 
 
 def moufang_sampled(L: CentralExtensionLoop, ntriples: int, seed: int = 0):

@@ -24,7 +24,6 @@ import numpy as np
 from .cvs import (CheckResult, DataError, Forms, ValidationReport,
                   body_lines, checked_entries, is_prime, located, pair_list,
                   place_entries, read_directives, signed_forms, triple_list)
-from .modular import Residue
 from .loops import (CentralExtensionLoop, LevelSumLoop, kappa_isotope,
                     verify_coded_extension)
 from .tables import rank_rows, vector_table
@@ -128,15 +127,15 @@ def module_new(p: int, orders, z_order: int, z_values,
     return CodedModule(p, orders, z_order, z_values, chi, alpha)
 
 
-def eval_chi_module(M: CodedModule, c, d) -> Residue:
-    return Residue(int(M.forms.chi([c], [d])[0]), M.z_order)
+def eval_chi_module(M: CodedModule, c, d) -> int:
+    return int(M.forms.chi([c], [d])[0])
 
 
-def eval_alpha_module(M: CodedModule, c, d, e) -> Residue:
-    return Residue(int(M.forms.alpha([c], [d], [e])[0]), M.z_order)
+def eval_alpha_module(M: CodedModule, c, d, e) -> int:
+    return int(M.forms.alpha([c], [d], [e])[0])
 
 
-def eval_sigma2(M: CodedModule, sigma_basis, c) -> Residue:
+def eval_sigma2(M: CodedModule, sigma_basis, c) -> int:
     """sigma(c) = sum c_i s_i + sum_{i<j} c_i c_j chi_ij + sum_{i<j<k}
     c_i c_j c_k alpha_ijk; needs p = 2 and elementary abelian Z."""
     if M.p != 2:
@@ -153,7 +152,7 @@ def eval_sigma2(M: CodedModule, sigma_basis, c) -> Residue:
         out += int(cc[i] * cc[j]) * M.chi_flat[pos]
     for pos, (i, j, l) in enumerate(triple_list(M.k)):
         out += int(cc[i] * cc[j] * cc[l]) * M.alpha_flat[pos]
-    return Residue(out % 2, 2)
+    return out % 2
 
 
 class ModuleLoop(LevelSumLoop):
@@ -176,7 +175,7 @@ def build_module_extension(M: CodedModule) -> ModuleLoop:
     return ModuleLoop(M)
 
 
-def sigma_q(L: ModuleLoop, q: int, c) -> Residue:
+def sigma_q(L: ModuleLoop, q: int, c) -> int:
     """The q-th power function on C_q (q = p^n), for elementary abelian Z.
 
     Well-definedness is asserted by raising two distinct preimages of c to
@@ -198,7 +197,7 @@ def sigma_q(L: ModuleLoop, q: int, c) -> Residue:
     b = L.pow(L.element(1, cc), q)
     if a != b or any(a.v):
         raise AssertionError("sigma_q not well-defined on this input")
-    return Residue(a.z, M.z_order)
+    return a.z
 
 
 def _powers_agree(L: ModuleLoop, iso: CentralExtensionLoop,

@@ -6,7 +6,7 @@ import numpy as np
 
 from codeloops.cvs import Cvs
 from codeloops.loops import CodedLoop, CodedLoopElement
-from codeloops.modular import FpVector, Residue, _rank_mod_p, fp_vector
+from codeloops.modular import _rank_mod_p
 from codeloops.tables import vector_table
 
 
@@ -20,15 +20,15 @@ def chi_table(C: Cvs) -> np.ndarray:
     return C.forms.chi_table(V, V)
 
 
-def eval_chi_polarized(C: Cvs, c: FpVector, d: FpVector) -> Residue:
+def eval_chi_polarized(C: Cvs, c, d) -> int:
     """For p = 2: chi(c,d) = sigma(c+d) - sigma(c) - sigma(d), independent
     of the chi closed form."""
     if C.p != 2:
         raise ValueError("polarized chi only defined for p = 2")
-    rc, rd = (np.array([v.coords], dtype=np.int64) for v in (c, d))
+    rc, rd = (np.array([v], dtype=np.int64) for v in (c, d))
     sig = C.forms.sigma
     s = sig((rc + rd) % 2) - sig(rc) - sig(rd)
-    return Residue(int(s[0]), 2)
+    return int(s[0]) % 2
 
 
 def mul_recursive(L: CodedLoop, a: CodedLoopElement, b: CodedLoopElement,
@@ -93,7 +93,7 @@ def _basis_of_subset(members: np.ndarray, C: Cvs) -> list:
     work = members.tolist()
     rank = _rank_mod_p(work, C.p)
     assert C.p ** rank == len(members), (len(members), rank)
-    return [fp_vector(r, C.p) for r in work[:rank]]
+    return [tuple(r) for r in work[:rank]]
 
 
 def rad_chi_exhaustive(C: Cvs) -> list:

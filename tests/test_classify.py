@@ -164,7 +164,7 @@ _K, _P = 3, 3
 @functools.cache
 def _gl33():
     """Every invertible M as an array R with R[m, i] = M e_i."""
-    return np.array([M.rows for M in enumerate_invertible(_K, _P)]
+    return np.array(list(enumerate_invertible(_K, _P))
                     ).transpose(0, 2, 1)
 
 
@@ -231,9 +231,9 @@ def test_iso_up_to_scalar_maps_sample_states_to_reps(exponent, nonassoc):
                               for t in pullback_tables(rep, M)))
         iso = iso_up_to_scalar(rep, state)
         assert iso is not None
-        got = pullback_tables(state, np.array(iso.matrix.rows).T)
+        got = pullback_tables(state, np.transpose(iso.matrix))
         assert _flat(got).tolist() == [
-            (int(iso.scalar) * v) % _P for v in _flat(cls.rep).tolist()]
+            (iso.scalar * v) % _P for v in _flat(cls.rep).tolist()]
 
 
 def test_iso_up_to_scalar_separates_reps():

@@ -24,7 +24,6 @@ import pytest
 from codeloops.codes import builtin_golay24, code_to_cvs
 from codeloops.cvs import (Forms, cvs_new, exact_float, octonion_cvs,
                            pair_list, random_cvs, signed_forms, triple_list)
-from codeloops.modular import fp_vector
 from codeloops.modules import eval_sigma2, module_new
 from codeloops.tables import vector_table
 
@@ -156,11 +155,10 @@ def test_golay_rows_against_sigma2_and_polarization():
     rng = np.random.default_rng(500)
     U, W, E = rng.integers(0, 2, size=(3, 500, C.k))
     assert C.forms.sigma(U).tolist() == [
-        int(eval_sigma2(M, C.sigma_basis, u)) for u in U.tolist()]
+        eval_sigma2(M, C.sigma_basis, u) for u in U.tolist()]
     chi = C.forms.chi(U, W)
     assert chi.tolist() == [
-        int(eval_chi_polarized(C, fp_vector(u, 2), fp_vector(w, 2)))
-        for u, w in zip(U.tolist(), W.tolist())]
+        eval_chi_polarized(C, u, w) for u, w in zip(U.tolist(), W.tolist())]
     assert np.array_equal(M.forms.chi(U, W), chi)
     lit = Literal(2, C.k, 2, C.sigma_basis, C.chi_flat, C.alpha_flat)
     assert C.forms.alpha(U, W, E).tolist() == [

@@ -156,7 +156,7 @@ def test_exhaustive_verdicts_and_witnesses(C, flip, failures):
         L.cvs = _alpha_flipped(C, flip)
     rep = verify_coded_extension(L)
     assert all(c.mode == "exhaustive" for c in rep.checks)
-    got = {c.name: tuple(tuple(v.coords) for v in c.witness)
+    got = {c.name: c.witness
            for c in rep.checks if not c.ok}
     assert got == failures
     assert rep.ok == (not failures)
@@ -292,6 +292,11 @@ def test_moufang_sampled_ok(oct_loop, cml81_loop):
     for L in (oct_loop, cml81_loop):
         ok, wit = moufang_sampled(L, 4000, seed=1)
         assert ok, wit
+
+
+def test_kappa_of_the_wrong_length_is_refused(oct_loop):
+    with pytest.raises(ValueError):
+        kappa_isotope(oct_loop, (1, 0))
 
 
 def test_kappa_zero_is_identity(oct_loop):
