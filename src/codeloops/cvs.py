@@ -616,7 +616,7 @@ def adjoint_translate(C: Cvs, kvec) -> Cvs:
 def pullback_tables(C: Cvs, rows) -> tuple:
     """(sigma, chi, alpha) basis tables of the pullback along e_i -> rows[i],
     in pair_list and triple_list order."""
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, C.k)
+    rows = np.asarray(rows, dtype=np.int64).reshape(len(rows), C.k)
     pl = np.array(pair_list(len(rows)), dtype=np.int64).reshape(-1, 2).T
     tl = np.array(triple_list(len(rows)), dtype=np.int64).reshape(-1, 3).T
     F = C.forms

@@ -74,3 +74,24 @@ def intercalate_swap(table):
                         T[r2, c1], T[r2, c2] = T[r2, c2], T[r2, c1]
                         return T
     raise AssertionError("no intercalate found")
+
+
+def steiner_table(v, blocks):
+    """Cayley table of the Steiner loop of a Steiner triple system on the
+    points 0..v-1: the identity at index 0 and point i at index i + 1;
+    x*x is the identity and x*y the third point of the block through x
+    and y."""
+    S = np.zeros((v + 1, v + 1), dtype=np.int64)
+    S[0], S[:, 0] = np.arange(v + 1), np.arange(v + 1)
+    for block in blocks:
+        for x in block:
+            for y in block:
+                if x != y:
+                    S[x + 1, y + 1] = sum(block) - x - y + 1
+    return S
+
+
+def cyclic_blocks(v, base_blocks):
+    """Every translate mod v of each base block."""
+    return [[(b + t) % v for b in base] for base in base_blocks
+            for t in range(v)]

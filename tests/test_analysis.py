@@ -2,21 +2,20 @@ import numpy as np
 import pytest
 
 from codeloops import analysis
-from codeloops.analysis import (LoopTable, all_subloops,
-                                associator_table, associator_values,
+from codeloops.analysis import (LoopTable, all_subloops, associator_table,
                                 brute_force_isomorphic, center,
                                 class2_associator_identities,
-                                commutator_table, derived_subloops, frattini,
+                                derived_subloops, frattini,
                                 is_associative, is_moufang, loop_report,
                                 mk_law_holds, moufang_center,
                                 nilpotency_class, nucleus, quotient_table,
-                                subloop_closure, torsion_components,
-                                upper_central_series)
+                                subloop_closure, torsion_components)
 from codeloops.cvs import cvs_new, octonion_cvs, random_cvs
 from codeloops.loops import build
 from codeloops.modules import build_module_extension, module_new
 
-from conftest import intercalate_swap
+from conftest import cyclic_blocks, intercalate_swap, steiner_table
+from oracles import moufang_four_identities
 
 
 def cyclic_table(n):
@@ -85,14 +84,11 @@ def test_moufang_witness_on_steiner_loop():
 
 def test_mutant_table_fails(oct_table):
     mutant = intercalate_swap(oct_table.table)
-    # still a Latin square, but no longer the same loop: either the table
-    # check or the Moufang scan must produce a witness
-    try:
-        M = LoopTable(mutant)
-    except ValueError:
-        return
-    ok, wit = is_moufang(M)
-    assert not ok and wit is not None
+    # still a Latin square, but no longer an inverse-property loop, so the
+    # table check rejects it before any Moufang scan
+    with pytest.raises(ValueError,
+                       match="^left inverse property fails at element 1$"):
+        LoopTable(mutant)
 
 
 def test_group_tables_are_moufang():
@@ -125,7 +121,7 @@ def test_centers_and_nuclei(oct_table):
 
 
 def test_commutator_table_octonion(oct_table):
-    K = commutator_table(oct_table)
+    K = oct_table.commutator_table
     z = sorted(center(oct_table).members)[1]
     assert set(np.unique(K)) <= {0, z}  # identity and the central z
 
@@ -162,7 +158,7 @@ def test_central_series_and_class(oct_table, cml81_table):
     assert nilpotency_class(cml81_table) == 2
     assert nilpotency_class(LoopTable(cyclic_table(8))) == 1
     assert nilpotency_class(LoopTable(np.zeros((1, 1), dtype=int))) == 0
-    chain = upper_central_series(oct_table)
+    chain = oct_table.upper_central_series
     assert [len(z) for z in chain] == [2, 16]
 
 
@@ -265,6 +261,48 @@ def test_frattini_formula_matches_lattice(name):
     assert set(frattini(T).members) == set.intersection(*maximal)
 
 
+def _ag23_blocks():
+    # the lines of AG(2, 3): a + b + c = 0, points (x, y) at index 3x + y
+    pts = [(x, y) for x in range(3) for y in range(3)]
+    return sorted({tuple(sorted((i, j, pts.index(tuple(
+        (-a[t] - b[t]) % 3 for t in range(2))))))
+        for i, a in enumerate(pts) for j, b in enumerate(pts) if i != j})
+
+
+STEINER = {
+    "ag23": lambda: steiner_table(9, _ag23_blocks()),
+    "sts13": lambda: steiner_table(
+        13, cyclic_blocks(13, [[0, 1, 4], [0, 2, 7]])),
+    "fano": lambda: steiner_table(7, cyclic_blocks(7, [[0, 1, 3]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES) + sorted(STEINER))
+def test_moufang_scan_matches_four_identity_oracle(name):
+    # in a loop one Moufang identity implies the other three, so the
+    # one-identity scan and the four-identity oracle give one verdict
+    L = LoopTable({**TABLES, **STEINER}[name]())
+    ok, wit = is_moufang(L)
+    want_ok, want_wit = moufang_four_identities(L)
+    assert ok == want_ok
+    if want_wit is not None and want_wit[0] == 1:
+        assert wit == want_wit
+    if not ok:
+        # the witness fails ((dg)e)g = d(g(eg)) read off the table
+        T = L.table
+        one, g, d, e = wit
+        assert one == 1 and T[T[T[d, g], e], g] != T[d, T[g, T[e, g]]]
+    else:
+        assert wit is None
+
+
+def test_steiner_loop_witnesses():
+    # STS(13) gives an IP loop that is not Moufang; the Fano plane gives
+    # the elementary abelian group of order 8
+    assert is_moufang(LoopTable(STEINER["sts13"]())) == (False, (1, 1, 2, 3))
+    assert is_moufang(LoopTable(STEINER["fano"]())) == (True, None)
+
+
 def test_report_scans_associators_once(cml81_table, monkeypatch):
     calls = []
     scan = analysis._associator_blocks
@@ -279,7 +317,7 @@ def test_report_scans_associators_once(cml81_table, monkeypatch):
     M = T.table.astype(np.int64)
     a, b, c = np.ix_(*(np.arange(T.n),) * 3)
     assert np.array_equal(M[M[a, M[b, c]], A], M[M[a, b], c])
-    assert np.array_equal(np.unique(A), associator_values(T))
+    assert np.array_equal(np.unique(A), T.associator_values)
 
 
 def test_associator_table_entry_bound():

@@ -11,7 +11,7 @@ from codeloops import (build, emit_cayley_csv, emit_cvs, octonion_cvs,
 from codeloops import cli
 from codeloops.cli import _TableWordContext, main
 
-from conftest import intercalate_swap
+from conftest import cyclic_blocks, intercalate_swap, steiner_table
 
 GOLDEN_REPORT = """\
 order=16
@@ -94,7 +94,7 @@ def test_verify_cvs_prints_the_verifier_mode(runner, tmp_path):
 def test_verify_cvs_scan_bound_boundary(runner, tmp_path, monkeypatch):
     # order 512 is the largest given the full table report; order 729 is
     # the smallest above it and prints the verifier's mode lines instead.
-    # The report itself (10 s at order 512) is stubbed: only the branch
+    # The report itself (3 s at order 512) is stubbed: only the branch
     # taken is under test.
     small, big = tmp_path / "r512.cvs", tmp_path / "r729.cvs"
     small.write_text(emit_cvs(random_cvs(2, 8, 0)))
@@ -306,7 +306,23 @@ def test_verify_loop_rejects_mutant(runner, tmp_path, oct_cvs_file):
     open(bad, "w").write("\n".join(lines) + "\n")
     res = runner.invoke(main, ["verify-loop", bad])
     assert res.exit_code == 1
-    assert "loop=false" in res.output or "moufang=false" in res.output
+    # the swap breaks the inverse property, so the table check fails first
+    assert "loop=false" in res.output
+    assert "witness=left inverse property fails at element 1" in res.output
+
+
+def test_verify_loop_reports_a_non_moufang_loop(runner, tmp_path):
+    # the Steiner loop of the cyclic STS(13) is an IP loop of order 14 that
+    # is not Moufang: the table check passes and the Moufang scan fails
+    S = steiner_table(13, cyclic_blocks(13, [[0, 1, 4], [0, 2, 7]]))
+    csv = tmp_path / "sts13.csv"
+    csv.write_text("n=14,p=0,k=0\n"
+                   + "".join(",".join(map(str, r)) + "\n" for r in S))
+    res = runner.invoke(main, ["verify-loop", str(csv)])
+    assert res.exit_code == 1
+    lines = res.output.splitlines()
+    assert "moufang=false" in lines
+    assert "witness=(1, 1, 2, 3)" in lines
 
 
 def test_verify_loop_parse_error(runner, tmp_path):

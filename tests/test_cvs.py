@@ -18,6 +18,7 @@ from codeloops.cvs import (Cvs, CvsIso, adjoint_translate, cvs_new, emit_cvs,
                            place_entries, pullback_tables, rad_alpha, rad_chi,
                            random_cvs, scale_cvs, transform, triple_list,
                            validate_axioms)
+from codeloops.loops import restricted_cvs
 from codeloops.modular import _rank_mod_p, fp_vector
 from codeloops.modules import parse_module
 
@@ -332,6 +333,15 @@ def test_iso_up_to_scalar_finds_scaling():
 def test_iso_up_to_scalar_dim_zero():
     C = cvs_new(3, 0)
     assert iso_up_to_scalar(C, C) == CvsIso((), 1)
+
+
+def test_pullbacks_at_dim_zero():
+    # the empty basis pulls back to empty tables
+    C = cvs_new(3, 0)
+    assert pullback_tables(C, []) == ((), (), ())
+    assert permute_basis(C, []) == C
+    assert transform(C, ()) == C
+    assert restricted_cvs(C, []) == C
 
 
 def test_vectors_of_the_wrong_length_are_refused():
