@@ -169,10 +169,11 @@ class CentralExtensionLoop:
         return np.min_scalar_type(self.zmod - 1)
 
     def element(self, z: int, v) -> CodedLoopElement:
-        coords = tuple(int(x) % m for x, m in zip(tuple(v), self.moduli))
-        if len(coords) != self.k:
+        v = tuple(v)
+        if len(v) != self.k:
             raise ValueError("vector part has wrong dimension")
-        return CodedLoopElement(int(z) % self.zmod, coords)
+        return CodedLoopElement(int(z) % self.zmod, tuple(
+            int(x) % m for x, m in zip(v, self.moduli)))
 
     @property
     def identity(self) -> CodedLoopElement:

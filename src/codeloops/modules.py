@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cvs import (CheckResult, DataError, Forms, ValidationReport,
+from .cvs import (CheckResult, DataError, Forms, ValidationReport, as_rows,
                   body_lines, checked_entries, is_prime, located, pair_list,
                   place_entries, read_directives, signed_forms, triple_list)
 from .loops import (CentralExtensionLoop, LevelSumLoop, kappa_isotope,
@@ -67,6 +67,13 @@ class CodedModule:
                 % (self.p, self.orders, self.z_order))
 
 
+def _is_power(q: int, p: int) -> bool:
+    """Whether q = p^n for some n >= 0."""
+    while q > 1 and q % p == 0:
+        q //= p
+    return q == 1
+
+
 def _additive_order(v: int, modulus: int) -> int:
     return modulus // math.gcd(v % modulus, modulus)
 
@@ -78,16 +85,10 @@ def module_new(p: int, orders, z_order: int, z_values,
         raise DataError("p", "p must be prime, got %d" % p)
     orders = tuple(int(q) for q in orders)
     for q in orders:
-        qq = q
-        while qq % p == 0:
-            qq //= p
-        if qq != 1 or q < p:
+        if q < p or not _is_power(q, p):
             raise DataError("orders", "basis order %d is not a positive "
                             "power of %d" % (q, p))
-    zz = z_order
-    while zz % p == 0:
-        zz //= p
-    if zz != 1 or z_order < p:
+    if z_order < p or not _is_power(z_order, p):
         raise DataError("zorder", "Z order %d is not a positive power of %d"
                         % (z_order, p))
     k = len(orders)
@@ -128,11 +129,11 @@ def module_new(p: int, orders, z_order: int, z_values,
 
 
 def eval_chi_module(M: CodedModule, c, d) -> int:
-    return int(M.forms.chi([c], [d])[0])
+    return int(M.forms.chi(*as_rows(M.forms, c, d))[0])
 
 
 def eval_alpha_module(M: CodedModule, c, d, e) -> int:
-    return int(M.forms.alpha([c], [d], [e])[0])
+    return int(M.forms.alpha(*as_rows(M.forms, c, d, e))[0])
 
 
 def eval_sigma2(M: CodedModule, sigma_basis, c) -> int:
@@ -146,7 +147,7 @@ def eval_sigma2(M: CodedModule, sigma_basis, c) -> int:
     sig = np.asarray(tuple(sigma_basis), dtype=np.int64)
     if sig.shape != (M.k,):
         raise ValueError("need one sigma value per basis slot")
-    cc = np.atleast_2d(np.asarray(c, dtype=np.int64))[0] % np.array(M.orders)
+    cc = as_rows(M.forms, c)[0][0] % np.array(M.orders)
     out = int(cc @ sig)
     for pos, (i, j) in enumerate(pair_list(M.k)):
         out += int(cc[i] * cc[j]) * M.chi_flat[pos]
@@ -183,18 +184,14 @@ def sigma_q(L: ModuleLoop, q: int, c) -> int:
     M = L.module
     if M.z_order != M.p:
         raise ValueError("sigma_q needs Z of exponent p")
-    qq = q
-    while qq % M.p == 0:
-        qq //= M.p
-    if qq != 1:
+    if not _is_power(q, M.p):
         raise ValueError("q must be a power of %d" % M.p)
-    cc = tuple(int(x) % o for x, o in zip(tuple(c), M.orders))
-    for x, o in zip(cc, M.orders):
-        if (x * q) % o != 0:
-            raise ValueError("element is not in C_q (order does not divide %d)"
-                             % q)
-    a = L.pow(L.element(0, cc), q)
-    b = L.pow(L.element(1, cc), q)
+    x = L.element(0, c)
+    if any(v * q % o for v, o in zip(x.v, M.orders)):
+        raise ValueError("element is not in C_q (order does not divide %d)"
+                         % q)
+    a = L.pow(x, q)
+    b = L.pow(L.element(1, x.v), q)
     if a != b or any(a.v):
         raise AssertionError("sigma_q not well-defined on this input")
     return a.z

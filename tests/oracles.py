@@ -1,15 +1,18 @@
 """Slow, independent oracles that the tests compare the library against:
 the literal recursive product, chi by polarising sigma, the loop centre
-and both radicals by evaluating the forms on all of C, and the Moufang
-scan of all four identities."""
+and both radicals by evaluating the forms on all of C, the Moufang scan
+of all four identities, and the CVS validator with all 13 identities."""
 
 import numpy as np
 
+from codeloops import cvs
 from codeloops.analysis import SCAN_MAX, LoopTable
-from codeloops.cvs import Cvs
+from codeloops.cvs import (DEFAULT_VALIDATE_BUDGET, Cvs, ValidationReport,
+                           adjoint_translate)
 from codeloops.loops import CodedLoop, CodedLoopElement
 from codeloops.modular import _rank_mod_p
-from codeloops.tables import vector_table
+from codeloops.tables import (MAX_ENTRIES, index_tables, rank_rows,
+                              unrank_rows, vector_table)
 
 
 def all_vectors(C: Cvs) -> np.ndarray:
@@ -153,3 +156,107 @@ def moufang_four_identities(L: LoopTable):
             d, e = np.argwhere(rhs != rhs2)[0]
             return False, (4, g, int(d), int(e))
     return True, None
+
+
+def validate_thirteen(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,
+                      seed: int = 0, samples: int = 20000) -> ValidationReport:
+    """cvs.validate_axioms with the 13 identities it once checked, in their
+    reporting order and drawing samples in that order: its nine and
+    chi-polarization, sigmapowerlin, alphapowerlin and alphamultilin."""
+    n, tab = C.size, C.size <= budget
+    elem, identities = thirteen_identities(C, tab)
+    checks, rng = [], np.random.default_rng(seed)
+    for name, arity, check in identities:
+        if tab and n ** arity <= MAX_ENTRIES:
+            mode, tuples = "exhaustive", cvs._grid(n, arity)
+        else:
+            mode, tuples = "sampled", [
+                rng.integers(0, n, size=(arity, samples))]
+        checks.append(cvs._scan(name, mode, check, tuples, elem, C))
+    return ValidationReport(all(ch.ok for ch in checks), checks)
+
+
+def thirteen_identities(C: Cvs, tab: bool) -> tuple:
+    """(elem, identities) as cvs._identities returns them, for the 13
+    identities: on ranks over tables of sigma, chi and AB[c, d, m] =
+    alpha(c, d, x_m) within the budget, on rows above it.  alp_last(c, d,
+    e) reads AB[c, d] . e where alp reads AB[d, e] . c, and on rows it is
+    the trilinear sum over A in integers."""
+    p, k, F = C.p, C.k, C.forms
+    moduli = (p,) * k
+    if tab:
+        V, add_rank, _ = index_tables(moduli)
+        S1, X2 = F.sigma(V), F.chi_table(V, V)
+        AB = F.alpha_block(V, V, np.eye(k, dtype=np.int64))
+        scl_rank = rank_rows(np.arange(p)[:, None, None] * V, moduli)
+        elem = lambda I: I
+        sig = lambda c: S1[c]
+        chi = lambda c, d: X2[c, d]
+        add = lambda c, d: add_rank[c, d]
+        scl = lambda m, c: scl_rank[m, c]
+        alp_last = lambda c, d, e: np.einsum(
+            "...m,...m->...", AB[c, d], V[e], dtype=np.int64)
+        alp = lambda c, d, e: alp_last(d, e, c)
+    else:
+        elem = lambda I: unrank_rows(I, moduli)
+        sig, chi, alp = F.sigma, F.chi, F.alpha
+        add = lambda c, d: (c + d) % p
+        scl = lambda m, c: (m * c) % p
+        alp_last = lambda c, d, e: np.einsum("ni,nj,nm,ijm->n", c, d, e, F.A)
+
+    def scaled(image, base):
+        """Where image(m) = m * base fails for some m in F_p but 1."""
+        return np.any([(image(m) - m * base) % p != 0 for m in range(p)
+                       if m != 1], axis=0)
+
+    def alphaskew(c, d, e):
+        a = alp(c, d, e)
+        return ((alp(d, e, c) - a) % p != 0) | ((alp(d, c, e) + a) % p != 0)
+
+    zero = elem(np.zeros(1, dtype=np.int64))
+    identities = [
+        ("unit (sigma(0), chi(c,0))", 1,
+         lambda c: (sig(zero)[0] != 0) | (chi(c, scl(0, c)) != 0)),
+        ("unit (alpha(c,d,0))", 2,
+         lambda c, d: alp(c, d, scl(0, c)) % p != 0),
+        ("sigmapowerlin", 1,
+         lambda c: scaled(lambda m: sig(scl(m, c)), sig(c))),
+        ("sigmalin", 2, lambda c, d: (sig(add(c, d)) - sig(c) - sig(d)
+                                      - (chi(c, d) if p == 2 else 0)) % p != 0),
+        ("chisymp", 1, lambda c: chi(c, c) != 0),
+        ("chiskew", 2, lambda c, d: (chi(c, d) + chi(d, c)) % p != 0),
+        ("chipowerlin", 2,
+         lambda c, d: scaled(lambda m: chi(scl(m, c), d), chi(c, d))),
+        ("chimultilin", 3, lambda c, d, e: (chi(add(c, d), e) - chi(c, e)
+                                            - chi(d, e) - 3 * alp(c, d, e))
+         % p != 0),
+    ]
+    if p == 2:
+        identities.append(
+            ("chi-polarization", 2, lambda c, d: (sig(add(c, d)) - sig(c)
+                                                  - sig(d) - chi(c, d))
+             % 2 != 0))
+    identities += [
+        ("alphasymp", 2, lambda c, d: (alp(c, c, d) % p != 0)
+         | (alp(c, d, c) % p != 0) | (alp(d, c, c) % p != 0)),
+        ("alphaskew", 3, alphaskew),
+        ("alphapowerlin", 3,
+         lambda c, d, e: scaled(lambda m: alp(scl(m, c), d, e),
+                                alp(c, d, e))),
+        ("alphamultilin", 3,
+         lambda c, d, e: (alp(c, d, e) - alp_last(c, d, e)) % p != 0),
+    ]
+    return elem, identities
+
+
+def checked_adjoint_translate(C: Cvs, kvec) -> Cvs:
+    """adjoint_translate, with a p = 2 output validated by all 13
+    identities rather than assumed to be a CVS; AssertionError if not."""
+    out = adjoint_translate(C, kvec)
+    if C.p == 2:
+        rep = validate_thirteen(out)
+        if not rep.ok:
+            raise AssertionError(
+                "adjoint translate produced an invalid CVS for p=2: %s"
+                % "; ".join(str(c) for c in rep.failures()))
+    return out

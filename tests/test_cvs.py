@@ -22,8 +22,9 @@ from codeloops.loops import restricted_cvs
 from codeloops.modular import _rank_mod_p, fp_vector
 from codeloops.modules import parse_module
 
-from oracles import (all_vectors, chi_table, eval_chi_polarized,
-                     rad_alpha_exhaustive, rad_chi_exhaustive)
+from oracles import (all_vectors, chi_table, checked_adjoint_translate,
+                     eval_chi_polarized, rad_alpha_exhaustive,
+                     rad_chi_exhaustive, thirteen_identities, validate_thirteen)
 
 
 def vecs(p, k):
@@ -146,12 +147,13 @@ def test_validator_flags_bad_alpha_for_big_p():
 
 
 # first failing tuples recorded from the unchunked validator: exhaustive on
-# the tabulated path, then sampled on the tabulated and the row paths
+# the tabulated path, then sampled on the tabulated and the row paths (the
+# row-path witness recorded again when sigmapowerlin stopped drawing samples)
 _BAD5 = Cvs(5, 3, (1, 2, 3), (1, 2, 3), (1,))
 _WITNESSES = [
     (_BAD5, {}, ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
     (_BAD5, dict(budget=64, samples=3000, seed=5),
-     ((4, 2, 1), (3, 4, 4), (0, 4, 0))),
+     ((3, 2, 4), (4, 2, 1), (3, 4, 4))),
     (Cvs(7, 3, (0, 0, 1), (0, 5, 0), (3,)), {},
      ((5, 6, 4), (1, 3, 5), (6, 3, 5))),
 ]
@@ -187,16 +189,109 @@ def test_validator_reports_above_the_arity3_grid(C, failing):
     # and those of arity 3 on samples; reports recorded when this regime
     # ran on rows, not on tables
     names = ["unit (sigma(0), chi(c,0))", "unit (alpha(c,d,0))",
-             "sigmapowerlin", "sigmalin", "chisymp", "chiskew",
-             "chipowerlin", "chimultilin"]
-    names += ["chi-polarization"] * (C.p == 2)
-    names += ["alphasymp", "alphaskew", "alphapowerlin", "alphamultilin"]
-    arity3 = {"chimultilin", "alphaskew", "alphapowerlin", "alphamultilin"}
+             "sigmalin", "chisymp", "chiskew", "chipowerlin", "chimultilin",
+             "alphasymp", "alphaskew"]
+    arity3 = {"chimultilin", "alphaskew"}
     want = ["%s: %s (%s)" % (name, "FAIL" if name == failing else "pass",
                              "sampled" if name in arity3 else "exhaustive")
             + (" " + _C5_WITNESS if name == failing else "")
             for name in names]
     assert validate_axioms(C).lines() == want
+
+
+_LEFT_OUT = {"chi-polarization", "sigmapowerlin", "alphapowerlin",
+             "alphamultilin"}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("tab", [True, False])
+def test_nine_identities_are_the_oracles_thirteen_less_four(p, tab):
+    C = random_cvs(p, 2, 0)
+    nine = [name for name, _, _ in cvs._identities(C, tab)[1]]
+    thirteen = [name for name, _, _ in thirteen_identities(C, tab)[1]]
+    assert len(nine) == 9
+    assert nine == [name for name in thirteen if name not in _LEFT_OUT]
+
+
+def _assert_nine_decide_as_thirteen(C, **kw):
+    """The nine identities fail whenever the 13 do, and each exhaustive
+    check among them reports as the oracle's check of that name."""
+    nine, full = validate_axioms(C, **kw), validate_thirteen(C, **kw)
+    assert nine.ok == full.ok, (C, kw, full.lines())
+    full_lines = {ch.name: str(ch) for ch in full.checks}
+    for ch in nine.checks:
+        if ch.mode == "exhaustive":
+            assert str(ch) == full_lines[ch.name]
+    return full.ok
+
+
+def test_nine_identities_decide_as_thirteen():
+    # valid CVSs with k <= 4 on both paths (budget 0 puts every check on
+    # rows, sampled), then the invalid Cvs values above
+    for p in (2, 3):
+        for k in range(5):
+            for seed in range(2):
+                C = random_cvs(p, k, seed)
+                assert _assert_nine_decide_as_thirteen(C)
+                assert _assert_nine_decide_as_thirteen(C, budget=0)
+    bad = [(C, kw) for C, kw, _ in _WITNESSES]
+    bad += [(_C5, {}), (Cvs(5, 3, (0, 0, 0), (0, 0, 0), (1,)),
+                        dict(budget=64, samples=4000))]
+    for C, kw in bad:
+        assert not _assert_nine_decide_as_thirteen(C, **kw)
+
+
+def _fault(monkeypatch, method: str, hit, delta: int):
+    """Patch Forms.method to add delta to the entries hit marks: hit takes
+    the Forms object and the method's row arguments and returns a mask of
+    the output's shape."""
+    orig = getattr(cvs.Forms, method)
+    monkeypatch.setattr(cvs.Forms, method, lambda F, *rows: (
+        orig(F, *rows) + delta * hit(F, *rows)) % F.modulus)
+
+
+def _is_row(R, v) -> np.ndarray:
+    return np.all(np.asarray(R) == v, axis=1)
+
+
+def test_nine_identities_catch_single_table_faults(monkeypatch):
+    # one entry of the sigma table or of AB[c, d, m] = alpha(c, d, x_m)
+    # off by delta: the nine fail exactly when the 13 do
+    rng = np.random.default_rng(19)
+    failed = tried = 0
+    for p, k in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)):
+        C = random_cvs(p, k, 1)
+        V = all_vectors(C)
+        n = len(V)
+        faults = [("sigma", lambda F, R, t=t: _is_row(R, V[t]), delta)
+                  for t in range(n) for delta in range(1, p)]
+        for c, d, m in zip(rng.integers(0, n, 24), rng.integers(0, n, 24),
+                           rng.integers(0, k, 24)):
+            for c, d in ((c, d), (0, d), (c, c)):
+                hit = lambda F, U, W, X, c=c, d=d, m=m: (
+                    _is_row(U, V[c])[:, None, None]
+                    & _is_row(W, V[d])[None, :, None]
+                    & _is_row(X, np.eye(k, dtype=np.int64)[m])[None, None])
+                faults.append(("alpha_block", hit, int(rng.integers(1, p))))
+        for method, hit, delta in faults:
+            with monkeypatch.context() as mp:
+                _fault(mp, method, hit, delta)
+                failed += not _assert_nine_decide_as_thirteen(
+                    Cvs(p, k, C.sigma_basis, C.chi_flat, C.alpha_flat))
+            tried += 1
+    # every fault but one breaks an axiom: over F_2 at k = 1, a changed
+    # sigma(x_1) is the sigma table of other basis data
+    assert (failed, tried) == (611, 612)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_p2_adjoint_translates_pass_the_thirteen(k):
+    # any F_2 basis data is a CVS, so adjoint_translate does not validate
+    # its output; the oracle does, for every translate vector
+    for seed in range(3):
+        C = random_cvs(2, k, seed)
+        for kv in itertools.product(range(2), repeat=k):
+            checked_adjoint_translate(C, kv)
 
 
 def test_exhaustive_validation_leaves_numpy_random_unloaded():
@@ -220,8 +315,8 @@ def test_validator_arity3_scan_memory():
     checks = {name: check for name, _, check in identities}
     tracemalloc.start()
     try:
-        res = cvs._scan("alphamultilin", "exhaustive",
-                        checks["alphamultilin"], cvs._grid(256, 3), elem, C)
+        res = cvs._scan("alphaskew", "exhaustive",
+                        checks["alphaskew"], cvs._grid(256, 3), elem, C)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -283,6 +283,14 @@ def test_pow_reduces_the_exponent_exactly(L):
             assert L.pow(a, n) == acc, (a, n)
 
 
+def test_element_refuses_a_vector_part_of_the_wrong_length(oct_loop):
+    # the length is checked before reducing, so no coordinate is dropped
+    for v in ((1, 0, 1, 1, 1), (1, 0, 1, 1), (1, 0)):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            oct_loop.element(0, v)
+    assert oct_loop.element(3, (1, 2, 3)).v == (1, 0, 1)
+
+
 def test_element_orders_octonion(oct_loop):
     orders = sorted(oct_loop.element_order(a) for a in all_elements(oct_loop))
     assert orders == [1, 2] + [4] * 14

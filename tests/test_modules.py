@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from codeloops import (build, build_module_extension, cvs_new, emit_module,
-                       eval_sigma2, module_isotopy_check, module_new,
-                       octonion_cvs, parse_module, sigma_q,
+                       eval_alpha, eval_chi, eval_sigma2, module_isotopy_check,
+                       module_new, octonion_cvs, parse_module, sigma_q,
                        verify_coded_extension)
 from codeloops.loops import KappaIsotope, kappa_isotope
 from codeloops.modules import _powers_agree, eval_alpha_module, eval_chi_module
@@ -13,6 +13,19 @@ from codeloops.tables import vector_table
 
 
 # -- constructor validation -------------------------------------------------
+
+def test_orders_of_zero_are_refused():
+    # a power-of-p test that divides 0 by p forever would hang here
+    with pytest.raises(ValueError, match="basis order 0 is not a positive "
+                       "power of 3"):
+        module_new(3, (0, 3), 3, (0, 0), {}, {})
+    with pytest.raises(ValueError, match="Z order 0 is not a positive "
+                       "power of 3"):
+        module_new(3, (3,), 0, (0,), {}, {})
+    L = build_module_extension(module_new(3, (3,), 3, (0,), {}, {}))
+    with pytest.raises(ValueError, match="q must be a power of 3"):
+        sigma_q(L, 0, (0,))
+
 
 def test_module_new_rejects_bad_shapes():
     with pytest.raises(ValueError, match="prime"):
@@ -152,6 +165,37 @@ def test_sigma_q_domain_errors():
     L4 = build_module_extension(M4)
     with pytest.raises(ValueError, match="exponent p"):
         sigma_q(L4, 4, (1,))
+
+
+def test_vectors_of_the_wrong_length_are_refused():
+    # too many or too few coordinates are refused, not truncated by a zip
+    # or broadcast by numpy, and with the message a CVS of that dimension
+    # gives
+    M = module_new(3, (9, 3), 3, (1, 2), {(0, 1): 1}, {})
+    L = build_module_extension(M)
+    C = cvs_new(3, 2, (1, 2), {(0, 1): 1})
+    good = (1, 0)
+    for bad in ((1,), (1, 1, 1)):
+        for module_call, cvs_call in (
+                (lambda: eval_chi_module(M, bad, good),
+                 lambda: eval_chi(C, bad, good)),
+                (lambda: eval_chi_module(M, good, bad),
+                 lambda: eval_chi(C, good, bad)),
+                (lambda: eval_alpha_module(M, good, good, bad),
+                 lambda: eval_alpha(C, good, good, bad))):
+            with pytest.raises(ValueError) as module_err:
+                module_call()
+            with pytest.raises(ValueError) as cvs_err:
+                cvs_call()
+            assert str(module_err.value) == str(cvs_err.value)
+            assert "need 2 coordinates" in str(module_err.value)
+    M2 = module_new(2, (2, 2), 2, (0, 0), {(0, 1): 1}, {})
+    for bad in ((1,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="need 2 coordinates"):
+            eval_sigma2(M2, (1, 0), bad)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        sigma_q(L, 3, (3, 0, 5))
+    assert sigma_q(L, 3, (3, 0)) == 1
 
 
 # -- extensions and their verification ---------------------------------------
