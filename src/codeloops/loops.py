@@ -40,7 +40,8 @@ product, the theta table is Phi(V) Psi(V)^T over all of C (a GEMM per
 chunk of rows in the dtype cvs.exact_float picks from dot_bound, a bound
 on every row sum, cast to the smallest unsigned dtype that holds |Z| - 1
 and reduced mod |Z| by tables.reduce_mod), a product without a table
-evaluates one row, and sampled verification works on sampled rows at any
+evaluates one row, a word evaluates the rows of all its products at once
+(_RecordingLoop), and sampled verification works on sampled rows at any
 |C|.  A kappa-isotope adds alpha(u, kappa, w) = u B w, so its features are
 the base features with (u, B w) appended, and its table is the base's
 table, built once and kept by the base, plus the GEMM of the appended
@@ -82,6 +83,7 @@ DEFAULT_TABLE_BUDGET = 2 ** 13
 _TABLE_CHUNK = 256  # theta table rows computed per matrix product
 _ASSOC_ENTRIES = 1 << 21  # largest associator chunk, in (u, w, t) entries
 _SDCP_PAIRS = 1 << 16  # SDCP theta table pairs evaluated per chunk
+_RECORD_BLOCK = 1 << 10  # products a word recording holds before its flush
 
 
 @dataclass(frozen=True)
@@ -283,6 +285,69 @@ class CentralExtensionLoop:
     def to_table(self, max_order: int = DEFAULT_TABLE_BUDGET):
         from .analysis import LoopTable
         return LoopTable(self.table_array(max_order=max_order))
+
+
+class _Pending:
+    """The central value of a recorded product, set when its block is
+    resolved."""
+
+    __slots__ = ("value",)
+
+
+def _resolved(z) -> int:
+    return z if z.__class__ is int else z.value
+
+
+class _RecordingLoop(CentralExtensionLoop):
+    """Products on L with every theta evaluated in bulk: the first pass of
+    words.eval_word.
+
+    The vector part of a product does not depend on the central parts,
+    and theta depends only on vector parts, so every theta a word needs is
+    known before any of them is computed.  mul and inv here compute the
+    vector part and record the pair (u, w), for inv (u, -u), with a recipe
+    for the central value: z_a + z_b + theta or -z_a - theta.  pow,
+    commutator and associator are CentralExtensionLoop's, so the product
+    order is theirs.  A central value is an int or a _Pending, which
+    _flush sets: one _rows_theta call on the recorded pairs, then the
+    recipes in order.  A power expands to up to |Z| lcm(moduli) products,
+    so the recording is flushed every _RECORD_BLOCK products."""
+
+    def __init__(self, L: CentralExtensionLoop):
+        super().__init__(L.zmod, L.moduli)
+        self.L = L
+        self._U, self._W, self._recipes = [], [], []
+
+    def _record(self, u: tuple, w: tuple, za, zb, sign: int) -> _Pending:
+        z = _Pending()
+        self._U.append(u)
+        self._W.append(w)
+        self._recipes.append((za, zb, sign, z))
+        if len(self._recipes) >= _RECORD_BLOCK:
+            self._flush()
+        return z
+
+    def mul(self, a: CodedLoopElement, b: CodedLoopElement) -> CodedLoopElement:
+        v = tuple((x + y) % m for x, y, m in zip(a.v, b.v, self.moduli))
+        return CodedLoopElement(self._record(a.v, b.v, a.z, b.z, 1), v)
+
+    def inv(self, a: CodedLoopElement) -> CodedLoopElement:
+        nv = tuple((-x) % m for x, m in zip(a.v, self.moduli))
+        return CodedLoopElement(self._record(a.v, nv, a.z, 0, -1), nv)
+
+    def _flush(self):
+        if not self._recipes:
+            return
+        theta = _rows_theta(self.L, np.array(self._U, dtype=np.int64),
+                            np.array(self._W, dtype=np.int64)).tolist()
+        for (za, zb, sign, z), t in zip(self._recipes, theta):
+            z.value = sign * (_resolved(za) + _resolved(zb) + t) % self.zmod
+        self._U, self._W, self._recipes = [], [], []
+
+    def resolve(self, a: CodedLoopElement) -> CodedLoopElement:
+        """a as an element of L, once every recorded product is flushed."""
+        self._flush()
+        return CodedLoopElement(_resolved(a.z), a.v)
 
 
 def _quadratic(U: np.ndarray, coef: np.ndarray) -> np.ndarray:

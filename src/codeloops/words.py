@@ -12,8 +12,19 @@ Grammar (strict mode):
 exactly the distinctions this algebra is about.  assoc="left" folds
 products left-to-right instead (lossy, CLI escape hatch).
 
+A word nests at most MAX_NESTING levels, counting both open brackets and
+levels of the parsed tree, so neither parsing nor evaluation recurses
+deeper; a deeper word is a WordSyntaxError at the position where it
+crosses the limit.
+
 Evaluating a word in a built loop lands on an element (z, v), which is
-already the normal form z g1^{r1}(g2^{r2}(...)).
+already the normal form z g1^{r1}(g2^{r2}(...)).  On a central extension
+eval_word takes two passes.  The first walks the word on a
+loops._RecordingLoop, which computes every vector part and records each
+product's pair of vector parts with a recipe for its central value; the
+second evaluates theta on all recorded pairs in one kernel call and the
+recipes in order.  Any other context, such as the CLI's Cayley-table
+adapter, is walked once, product by product.
 """
 
 from __future__ import annotations
@@ -21,7 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .loops import CentralExtensionLoop, CodedLoopElement
+from .loops import CentralExtensionLoop, CodedLoopElement, _RecordingLoop
+
+MAX_NESTING = 100  # levels; parsing takes about 3 stack frames per level
 
 
 @dataclass(frozen=True)
@@ -117,6 +130,8 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent; word, term and prim return (tree, tree depth)."""
+
     def __init__(self, text: str, assoc: str):
         if assoc not in ("strict", "left"):
             raise ValueError("assoc must be 'strict' or 'left'")
@@ -124,6 +139,7 @@ class _Parser:
         self.assoc = assoc
         self.toks = _tokenize(text)
         self.i = 0
+        self.open = 0  # brackets open around the current token
 
     def peek(self):
         return self.toks[self.i]
@@ -136,66 +152,83 @@ class _Parser:
         self.i += 1
         return tok
 
+    def nested(self, depth: int, pos: int):
+        if depth > MAX_NESTING:
+            raise WordSyntaxError("word nested deeper than %d levels"
+                                  % MAX_NESTING, pos, self.text)
+
+    def node(self, tree: WordTree, depth: int, pos: int):
+        """tree, of the given depth, built at the token at pos."""
+        self.nested(depth, pos)
+        return tree, depth
+
     def parse(self) -> WordTree:
-        tree = self.word()
+        tree, _ = self.word()
         tok = self.peek()
         if tok[0] != "end":
             raise WordSyntaxError("trailing input", tok[2], self.text)
         return tree
 
-    def word(self) -> WordTree:
-        left = self.term()
+    def word(self):
+        left, dl = self.term()
         if self.peek()[0] != "*":
-            return left
-        self.take("*")
-        right = self.term()
-        tree = Prod(left, right)
+            return left, dl
+        pos = self.take("*")[2]
+        right, dr = self.term()
+        tree, depth = self.node(Prod(left, right), 1 + max(dl, dr), pos)
         if self.peek()[0] == "*":
             if self.assoc == "strict":
                 raise WordSyntaxError(
                     "association required: parenthesize nested products",
                     self.peek()[2], self.text)
             while self.peek()[0] == "*":
-                self.take("*")
-                tree = Prod(tree, self.term())
-        return tree
+                pos = self.take("*")[2]
+                right, dr = self.term()
+                tree, depth = self.node(Prod(tree, right),
+                                        1 + max(depth, dr), pos)
+        return tree, depth
 
-    def term(self) -> WordTree:
-        tree = self.prim()
+    def term(self):
+        tree, depth = self.prim()
         while self.peek()[0] == "^":
-            self.take("^")
+            pos = self.take("^")[2]
             tok = self.take("int")
-            tree = Pow(tree, tok[1])
-        return tree
+            tree, depth = self.node(Pow(tree, tok[1]), depth + 1, pos)
+        return tree, depth
 
-    def prim(self) -> WordTree:
+    def prim(self):
         kind, val, pos = self.peek()
         if kind == "g":
             self.take()
-            return Gen(val)
+            return Gen(val), 1
         if kind == "z":
             self.take()
-            return CentralZ()
+            return CentralZ(), 1
+        if kind not in ("(", "["):
+            raise WordSyntaxError("expected a generator, 'z', '(' or '['",
+                                  pos, self.text)
+        self.take()
+        self.open += 1
+        self.nested(self.open, pos)
         if kind == "(":
-            self.take()
             inner = self.word()
             self.take(")")
+            self.open -= 1
             return inner
-        if kind == "[":
-            self.take()
-            parts = [self.word()]
-            while self.peek()[0] == ",":
-                self.take(",")
-                parts.append(self.word())
-            self.take("]")
-            if len(parts) == 2:
-                return Comm(parts[0], parts[1])
-            if len(parts) == 3:
-                return Assoc(parts[0], parts[1], parts[2])
-            raise WordSyntaxError("brackets take 2 or 3 arguments, got %d"
-                                  % len(parts), pos, self.text)
-        raise WordSyntaxError("expected a generator, 'z', '(' or '['",
-                              pos, self.text)
+        parts = [self.word()]
+        while self.peek()[0] == ",":
+            self.take(",")
+            parts.append(self.word())
+        self.take("]")
+        self.open -= 1
+        depth = 1 + max(d for _, d in parts)
+        trees = [t for t, _ in parts]
+        if len(parts) == 2:
+            return self.node(Comm(*trees), depth, pos)
+        if len(parts) == 3:
+            return self.node(Assoc(*trees), depth, pos)
+        raise WordSyntaxError("brackets take 2 or 3 arguments, got %d"
+                              % len(parts), pos, self.text)
 
 
 def parse_word(text: str, assoc: str = "strict") -> WordTree:
@@ -203,6 +236,17 @@ def parse_word(text: str, assoc: str = "strict") -> WordTree:
 
 
 def eval_word(tree: WordTree, L: CentralExtensionLoop) -> CodedLoopElement:
+    """The element a word denotes in L: in two passes on a central
+    extension (see the module docstring), else product by product."""
+    if isinstance(L, CentralExtensionLoop):
+        rec = _RecordingLoop(L)
+        return rec.resolve(_eval(tree, rec))
+    return _eval(tree, L)
+
+
+def _eval(tree: WordTree, L) -> CodedLoopElement:
+    """The word on any context with generator, central_generator, mul,
+    pow, commutator and associator: one call per node."""
     if isinstance(tree, Gen):
         if not 1 <= tree.index <= L.k:
             raise ValueError("unbound generator g%d (loop has dimension %d)"
@@ -211,15 +255,14 @@ def eval_word(tree: WordTree, L: CentralExtensionLoop) -> CodedLoopElement:
     if isinstance(tree, CentralZ):
         return L.central_generator()
     if isinstance(tree, Prod):
-        return L.mul(eval_word(tree.left, L), eval_word(tree.right, L))
+        return L.mul(_eval(tree.left, L), _eval(tree.right, L))
     if isinstance(tree, Pow):
-        return L.pow(eval_word(tree.base, L), tree.exponent)
+        return L.pow(_eval(tree.base, L), tree.exponent)
     if isinstance(tree, Comm):
-        return L.commutator(eval_word(tree.left, L), eval_word(tree.right, L))
+        return L.commutator(_eval(tree.left, L), _eval(tree.right, L))
     if isinstance(tree, Assoc):
-        return L.associator(eval_word(tree.first, L),
-                            eval_word(tree.second, L),
-                            eval_word(tree.third, L))
+        return L.associator(_eval(tree.first, L), _eval(tree.second, L),
+                            _eval(tree.third, L))
     raise TypeError("not a word tree: %r" % (tree,))
 
 

@@ -233,6 +233,70 @@ def test_eval_huge_exponent_is_fast(runner, tmp_path):
         assert res.output == "g1\n"
 
 
+# recorded with the product-by-product evaluator
+GOLAY_WORDS = {
+    "[g1,g2,g5]": "z",
+    "[(g1*g2)^-99999999999,g3,g12]": "z",
+    "[g4,g9^-1,g11*g2]": "z",
+    "(g5*(g7*g9))^-1": "g5(g7(g9))",
+    "(g3*(g2*g1))^-21": "g1(g2(g3))",
+    "((g1*g2)*(g3*g4))*((g5*g6)*(g7*g8))": "g1(g2(g3(g4(g5(g6(g7(g8)))))))",
+    "(g8*g1)*g4": "z g1(g4(g8))",
+    "(g1*g4)^-1": "z g1(g4)",
+}
+HAMMING_WORDS = {
+    "[g1,g2,g3]": "z",
+    "(g1*g2)*g3": "g1(g2(g3))",
+    "g1*(g2*g3)": "z g1(g2(g3))",
+    "((g1*g2)^-1*[g2,g3])^7": "z g1(g2)",
+    "g3^-99999999999": "g3",
+    "[(g1*g2)^-99999999999,g3,g1]": "z",
+}
+
+
+def _eval_output(runner, source, words):
+    args = ["eval", source]
+    for w in words:
+        args += ["--expr", w]
+    return _run(runner, args).output
+
+
+def test_eval_golay_words(runner, tmp_path):
+    src = str(tmp_path / "g.cvs")
+    _run(runner, ["builtin", "golay", "--as-cvs", "-o", src])
+    assert _eval_output(runner, src, GOLAY_WORDS) == "".join(
+        v + "\n" for v in GOLAY_WORDS.values())
+
+
+def test_eval_hamming_words_on_cvs_and_table(runner, tmp_path):
+    cvs, csv = str(tmp_path / "h.cvs"), str(tmp_path / "h.csv")
+    _run(runner, ["builtin", "hamming", "--as-cvs", "-o", cvs])
+    _run(runner, ["build", cvs, "--table", csv])
+    want = "".join(v + "\n" for v in HAMMING_WORDS.values())
+    for source in (cvs, csv):
+        assert _eval_output(runner, source, HAMMING_WORDS) == want
+
+
+def test_eval_on_a_dim0_cvs(runner, tmp_path):
+    f = tmp_path / "d0.cvs"
+    f.write_text("cvs\np 3\ndim 0\n")
+    words = ["z*z", "[z,z,z]", "z^-1", "z^99999999999", "(z*z)^-7"]
+    assert _eval_output(runner, str(f), words) == "z^2\n1\nz^2\n1\nz\n"
+
+
+def test_eval_refuses_a_deeply_nested_word(runner, tmp_path):
+    # a word nested 600 deep used to end in a RecursionError traceback
+    cvs, csv = str(tmp_path / "h.cvs"), str(tmp_path / "h.csv")
+    _run(runner, ["builtin", "hamming", "--as-cvs", "-o", cvs])
+    _run(runner, ["build", cvs, "--table", csv])
+    word = "(" * 600 + "g1" + ")" * 600
+    for source in (cvs, csv):
+        res = _run(runner, ["eval", source, "--expr", word], code=2)
+        assert res.stderr.startswith(
+            "error: word nested deeper than 100 levels (at position 100)")
+        assert res.stdout == "" and "Traceback" not in res.output
+
+
 def test_build_table_into_missing_directory(runner, tmp_path, oct_cvs_file):
     out = str(tmp_path / "nodir" / "x.csv")
     res = _run(runner, ["build", oct_cvs_file, "--table", out], code=2)
