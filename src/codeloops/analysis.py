@@ -8,8 +8,9 @@ ceiling is a few hundred elements for the cubic scans.
 
 Each structure of a table (divisions, inverses, element orders, nucleus
 and Moufang-center masks, commutators, associator values, upper central
-series) is a cached property of the LoopTable, computed once; frattini
-picks one algorithm per loop.
+series) is a cached property of the LoopTable, computed once; the nucleus
+and the associator values share one scan of the n^3 associators.
+frattini picks one algorithm per loop.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class Subloop:
     """A sorted index set closed under the table's product."""
 
     members: tuple
-    closed: bool = True
 
     def __len__(self):
         return len(self.members)
@@ -132,17 +132,25 @@ class LoopTable:
         return orders
 
     @cached_property
+    def _associator_scan(self) -> tuple:
+        """One pass over all n^3 associators: (seen, trivial), where seen
+        marks the associator values and trivial[0][a] (trivial[1][a],
+        trivial[2][a]) says [a,x,y] ([x,a,y], [x,y,a]) = 1 for all x, y."""
+        seen = np.zeros(self.n, dtype=bool)
+        bad = np.zeros((3, self.n), dtype=bool)
+        for lo, block in _associator_blocks(self):
+            seen[block] = True
+            off = block != self.identity
+            bad[0, lo:lo + len(block)] = off.any(axis=(1, 2))
+            bad[1] |= off.any(axis=(0, 2))
+            bad[2] |= off.any(axis=(0, 1))
+        return seen, ~bad
+
+    @cached_property
     def nucleus_mask(self) -> np.ndarray:
-        """Elements a with (ax)y = a(xy), (xa)y = x(ay) and (xy)a = x(ya)."""
-        T, n = np.asarray(self.table, dtype=np.int64), self.n
-        mask = np.zeros(n, dtype=bool)
-        for a in range(n):
-            A = T[a]
-            B = T[:, a]
-            mask[a] = (np.array_equal(T[A], A[T])
-                       and np.array_equal(T[B], T[:, A])
-                       and np.array_equal(B[T], T[:, B]))
-        return mask
+        """Elements a with (ax)y = a(xy), (xa)y = x(ay) and (xy)a = x(ya):
+        the left, middle and right nuclei from the associator scan."""
+        return self._associator_scan[1].all(axis=0)
 
     @cached_property
     def moufang_center_mask(self) -> np.ndarray:
@@ -161,10 +169,7 @@ class LoopTable:
         if self.n > SCAN_MAX:
             raise ValueError("order %d beyond associator scan budget %d"
                              % (self.n, SCAN_MAX))
-        seen = np.zeros(self.n, dtype=bool)
-        for _, block in _associator_blocks(self):
-            seen[block] = True
-        return np.flatnonzero(seen)
+        return np.flatnonzero(self._associator_scan[0])
 
     @cached_property
     def upper_central_series(self) -> tuple:
@@ -623,49 +628,39 @@ def class2_associator_identities(L: LoopTable) -> ValidationReport:
     checks.append(CheckResult("commutator product expansion", "exhaustive", ok))
 
     # pentagonal identity: a(cd,e,f) = a(c,d,e) a(c,de,f) a(d,e,f) a(c,d,ef)^-1
-    ok, wit = _pentagonal(L, A, T, inv, reps)
+    ok, wit = _pentagonal(A, T, inv, reps, Ar, cd)
     checks.append(CheckResult("pentagonal associator expansion", "exhaustive",
                               ok, wit))
 
     # exchange: a(wx,y,z) = a(wz,y,x) a(w,x,y) a(w,y,z) a(x,y,z)^2
-    ok, wit = _exchange(L, A, T, inv, reps)
+    ok, wit = _exchange(A, T, reps, L.power_column(2)[Ar])
     checks.append(CheckResult("exchange identity", "exhaustive", ok, wit))
 
     return ValidationReport(all(c.ok for c in checks), checks)
 
 
-def _pentagonal(L, A, T, inv, reps):
-    m = len(reps)
-    for ci in range(m):
-        c = int(reps[ci])
-        cd = T[c, reps]                             # over d
-        lhs = A[cd][:, reps][:, :, reps]            # (d, e, f)
-        a1 = A[c, reps][:, reps]                    # a(c,d,e) -> (d,e)
-        de = T[np.ix_(reps, reps)]                  # (d,e)
-        a2 = A[c, de][:, :, reps]                   # a(c,de,f) -> (d,e,f)
-        a3 = A[np.ix_(reps, reps, reps)]            # a(d,e,f)
-        ef = T[np.ix_(reps, reps)]                  # (e,f)
-        a4 = A[c, reps][:, ef]                      # a(c,d,ef) -> (d,(e,f))
-        rhs = T[T[a1[:, :, None], a2], T[a3, inv[a4]]]
+def _pentagonal(A, T, inv, reps, Ar, RR):
+    """Ar = A over reps^3 and RR = T over reps^2, shared by every c."""
+    for c in reps.tolist():
+        lhs = A[T[c, reps]][:, reps][:, :, reps]    # a(cd,e,f) -> (d,e,f)
+        Ac = A[c, reps]
+        a1 = Ac[:, reps]                            # a(c,d,e) -> (d,e)
+        a2 = A[c, RR][:, :, reps]                   # a(c,de,f) -> (d,e,f)
+        a4 = Ac[:, RR]                              # a(c,d,ef) -> (d,(e,f))
+        rhs = T[T[a1[:, :, None], a2], T[Ar, inv[a4]]]
         if not np.array_equal(lhs, rhs):
             d, e, f = np.argwhere(lhs != rhs)[0]
             return False, (c, int(reps[d]), int(reps[e]), int(reps[f]))
     return True, None
 
 
-def _exchange(L, A, T, inv, reps):
-    m = len(reps)
-    for wi in range(m):
-        w = int(reps[wi])
-        wx = T[w, reps]                             # over x
-        lhs = A[wx][:, reps][:, :, reps]            # (x, y, z)
-        wz = T[w, reps]                             # over z
-        r1 = A[wz][:, reps]                         # a(wz, y, ?) -> (z, y, x)
-        r1 = r1[:, :, reps].transpose(2, 1, 0)      # -> (x, y, z)
-        r2 = A[w, reps][:, reps]                    # a(w,x,y) -> (x,y)
-        r3 = A[w, reps][:, reps]                    # a(w,y,z) -> (y,z)
-        r4 = A[np.ix_(reps, reps, reps)]            # a(x,y,z)
-        rhs = T[T[r1, r2[:, :, None]], T[r3[None, :, :], L.power_column(2)[r4]]]
+def _exchange(A, T, reps, sq_Ar):
+    """sq_Ar[x, y, z] = a(x,y,z)^2 over reps^3, shared by every w."""
+    for w in reps.tolist():
+        lhs = A[T[w, reps]][:, reps][:, :, reps]    # a(wx,y,z) -> (x,y,z)
+        r1 = lhs.transpose(2, 1, 0)                 # a(wz,y,x) -> (x,y,z)
+        r2 = A[w, reps][:, reps]                    # a(w,x,y), a(w,y,z)
+        rhs = T[T[r1, r2[:, :, None]], T[r2[None, :, :], sq_Ar]]
         if not np.array_equal(lhs, rhs):
             x, y, z = np.argwhere(lhs != rhs)[0]
             return False, (w, int(reps[x]), int(reps[y]), int(reps[z]))

@@ -255,8 +255,6 @@ def parse_code(text: str) -> BinaryCode:
         rows.append(_bits(line, 0))
     if length is None:
         raise ValueError("code has no generator rows")
-    if _gf2_rank(list(rows)) != len(rows):
-        raise ValueError("generator rows are linearly dependent")
     return BinaryCode(length, tuple(rows))
 
 

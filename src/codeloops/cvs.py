@@ -407,7 +407,10 @@ def validate_axioms(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,
         else:
             if rng is None:  # loading numpy.random costs about 6 MB
                 rng = np.random.default_rng(seed)
-            sample = rng.integers(0, n, size=(arity, samples))
+            # ranks above 2^63 overflow int64: draw rows digit by digit
+            sample = (rng.integers(0, n, size=(arity, samples))
+                      if n - 1 <= np.iinfo(np.int64).max
+                      else rng.integers(0, C.p, size=(arity, samples, C.k)))
             mode, tuples = "sampled", np.split(
                 sample, range(_CHECK_CHUNK, samples, _CHECK_CHUNK), axis=1)
         checks.append(_scan(name, mode, check, tuples, elem, C))
@@ -424,15 +427,17 @@ def _grid(n: int, arity: int):
 
 
 def _scan(name: str, mode: str, check, tuples, elem, C: Cvs) -> CheckResult:
-    """Run check on each chunk of rank arrays in turn, each converted by
-    elem once; the witness is the first failing tuple in C order."""
+    """Run check on each chunk of rank arrays (or sampled rows) in turn,
+    each converted by elem once; the witness is the first failing tuple in
+    C order."""
     for idx in tuples:
         bad = check(*(elem(i) for i in idx))
         if bad.any():
             w = int(np.argmax(bad))
             return CheckResult(name, mode, False, tuple(
-                unrank(int(np.broadcast_to(i, bad.shape).flat[w]),
-                       (C.p,) * C.k) for i in idx))
+                tuple(int(x) for x in i[w]) if np.ndim(i) > bad.ndim
+                else unrank(int(np.broadcast_to(i, bad.shape).flat[w]),
+                            (C.p,) * C.k) for i in idx))
     return CheckResult(name, mode, True)
 
 
@@ -469,7 +474,8 @@ def _identities(C: Cvs, tab: bool) -> tuple:
         alp = lambda c, d, e: np.einsum(
             "...m,...m->...", AB[d, e], V[c], dtype=np.int64)
     else:
-        elem = lambda I: unrank_rows(I, moduli)
+        # samples of a |C| above 2^63 arrive as rows
+        elem = lambda I: I if I.ndim == 2 else unrank_rows(I, moduli)
         sig, chi, alp = F.sigma, F.chi, F.alpha
         add = lambda c, d: (c + d) % p
         scl = lambda m, c: (m * c) % p
@@ -610,12 +616,6 @@ def scale_cvs(C: Cvs, a: int) -> Cvs:
                tuple((a * v) % C.p for v in C.sigma_basis),
                tuple((a * v) % C.p for v in C.chi_flat),
                tuple((a * v) % C.p for v in C.alpha_flat))
-
-
-def permute_basis(C: Cvs, perm: list) -> Cvs:
-    """The CVS seen in the reordered basis e_i -> e_perm[i]."""
-    # column i of M is the new basis vector e_perm[i]
-    return transform(C, np.eye(C.k, dtype=np.int64)[:, list(perm)])
 
 
 def iso_up_to_scalar(A: Cvs, B: Cvs) -> Optional[CvsIso]:

@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -200,10 +200,6 @@ class CentralExtensionLoop:
 
     def element_at(self, idx: int) -> CodedLoopElement:
         return CodedLoopElement(idx // self.csize, self.unrank(idx % self.csize))
-
-    def elements(self) -> Iterator[CodedLoopElement]:
-        for idx in range(self.order):
-            yield self.element_at(idx)
 
     # -- loop operations --
 
@@ -788,31 +784,26 @@ def _witness(L, bad, first: int = 0):
 
 
 def moufang_sampled(L: CentralExtensionLoop, ntriples: int, seed: int = 0):
-    """Check the four Moufang identities on seeded random element triples.
+    """Check the Moufang identity ((dg)e)g = d(g(eg)), which in a loop
+    implies the other three (see analysis.is_moufang), on seeded random
+    element triples.
 
-    Returns (ok, witness_or_None).  Elements are sampled rows with random
-    central lifts, multiplied through theta_rows, so no table is needed;
-    when L already holds its theta table, the products read it instead.
+    Returns (ok, witness_or_None); the witness is (1, g, d, e) at the
+    first failing triple.  Elements are sampled rows with random central
+    lifts, multiplied through theta_rows, so no table is needed; when L
+    already holds its theta table, the products read it instead.
     """
     if ntriples < 1:
         raise ValueError("ntriples must be >= 1, got %r" % (ntriples,))
     rng = np.random.default_rng(seed)
     g, d, e = (_rows_sample(L, rng, ntriples) for _ in range(3))
     mul = lambda x, y: _rows_mul(L, x, y)
-    gd, eg = mul(g, d), mul(e, g)
-    checks = [
-        (mul(mul(mul(d, g), e), g), mul(d, mul(g, eg))),          # ((dg)e)g = d(g(eg))
-        (mul(mul(gd, g), e), mul(g, mul(d, mul(g, e)))),          # ((gd)g)e = g(d(ge))
-        (mul(mul(g, mul(d, e)), g), mul(gd, eg)),                 # (g(de))g = (gd)(eg)
-        (mul(gd, eg), mul(g, mul(mul(d, e), g))),                 # (gd)(eg) = g((de)g)
-    ]
-    for which, ((lz, lv), (rz, rv)) in enumerate(checks):
-        bad = (lz != rz) | (lv != rv).any(axis=1)
-        if bad.any():
-            t = int(np.flatnonzero(bad)[0])
-            wit = (which + 1,) + tuple(L.element(int(z[t]), U[t].tolist())
-                                       for z, U in (g, d, e))
-            return False, wit
+    (lz, lv), (rz, rv) = mul(mul(mul(d, g), e), g), mul(d, mul(g, mul(e, g)))
+    bad = (lz != rz) | (lv != rv).any(axis=1)
+    if bad.any():
+        t = int(np.flatnonzero(bad)[0])
+        return False, (1,) + tuple(L.element(int(z[t]), U[t].tolist())
+                                   for z, U in (g, d, e))
     return True, None
 
 
@@ -848,6 +839,8 @@ def parse_cayley_csv(text: str):
     if set(meta) != {"n", "p", "k"}:
         raise ValueError("header must define exactly n, p, k")
     n = meta["n"]
+    if n < 1:
+        raise ValueError("table order n must be >= 1, got %d" % n)
     if len(lines) != n + 1:
         raise ValueError("expected %d table rows, found %d" % (n, len(lines) - 1))
     rows = []

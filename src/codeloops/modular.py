@@ -101,11 +101,3 @@ def enumerate_invertible(k: int, p: int) -> Iterator[tuple]:
         rows = tuple(entries[r * k:(r + 1) * k] for r in range(k))
         if _rank_mod_p([list(r) for r in rows], p) == k:
             yield rows
-
-
-def count_invertible(k: int, p: int) -> int:
-    """|GL(k,p)| by the standard product formula."""
-    n = 1
-    for i in range(k):
-        n *= p ** k - p ** i
-    return n

@@ -132,10 +132,6 @@ def eval_chi_module(M: CodedModule, c, d) -> int:
     return int(M.forms.chi(*as_rows(M.forms, c, d))[0])
 
 
-def eval_alpha_module(M: CodedModule, c, d, e) -> int:
-    return int(M.forms.alpha(*as_rows(M.forms, c, d, e))[0])
-
-
 def eval_sigma2(M: CodedModule, sigma_basis, c) -> int:
     """sigma(c) = sum c_i s_i + sum_{i<j} c_i c_j chi_ij + sum_{i<j<k}
     c_i c_j c_k alpha_ijk; needs p = 2 and elementary abelian Z."""

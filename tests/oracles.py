@@ -1,7 +1,9 @@
 """Slow, independent oracles that the tests compare the library against:
 the literal recursive product, chi by polarising sigma, the loop centre
 and both radicals by evaluating the forms on all of C, the Moufang scan
-of all four identities, and the CVS validator with all 13 identities."""
+and the sampled Moufang check of all four identities, the nucleus by
+three gathers per element, the associator values by a division found by
+sorting, and the CVS validator with all 13 identities."""
 
 import numpy as np
 
@@ -9,7 +11,8 @@ from codeloops import cvs
 from codeloops.analysis import SCAN_MAX, LoopTable
 from codeloops.cvs import (DEFAULT_VALIDATE_BUDGET, Cvs, ValidationReport,
                            adjoint_translate)
-from codeloops.loops import CodedLoop, CodedLoopElement
+from codeloops.loops import (CentralExtensionLoop, CodedLoop,
+                             CodedLoopElement, _rows_mul, _rows_sample)
 from codeloops.modular import _rank_mod_p
 from codeloops.tables import (MAX_ENTRIES, index_tables, rank_rows,
                               unrank_rows, vector_table)
@@ -156,6 +159,61 @@ def moufang_four_identities(L: LoopTable):
             d, e = np.argwhere(rhs != rhs2)[0]
             return False, (4, g, int(d), int(e))
     return True, None
+
+
+def moufang_sampled_four_identities(L: CentralExtensionLoop, ntriples: int,
+                                    seed: int = 0):
+    """loops.moufang_sampled on all four Moufang identities, on the same
+    seeded triples.
+
+    Returns (ok, witness_or_None); the witness is (identity number 1..4,
+    g, d, e).
+    """
+    if ntriples < 1:
+        raise ValueError("ntriples must be >= 1, got %r" % (ntriples,))
+    rng = np.random.default_rng(seed)
+    g, d, e = (_rows_sample(L, rng, ntriples) for _ in range(3))
+    mul = lambda x, y: _rows_mul(L, x, y)
+    gd, eg = mul(g, d), mul(e, g)
+    checks = [
+        (mul(mul(mul(d, g), e), g), mul(d, mul(g, eg))),          # ((dg)e)g = d(g(eg))
+        (mul(mul(gd, g), e), mul(g, mul(d, mul(g, e)))),          # ((gd)g)e = g(d(ge))
+        (mul(mul(g, mul(d, e)), g), mul(gd, eg)),                 # (g(de))g = (gd)(eg)
+        (mul(gd, eg), mul(g, mul(mul(d, e), g))),                 # (gd)(eg) = g((de)g)
+    ]
+    for which, ((lz, lv), (rz, rv)) in enumerate(checks):
+        bad = (lz != rz) | (lv != rv).any(axis=1)
+        if bad.any():
+            t = int(np.flatnonzero(bad)[0])
+            wit = (which + 1,) + tuple(L.element(int(z[t]), U[t].tolist())
+                                       for z, U in (g, d, e))
+            return False, wit
+    return True, None
+
+
+def nucleus_mask_three_gathers(L: LoopTable) -> np.ndarray:
+    """Elements a with (ax)y = a(xy), (xa)y = x(ay) and (xy)a = x(ya),
+    by three whole-table gathers per element."""
+    T, n = np.asarray(L.table, dtype=np.int64), L.n
+    mask = np.zeros(n, dtype=bool)
+    for a in range(n):
+        A = T[a]
+        B = T[:, a]
+        mask[a] = (np.array_equal(T[A], A[T])
+                   and np.array_equal(T[B], T[:, A])
+                   and np.array_equal(B[T], T[:, B]))
+    return mask
+
+
+def associator_values_scan(L: LoopTable) -> np.ndarray:
+    """Sorted distinct values of (a(bc)) \\ ((ab)c), one a at a time, with
+    the left division read off an argsort of the rows of the table."""
+    T, n = np.asarray(L.table, dtype=np.int64), L.n
+    ldiv = np.argsort(T, axis=1).ravel()  # ldiv[x n + y] = the b with xb = y
+    seen = np.zeros(n, dtype=bool)
+    for a in range(n):
+        seen[ldiv[T[a, T] * n + T[T[a]]]] = True  # over b, c
+    return np.flatnonzero(seen)
 
 
 def validate_thirteen(C: Cvs, budget: int = DEFAULT_VALIDATE_BUDGET,

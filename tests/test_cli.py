@@ -134,6 +134,18 @@ def test_verify_cvs_golay_sampled(runner, tmp_path):
     assert body == GOLAY_SAMPLED
 
 
+def test_verify_cvs_above_int64_ranks(runner, tmp_path):
+    # |C| = 2^70 exceeds the int64 ranks the validator draws its samples
+    # as: it draws them as rows instead, digit by digit (this raised
+    # "high is out of bounds for int64" before)
+    f = tmp_path / "d70.cvs"
+    f.write_text("cvs\np 2\ndim 70\nsigma 1 1\n")
+    res = _run(runner, ["verify-cvs", str(f), "--samples", "500"])
+    lines = res.output.splitlines()
+    assert lines[3:5] == ["axioms=true", "order=%d" % 2 ** 71]
+    assert lines[-2:] == ["extension_laws=true", "moufang=true"]
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_verify_cvs_rejects_fewer_than_one_sample(runner, oct_cvs_file,
                                                   samples):
@@ -204,6 +216,18 @@ def test_eval_rejects_a_bad_table_header(runner, tmp_path, header):
     f.write_text(header + "\n0,1\n1,0\n")
     res = _run(runner, ["eval", str(f), "--expr", "z"], code=2)
     assert "p >= 2 and k >= 0" in res.stderr
+    assert res.stdout == "" and "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("command", [["verify-loop"],
+                                     ["eval", "--expr", "z"]])
+def test_table_commands_refuse_an_empty_table(runner, tmp_path, command):
+    # n = 0 with no rows used to parse, and verify-loop then reported
+    # loop=false with exit 1
+    f = tmp_path / "empty.csv"
+    f.write_text("n=0,p=2,k=0\n")
+    res = _run(runner, command[:1] + [str(f)] + command[1:], code=2)
+    assert "n must be >= 1" in res.stderr
     assert res.stdout == "" and "Traceback" not in res.output
 
 

@@ -14,10 +14,9 @@ from codeloops import cvs
 from codeloops.codes import builtin_golay24, code_to_cvs
 from codeloops.cvs import (Cvs, CvsIso, adjoint_translate, cvs_new, emit_cvs,
                            eval_alpha, eval_chi, eval_sigma, iso_up_to_scalar,
-                           octonion_cvs, pair_list, parse_cvs, permute_basis,
-                           place_entries, pullback_tables, rad_alpha, rad_chi,
-                           random_cvs, scale_cvs, transform, triple_list,
-                           validate_axioms)
+                           octonion_cvs, pair_list, parse_cvs, place_entries,
+                           pullback_tables, rad_alpha, rad_chi, random_cvs,
+                           scale_cvs, transform, triple_list, validate_axioms)
 from codeloops.loops import restricted_cvs
 from codeloops.modular import _rank_mod_p, fp_vector
 from codeloops.modules import parse_module
@@ -25,6 +24,12 @@ from codeloops.modules import parse_module
 from oracles import (all_vectors, chi_table, checked_adjoint_translate,
                      eval_chi_polarized, rad_alpha_exhaustive,
                      rad_chi_exhaustive, thirteen_identities, validate_thirteen)
+
+
+def permute_basis(C: Cvs, perm: list) -> Cvs:
+    """The CVS seen in the reordered basis e_i -> e_perm[i]."""
+    # column i of M is the new basis vector e_perm[i]
+    return transform(C, np.eye(C.k, dtype=np.int64)[:, list(perm)])
 
 
 def vecs(p, k):
@@ -164,6 +169,20 @@ def test_validator_witness_is_first_failure(C, kw, witness):
     fails = validate_axioms(C, **kw).failures()
     assert [c.name for c in fails] == ["chimultilin"]
     assert fails[0].witness == witness
+
+
+def test_validator_samples_rows_above_int64_ranks():
+    # |C| = 5^28 > 2^63: ranks overflow int64, so the samples are drawn as
+    # rows, and the witness is the first failing sampled triple of rows.
+    # alpha != 0 at p = 5 breaks chimultilin wherever alpha(c,d,e) != 0
+    k = 28
+    C = Cvs(5, k, (0,) * k, (0,) * (k * (k - 1) // 2),
+            (1,) + (0,) * (k * (k - 1) * (k - 2) // 6 - 1))
+    rep = validate_axioms(C, samples=3000)
+    assert [c.mode for c in rep.checks] == ["sampled"] * 9
+    assert [c.name for c in rep.failures()] == ["chimultilin"]
+    c, d, e = (np.array([v]) for v in rep.failures()[0].witness)
+    assert c.shape == (1, k) and C.forms.alpha(c, d, e)[0] % 5 != 0
 
 
 def test_validator_chunks_do_not_change_reports(monkeypatch):

@@ -1,7 +1,15 @@
 import pytest
 
-from codeloops.modular import (_rank_mod_p, basis_vector, count_invertible,
+from codeloops.modular import (_rank_mod_p, basis_vector,
                                enumerate_invertible, fp_vector)
+
+
+def count_invertible(k: int, p: int) -> int:
+    """|GL(k,p)| by the standard product formula."""
+    n = 1
+    for i in range(k):
+        n *= p ** k - p ** i
+    return n
 
 
 def test_vector_basics():

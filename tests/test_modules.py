@@ -8,8 +8,13 @@ from codeloops import (build, build_module_extension, cvs_new, emit_module,
                        module_new, octonion_cvs, parse_module, sigma_q,
                        verify_coded_extension)
 from codeloops.loops import KappaIsotope, kappa_isotope
-from codeloops.modules import _powers_agree, eval_alpha_module, eval_chi_module
+from codeloops.cvs import as_rows
+from codeloops.modules import CodedModule, _powers_agree, eval_chi_module
 from codeloops.tables import vector_table
+
+
+def eval_alpha_module(M: CodedModule, c, d, e) -> int:
+    return int(M.forms.alpha(*as_rows(M.forms, c, d, e))[0])
 
 
 # -- constructor validation -------------------------------------------------
