@@ -289,13 +289,18 @@ def center(L: LoopTable) -> Subloop:
 
 def _associator_blocks(L: LoopTable):
     """(lo, block) with block[a - lo, b, c] = (a(bc)) \\ ((ab)c), over
-    consecutive chunks of a holding at most _SCAN_CHUNK triples."""
-    T, n = np.asarray(L.table, dtype=np.int64), L.n
-    ld = np.asarray(L.ldiv, dtype=np.int64).ravel()
+    consecutive chunks of a holding at most _SCAN_CHUNK triples.  The
+    gathers read the stored int16/int32 tables, and the flat index into
+    ldiv is computed in the narrowest signed dtype that holds n^2."""
+    T, n = L.table, L.n
+    ld = L.ldiv.ravel()
     step = max(1, _SCAN_CHUNK // (n * n))
     for lo in range(0, n, step):
         # a(bc) * n + (ab)c indexes ldiv[a(bc), (ab)c]
-        yield lo, ld[T[lo:lo + step, T] * n + T[T[lo:lo + step]]]
+        idx = T[lo:lo + step, T].astype(np.min_scalar_type(-n * n))
+        idx *= n
+        idx += T[T[lo:lo + step]]
+        yield lo, ld[idx]
 
 
 def associator_table(L: LoopTable) -> np.ndarray:

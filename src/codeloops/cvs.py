@@ -193,7 +193,9 @@ def octonion_cvs() -> Cvs:
 # One family serves CVSs and coded modules, since a CVS is the coded module
 # with every slot order q and |Z| equal to p.  On rows F, G, H a quadratic
 # term is rowdot(F @ M, G) and a cubic term is
-# rowdot(outer(F, G) @ A.reshape(k*k, k), H).
+# rowdot(outer_matmul(F, G, A.reshape(k*k, k)), H): the contraction with
+# F is one GEMM, and G multiplies its rows one k x k block at a time, so
+# the n x k^2 outer product of F and G is never formed.
 #
 # Exactness: every product runs in floats, so that it goes through BLAS
 # (numpy has none for integers).  Rows are reduced into [0, q) and every
@@ -213,13 +215,17 @@ def exact_float(bound: int, what: str) -> type:
                      % (what, bound))
 
 
-_BLOCK_ENTRIES = 1 << 21  # entries of the largest temporary per block
+_BLOCK_ENTRIES = 1 << 18  # entries of the largest temporary per block
 
 
-def outer(F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Row-wise outer products, flattened: out[n, i*k + j] = F[n, i] G[n, j]."""
-    n, k, m = len(F), F.shape[1], G.shape[1]
-    return (F[:, :, None] * G[:, None, :]).reshape(n, k * m)
+def outer_matmul(F: np.ndarray, G: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Rows of sum_{i,j} F[n, i] G[n, j] T[i*kg + j], with kg = G.shape[1]:
+    the product of the row-wise outer products of F and G with T, GEMM
+    first.  P = F @ T as a k x (kg m) matrix, then each row G[n] times
+    P[n] as a kg x m matrix; every shape is explicit, so n = 0 works."""
+    n, k, kg, m = len(F), F.shape[1], G.shape[1], T.shape[1]
+    P = (F @ T.reshape(k, kg * m)).reshape(n, kg, m)
+    return (G.reshape(n, 1, kg) @ P).reshape(n, m)
 
 
 def rowdot(F: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -241,7 +247,8 @@ class Forms:
         self.p, self.orders, self.modulus = p, tuple(orders), modulus
         self._orders = np.array(orders, dtype=np.int64)
         self._q = orders[0] if len(set(orders)) == 1 else None
-        # rows per block, so that a k^2-wide outer product stays bounded
+        # rows per block, so that the k^2-wide F @ T of a cubic term stays
+        # bounded
         self._step = max(1, _BLOCK_ENTRIES // max(1, k * k))
         self.sigma_basis = np.asarray(sigma, dtype=np.int64) % modulus
         self.X = X = np.asarray(X, dtype=np.int64) % modulus
@@ -292,14 +299,14 @@ class Forms:
 
     def alpha(self, C, D, E) -> np.ndarray:
         return self._reduce(self._blocks(
-            lambda c, d, e: rowdot(outer(c, d) @ self._A, e), C, D, E))
+            lambda c, d, e: rowdot(outer_matmul(c, d, self._A), e), C, D, E))
 
     def chi_table(self, U, W) -> np.ndarray:
         """chi(u, w) for every pair of rows, as a len(U) x len(W) matrix."""
         U, W = self._rows(U), self._rows(W)
         out = self._chi_left(U) @ W.T
         if self._dd is not None:
-            out += U @ (outer(W, W) @ self._dd).T
+            out += U @ outer_matmul(W, W, self._dd).T
         return self._reduce(out)
 
     def alpha_block(self, U, V, W=None) -> np.ndarray:
@@ -319,20 +326,20 @@ class Forms:
         if self._sX is not None:
             out += rowdot(V @ self._sX, V)
         if self._sA is not None:
-            out += rowdot(outer(V, V) @ self._sA, V)
+            out += rowdot(outer_matmul(V, V, self._sA), V)
         return out
 
     def _chi_left(self, C):
         """Rows L(c) with chi(c, d) = L(c) . d + (the d_j d_m c_i term)."""
         left = C @ self._X
         if self._cc is not None:
-            left += outer(C, C) @ self._cc
+            left += outer_matmul(C, C, self._cc)
         return left
 
     def _chi(self, C, D):
         out = rowdot(self._chi_left(C), D)
         if self._dd is not None:
-            out += rowdot(outer(D, D) @ self._dd, C)
+            out += rowdot(outer_matmul(D, D, self._dd), C)
         return out
 
 

@@ -36,20 +36,25 @@ So theta(u, w) = Phi(u) . Psi(w) mod |Z| with about 3k integer features
   Psi(w) = (X_< w + Q(w) - R(w), z_m [w_m >= q_m - t],  w)
 
 and that one kernel serves every use: theta_rows is the row-wise dot
-product, the theta table is Phi(V) Psi(V)^T over all of C (a GEMM per
-chunk of rows in the dtype cvs.exact_float picks from dot_bound, a bound
-on every row sum, cast to the smallest unsigned dtype that holds |Z| - 1
-and reduced mod |Z| by tables.reduce_mod), a product without a table
-evaluates one row, a word evaluates the rows of all its products at once
-(_RecordingLoop), and sampled verification works on sampled rows at any
-|C|.  A kappa-isotope adds alpha(u, kappa, w) = u B w, so its features are
-the base features with (u, B w) appended, and its table is the base's
-table, built once and kept by the base, plus the GEMM of the appended
-features alone.  An SdcpLoop glues two factor loops in bulk: its
-theta_rows is the factors' theta_rows on the d and e parts plus the
-gluing term z0 above, evaluated on the forms of the restricted CVS, and
-its table is that over the rank grid.  The tests keep the literal
-recursion as an oracle and compare both with a literal level sum.
+product, the theta table is Phi(V) Psi(V)^T over all of C, a product
+without a table evaluates one row, a word evaluates the rows of all its
+products at once (_RecordingLoop), and sampled verification works on
+sampled rows at any |C|.  The table is stored in the smallest unsigned
+dtype that holds |Z| - 1.  When S vanishes mod |Z| (every p = 2 CVS,
+every alpha-free CVS, every coded module with 2 alpha = 0), Phi(u) . Psi
+is a sum over the slots m of rows that depend on u_m alone, and the table
+is built slot by slot in integers (LevelSumLoop._build_theta_table);
+otherwise it is a GEMM per chunk of rows in the dtype cvs.exact_float
+picks from dot_bound, a bound on every row sum, reduced mod |Z| by
+tables.reduce_mod.  A kappa-isotope adds alpha(u, kappa, w) = u B w, so
+its features are the base features with (u, B w) appended, and its
+table is the base's table, built once and kept by the base, plus the
+GEMM of the appended features alone.  An SdcpLoop glues two factor loops
+in bulk: its theta_rows is the factors' theta_rows on the d and e parts
+plus the gluing term z0 above, evaluated on the forms of the restricted
+CVS, and its table is that over the rank grid.  The tests keep the
+literal recursion as an oracle and compare both with a literal level
+sum, and keep the GEMM of all the features as the oracle of the table.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from .cvs import (
     adjoint_translate,
     content_lines,
     exact_float,
-    outer,
+    outer_matmul,
     pullback_tables,
     validate_axioms,
 )
@@ -351,7 +356,7 @@ def _quadratic(U: np.ndarray, coef: np.ndarray) -> np.ndarray:
     (numpy has no BLAS for integers); exact by the bound LevelSumLoop
     picked that dtype for."""
     F = U.astype(coef.dtype)
-    return (outer(F, F) @ coef).astype(np.int64)
+    return outer_matmul(F, F, coef).astype(np.int64)
 
 
 class LevelSumLoop(CentralExtensionLoop):
@@ -367,7 +372,6 @@ class LevelSumLoop(CentralExtensionLoop):
         self.alpha_tensor = A
         k = self.k
         lt = np.less.outer(np.arange(k), np.arange(k))  # lt[a, b] = a < b
-        self._lin = np.tril(X, -1).T % zmod  # W @ _lin = X_< w
         below = np.where(lt[:, None, :] & lt[None, :, :], A, 0)  # i, j < m
         quad_w = -below.transpose(1, 2, 0)  # -R: [j, m, i] = A[i, j, m]
         if p == 2:  # +Q: [j, l, m] = A[m, j, l] for j < l < m
@@ -385,6 +389,7 @@ class LevelSumLoop(CentralExtensionLoop):
             T = T.reshape(k * k, k) % zmod
             return T.astype(fl) if T.any() else None
 
+        self._lin = (np.tril(X, -1).T % zmod).astype(fl)  # W @ _lin = X_< w
         # S vanishes whenever 2 alpha = 0, so for p = 2 it is left out
         self._quad_w, self._quad_u = block(quad_w), block(quad_u)
         self.dot_bound = k * z * (q * (1 + (self._quad_u is not None)) + 1)
@@ -393,7 +398,8 @@ class LevelSumLoop(CentralExtensionLoop):
                            for t in range(1, q)], dtype=np.int64).reshape(-1, 2)
         self._cslot, self._ct = slot_t.T
         self._cthresh = np.array(self.moduli, dtype=np.int64)[self._cslot] - self._ct
-        self._cz = np.array(z_values, dtype=np.int64)[self._cslot] % zmod
+        self._z = np.array(z_values, dtype=np.int64).reshape(k) % zmod
+        self._cz = self._z[self._cslot]
 
     def phi(self, U: np.ndarray) -> np.ndarray:
         U = np.asarray(U, dtype=np.int64)
@@ -402,16 +408,56 @@ class LevelSumLoop(CentralExtensionLoop):
             parts.append(_quadratic(U, self._quad_u) % self.zmod)
         return np.concatenate(parts, axis=1)
 
-    def psi(self, W: np.ndarray) -> np.ndarray:
-        W = np.asarray(W, dtype=np.int64)
-        lin = W @ self._lin
+    def _lin_rows(self, W: np.ndarray) -> np.ndarray:
+        """The first Psi block, X_< w + Q(w) - R(w) mod |Z|; X_< w is a
+        float product too, since numpy has no BLAS for integers."""
+        lin = (W.astype(self._lin.dtype) @ self._lin).astype(np.int64)
         if self._quad_w is not None:
             lin = lin + _quadratic(W, self._quad_w)
-        parts = [lin % self.zmod,
+        return lin % self.zmod
+
+    def psi(self, W: np.ndarray) -> np.ndarray:
+        W = np.asarray(W, dtype=np.int64)
+        parts = [self._lin_rows(W),
                  (W[:, self._cslot] >= self._cthresh) * self._cz]
         if self._quad_u is not None:
             parts.append(W)
         return np.concatenate(parts, axis=1)
+
+    def _build_theta_table(self) -> np.ndarray:
+        """Without S (_quad_u is None), Phi(u) . Psi(w) = sum_m G_m[u_m, w]
+        with G_m[t, w] = t lin_m(w) + z_m [w_m >= q_m - t], so the table
+        is built slot by slot, last slot first, in integers: the rows
+        whose slots <= m are zero are the rank prefix [0, B), B = prod_{i>m}
+        q_i, and row t B + r is row r plus G_m[t] mod |Z|.  Each entry is
+        written once, from a sum s of two residues in an unsigned dtype:
+        s - |Z| wraps past s where s < |Z|, so min(s, s - |Z|) = s mod |Z|.
+        With S the table is the GEMM of Phi and Psi."""
+        if self._quad_u is not None:
+            return super()._build_theta_table()
+        V, n, zmod = vector_table(self.moduli), self.csize, self.zmod
+        lin = self._lin_rows(V)
+        wide = np.min_scalar_type(2 * (zmod - 1))  # holds a sum of two residues
+        T = np.zeros((n, n), dtype=self.theta_dtype)
+        buf = np.empty((2, min(n, _TABLE_CHUNK) * n), dtype=wide)
+        B = 1
+        for m in reversed(range(self.k)):
+            q = self.moduli[m]
+            rows = T[B:q * B].reshape(q - 1, B, n)  # rows[t - 1, r]: t B + r
+            step = max(1, _TABLE_CHUNK // B)  # digits t per block
+            for lo_t in range(1, q, step):
+                t = np.arange(lo_t, min(lo_t + step, q))[:, None]
+                G = ((t * lin[:, m] + self._z[m] * (V[:, m] >= q - t))
+                     % zmod).astype(wide)  # G_m[t] for this block's t
+                for lo in range(0, B, _TABLE_CHUNK):
+                    hi = min(lo + _TABLE_CHUNK, B)
+                    out = rows[lo_t - 1:lo_t - 1 + len(t), lo:hi]
+                    s, d = (b[:out.size].reshape(out.shape) for b in buf)
+                    np.add(T[lo:hi], G[:, None], out=s)
+                    np.subtract(s, zmod, out=d)  # wraps where s < |Z|
+                    np.minimum(s, d, out=out, casting="unsafe")
+            B *= q
+        return T
 
     def alpha_bilinear_for(self, kvec: tuple) -> np.ndarray:
         """B[i, j] = alpha(e_i, kvec, e_j), so alpha(u, kvec, w) = u B w."""

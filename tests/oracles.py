@@ -3,7 +3,9 @@ the literal recursive product, chi by polarising sigma, the loop centre
 and both radicals by evaluating the forms on all of C, the Moufang scan
 and the sampled Moufang check of all four identities, the nucleus by
 three gathers per element, the associator values by a division found by
-sorting, and the CVS validator with all 13 identities."""
+sorting, the CVS validator with all 13 identities, the theta table as
+one GEMM of the feature maps, and the row-wise outer product that
+cvs.outer_matmul contracts without forming."""
 
 import numpy as np
 
@@ -16,6 +18,24 @@ from codeloops.loops import (CentralExtensionLoop, CodedLoop,
 from codeloops.modular import _rank_mod_p
 from codeloops.tables import (MAX_ENTRIES, index_tables, rank_rows,
                               unrank_rows, vector_table)
+
+
+def outer(F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Row-wise outer products, flattened: out[n, i*k + j] = F[n, i] G[n, j]."""
+    n, k, m = len(F), F.shape[1], G.shape[1]
+    return (F[:, :, None] * G[:, None, :]).reshape(n, k * m)
+
+
+def gemm_theta_table(L: CentralExtensionLoop, rows: int = 512) -> np.ndarray:
+    """Phi(V) Psi(V)^T mod |Z| over all of C in theta_dtype: float64
+    GEMMs, rows of V at a time, exact while dot_bound < 2^53."""
+    assert L.dot_bound < 2 ** 53
+    V = vector_table(L.moduli)
+    P, Q = L.phi(V).astype(np.float64), L.psi(V).astype(np.float64)
+    out = np.empty((L.csize, L.csize), dtype=L.theta_dtype)
+    for lo in range(0, L.csize, rows):
+        out[lo:lo + rows] = (P[lo:lo + rows] @ Q.T).astype(np.int64) % L.zmod
+    return out
 
 
 def all_vectors(C: Cvs) -> np.ndarray:

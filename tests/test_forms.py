@@ -23,11 +23,12 @@ import pytest
 
 from codeloops.codes import builtin_golay24, code_to_cvs
 from codeloops.cvs import (Forms, cvs_new, exact_float, octonion_cvs,
-                           pair_list, random_cvs, signed_forms, triple_list)
+                           outer_matmul, pair_list, random_cvs, signed_forms,
+                           triple_list)
 from codeloops.modules import eval_sigma2, module_new
 from codeloops.tables import vector_table
 
-from oracles import eval_chi_polarized
+from oracles import eval_chi_polarized, outer
 
 CAP = 81 ** 3
 SAMPLES = 3000
@@ -167,8 +168,8 @@ def test_golay_rows_against_sigma2_and_polarization():
 
 
 def test_row_blocks_join_up():
-    # at k = 4 a block holds 2^21 / 16 = 131072 rows, so 300000 rows take
-    # three blocks; the answer must equal that of many small calls
+    # at k = 4 a block holds 2^18 / 16 = 16384 rows, so 300000 rows take
+    # 19 blocks; the answer must equal that of many small calls
     F = random_cvs(3, 4, 1).forms
     rng = np.random.default_rng(4)
     c, d, e = rng.integers(0, 3, size=(3, 300000, 4))
@@ -180,6 +181,21 @@ def test_row_blocks_join_up():
         [F.chi(c[i:i + 1000], d[i:i + 1000]) for i in parts]))
     assert np.array_equal(F.sigma(c), np.concatenate(
         [F.sigma(c[i:i + 1000]) for i in parts]))
+
+
+@pytest.mark.parametrize("n, k, kg, m", [
+    (500, 1, 1, 1), (3000, 12, 12, 12), (300, 70, 70, 70), (200, 3, 5, 2),
+    (0, 1, 1, 1), (0, 12, 12, 12), (0, 70, 70, 70), (7, 0, 0, 0)])
+def test_outer_matmul_is_the_outer_product_times_t(n, k, kg, m):
+    # the cubic terms contract F with T first and never form outer(F, G);
+    # explicit shapes keep n = 0 rows (and k = 0 slots) working
+    rng = np.random.default_rng(n + k)
+    F = rng.integers(0, 4, (n, k)).astype(np.float64)
+    G = rng.integers(0, 4, (n, kg)).astype(np.float64)
+    T = rng.integers(0, 9, (k * kg, m)).astype(np.float64)
+    got = outer_matmul(F, G, T)
+    assert got.shape == (n, m)
+    assert np.array_equal(got, outer(F, G) @ T)
 
 
 def test_exact_float_picks_the_narrowest_exact_dtype():

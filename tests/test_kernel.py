@@ -19,7 +19,7 @@ from codeloops.tables import (add_index_table, index_tables, place_values,
                               rank_rows, reduce_mod, unrank, unrank_rows,
                               vector_table)
 
-from oracles import mul_recursive
+from oracles import gemm_theta_table, mul_recursive
 
 
 def level_sum(u, w, moduli, zmod, zvals, chi, alpha):
@@ -99,6 +99,84 @@ def test_theta_table_is_the_level_sum_module_isotope():
     iso = kappa_isotope(build_module_extension(M), (2, 1, 1))
     want = oracle_table(iso, M.z_values, *scalar_forms(M.forms), kappa=(2, 1, 1))
     assert np.array_equal(iso.theta_table(), want)
+
+
+def alpha_free(C):
+    """C with its alpha dropped: the same sigma and chi."""
+    return cvs_new(C.p, C.k, C.sigma_basis,
+                   dict(zip(pair_list(C.k), C.chi_flat)))
+
+
+def counted_gemms(monkeypatch) -> list:
+    """The loops whose tables go through _gemm_table from now on."""
+    calls, gemm = [], CentralExtensionLoop._gemm_table
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return gemm(self, *args, **kwargs)
+
+    monkeypatch.setattr(CentralExtensionLoop, "_gemm_table", counted)
+    return calls
+
+
+S_FREE = {
+    "golay": lambda: code_to_cvs(builtin_golay24()),
+    **{"random_cvs(2, %d, %d)" % (k, k % 3):
+       (lambda k=k: random_cvs(2, k, k % 3)) for k in range(12)},
+    "p3 k5 alpha-free": lambda: alpha_free(random_cvs(3, 5, 1)),
+    "p3 k6 alpha-free": lambda: alpha_free(random_cvs(3, 6, 0)),
+    "p5 k4": lambda: random_cvs(5, 4, 2),
+    "p7 k3": lambda: random_cvs(7, 3, 0),
+    "cvs_new(3, 0)": lambda: cvs_new(3, 0),
+    "module (4,2)": lambda: module_new(2, (4, 2), 4, (1, 3), {(0, 1): 2}, {}),
+    "module (4,2,2) 2 alpha = 0": lambda: MODULES[1],
+    "module (8,2,2)": lambda: module_new(2, (8, 2, 2), 2, (1, 1, 0),
+                                         {(0, 1): 1, (1, 2): 1}, {(0, 1, 2): 1}),
+    "module (256,2) |Z|=256": lambda: module_new(2, (256, 2), 256, (255, 129),
+                                                 {(0, 1): 128}, {}),
+    "module (9,3)": lambda: MODULES[2],
+}
+
+
+def loop_of(data):
+    if hasattr(data, "orders"):
+        return build_module_extension(data)
+    return build(data, validate=False)
+
+
+@pytest.mark.parametrize("make", S_FREE.values(), ids=S_FREE.keys())
+def test_table_without_s_is_built_slot_by_slot(make, monkeypatch):
+    # S(u) vanishes mod |Z|, so the table is built level by level in
+    # integers; it must equal the GEMM of all the features
+    L = loop_of(make())
+    assert L._quad_u is None
+    calls = counted_gemms(monkeypatch)
+    T = L.theta_table()
+    assert calls == []
+    assert T.dtype == L.theta_dtype
+    assert np.array_equal(T, gemm_theta_table(L))
+
+
+S_NONZERO = {
+    "random_cvs(3, 3, 1)": lambda: build(random_cvs(3, 3, 1), validate=False),
+    "random_cvs(3, 4, 2)": lambda: build(random_cvs(3, 4, 2), validate=False),
+    "module (9,3,3) 2 alpha != 0": lambda: build_module_extension(module_new(
+        3, (9, 3, 3), 9, (4, 2, 1), {(0, 1): 3, (1, 2): 3}, {(0, 1, 2): 3})),
+    "golay isotope": lambda: kappa_isotope(
+        build(code_to_cvs(builtin_golay24()), validate=False), (1,) + (0,) * 11),
+    "octonion isotope": lambda: kappa_isotope(build(octonion_cvs()), (1, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("make", S_NONZERO.values(), ids=S_NONZERO.keys())
+def test_table_with_s_or_an_isotope_takes_the_gemm(make, monkeypatch):
+    L = make()
+    assert getattr(L, "_quad_u", None) is not None or hasattr(L, "kappa")
+    calls = counted_gemms(monkeypatch)
+    T = L.theta_table()
+    assert calls[-1] is L
+    assert T.dtype == L.theta_dtype
+    assert np.array_equal(T, gemm_theta_table(L))
 
 
 @pytest.mark.parametrize("L", [
