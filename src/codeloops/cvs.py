@@ -28,8 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .modular import enumerate_invertible, nullspace_mod_p, row_reduce
-from .tables import (MAX_ENTRIES, index_tables, rank_rows, reduce_mod, unrank,
-                     unrank_rows)
+from .tables import (MAX_ENTRIES, index_tables, rank_rows, reduce_mod,
+                     signed_dtype, unrank, unrank_rows)
 
 _CHECK_CHUNK = 1 << 21  # tuples one identity check handles at a time
 DEFAULT_VALIDATE_BUDGET = 3 ** 7
@@ -246,6 +246,8 @@ class Forms:
                                        "forms (3 k^3 q^3 |Z|)")
         self.p, self.orders, self.modulus = p, tuple(orders), modulus
         self._orders = np.array(orders, dtype=np.int64)
+        # integer rows at least this wide hold every slot order
+        self._row_bytes = signed_dtype(q).itemsize
         self._q = orders[0] if len(set(orders)) == 1 else None
         # rows per block, so that the k^2-wide F @ T of a cubic term stays
         # bounded
@@ -256,11 +258,13 @@ class Forms:
         lt = np.less.outer(np.arange(k), np.arange(k))  # lt[a, b] = a < b
 
         def cubic(T):  # (k*k, k) coefficients, or None for a vanishing term
-            return T.reshape(k * k, k).astype(fl) if T.any() else None
+            # count_nonzero, not T.any(): Forms is rebuilt per isotope
+            return (T.reshape(k * k, k).astype(fl) if np.count_nonzero(T)
+                    else None)
 
         self._s = self.sigma_basis.astype(fl)
         self._X = X.astype(fl)
-        self._A = A.reshape(k * k, k).astype(fl)
+        self._A = cubic(A)
         self._sX = self._sA = self._cc = self._dd = None
         if p == 2:
             self._sX = np.where(lt, X, 0).astype(fl)  # i < j
@@ -276,9 +280,14 @@ class Forms:
 
     def _rows(self, V) -> np.ndarray:
         """Rows reduced into [0, q), by the one slot order when there is
-        one (as in every CVS), in the exact float dtype."""
-        V = np.array(V, dtype=np.int64)
-        V = V % self._orders if self._q is None else reduce_mod(V, self._q)
+        one (as in every CVS), in the exact float dtype.  The reduction
+        runs on a copy, in the rows' own signed integer dtype when it holds
+        every slot order (sampled rows are int8 or int16), else in int64."""
+        V = np.asarray(V)
+        narrow = V.dtype.kind == "i" and V.itemsize >= self._row_bytes
+        V = np.array(V, dtype=V.dtype if narrow else np.int64)
+        V = (V % self._orders.astype(V.dtype) if self._q is None
+             else reduce_mod(V, self._q))
         return V.astype(self._float)
 
     def _reduce(self, out: np.ndarray) -> np.ndarray:
@@ -298,6 +307,8 @@ class Forms:
         return self._reduce(self._blocks(self._chi, C, D))
 
     def alpha(self, C, D, E) -> np.ndarray:
+        if self._A is None:  # alpha vanishes
+            return np.zeros(len(C), dtype=np.int64)
         return self._reduce(self._blocks(
             lambda c, d, e: rowdot(outer_matmul(c, d, self._A), e), C, D, E))
 
@@ -314,6 +325,8 @@ class Forms:
         len(U) x len(V) x len(W)."""
         U, V = self._rows(U), self._rows(V)
         W = V if W is None else self._rows(W)
+        if self._A is None:  # alpha vanishes
+            return np.zeros((len(U), len(V), len(W)), dtype=np.int64)
         k = V.shape[1]
         # P[u, j, m] = alpha(u, x_j, x_m), so alpha(u, v, w) = v P[u] w
         P = (U @ self._A.reshape(k, k * k)).reshape(len(U), k, k)
@@ -481,8 +494,11 @@ def _identities(C: Cvs, tab: bool) -> tuple:
         alp = lambda c, d, e: np.einsum(
             "...m,...m->...", AB[d, e], V[c], dtype=np.int64)
     else:
-        # samples of a |C| above 2^63 arrive as rows
-        elem = lambda I: I if I.ndim == 2 else unrank_rows(I, moduli)
+        # samples of a |C| above 2^63 arrive as rows; either way an element
+        # is a narrow row, which holds c + d and m c for digits m, c, d
+        narrow = signed_dtype((p - 1) * max(p - 1, 2))
+        elem = lambda I: (I.astype(narrow) if I.ndim == 2
+                          else unrank_rows(I, moduli, narrow))
         sig, chi, alp = F.sigma, F.chi, F.alpha
         add = lambda c, d: (c + d) % p
         scl = lambda m, c: (m * c) % p

@@ -39,17 +39,18 @@ and that one kernel serves every use: theta_rows is the row-wise dot
 product, the theta table is Phi(V) Psi(V)^T over all of C, a product
 without a table evaluates one row, a word evaluates the rows of all its
 products at once (_RecordingLoop), and sampled verification works on
-sampled rows at any |C|.  The table is stored in the smallest unsigned
-dtype that holds |Z| - 1.  When S vanishes mod |Z| (every p = 2 CVS,
-every alpha-free CVS, every coded module with 2 alpha = 0), Phi(u) . Psi
-is a sum over the slots m of rows that depend on u_m alone, and the table
-is built slot by slot in integers (LevelSumLoop._build_theta_table);
-otherwise it is a GEMM per chunk of rows in the dtype cvs.exact_float
-picks from dot_bound, a bound on every row sum, reduced mod |Z| by
-tables.reduce_mod.  A kappa-isotope adds alpha(u, kappa, w) = u B w, so
-its features are the base features with (u, B w) appended, and its
-table is the base's table, built once and kept by the base, plus the
-GEMM of the appended features alone.  An SdcpLoop glues two factor loops
+sampled rows at any |C|, kept in the narrowest signed dtype that holds a
+sum of two slot entries (int8 up to slot order 64).  The table is stored
+in the smallest unsigned dtype that holds |Z| - 1.  When S vanishes mod
+|Z| (every p = 2 CVS, every alpha-free CVS, every coded module with
+2 alpha = 0), Phi(u) . Psi is a sum over the slots m of rows that depend
+on u_m alone, and the table is built slot by slot in integers, by XOR at
+|Z| = 2 (LevelSumLoop._build_theta_table); otherwise it is a GEMM per
+chunk of rows in the dtype cvs.exact_float picks from dot_bound, a bound
+on every row sum, reduced mod |Z| by tables.reduce_mod.  A kappa-isotope
+adds alpha(u, kappa, w) = u B w, so its features are the base features
+with (u, B w) appended, and its table is the base's table, built once and
+kept by the base, plus the GEMM of the appended features alone.  An SdcpLoop glues two factor loops
 in bulk: its theta_rows is the factors' theta_rows on the d and e parts
 plus the gluing term z0 above, evaluated on the forms of the restricted
 CVS, and its table is that over the rank grid.  The tests keep the
@@ -81,7 +82,8 @@ from .cvs import (
 )
 from .modular import row_reduce
 from .tables import (MAX_ENTRIES, add_index_table, index_tables,
-                     place_values, rank_of, reduce_mod, unrank, vector_table)
+                     place_values, rank_of, reduce_mod, signed_dtype,
+                     unrank, vector_table)
 
 DEFAULT_VERIFY_BUDGET = 3 ** 6
 DEFAULT_TABLE_BUDGET = 2 ** 13
@@ -125,6 +127,19 @@ class CentralExtensionLoop:
 
     def phi(self, U: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    @cached_property
+    def row_width(self) -> int:
+        """Entries of the widest temporary row that theta_rows makes per
+        row pair; it sizes the row blocks of a product without a table.
+        k^2 bounds a quadratic feature; subclasses may know better."""
+        return self.k * self.k
+
+    @cached_property
+    def row_dtype(self) -> np.dtype:
+        """The dtype of sampled vector rows: the narrowest signed one that
+        holds a sum of two slot entries."""
+        return signed_dtype(2 * (max(self.moduli, default=1) - 1))
 
     def psi(self, W: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -401,6 +416,14 @@ class LevelSumLoop(CentralExtensionLoop):
         self._z = np.array(z_values, dtype=np.int64).reshape(k) % zmod
         self._cz = self._z[self._cslot]
 
+    @cached_property
+    def row_width(self) -> int:
+        """The wider of Phi and Psi, or k^2 when a quadratic feature is
+        built (the k x k outer product behind it)."""
+        k, has_s = self.k, self._quad_u is not None
+        quad = has_s or self._quad_w is not None
+        return max(k + len(self._ct) + k * has_s, k * k * quad)
+
     def phi(self, U: np.ndarray) -> np.ndarray:
         U = np.asarray(U, dtype=np.int64)
         parts = [U, U[:, self._cslot] == self._ct]
@@ -430,8 +453,9 @@ class LevelSumLoop(CentralExtensionLoop):
         is built slot by slot, last slot first, in integers: the rows
         whose slots <= m are zero are the rank prefix [0, B), B = prod_{i>m}
         q_i, and row t B + r is row r plus G_m[t] mod |Z|.  Each entry is
-        written once, from a sum s of two residues in an unsigned dtype:
-        s - |Z| wraps past s where s < |Z|, so min(s, s - |Z|) = s mod |Z|.
+        written once: at |Z| = 2, where addition is XOR, by one XOR;
+        otherwise from a sum s of two residues in an unsigned dtype, where
+        s - |Z| wraps past s if s < |Z|, so min(s, s - |Z|) = s mod |Z|.
         With S the table is the GEMM of Phi and Psi."""
         if self._quad_u is not None:
             return super()._build_theta_table()
@@ -439,7 +463,8 @@ class LevelSumLoop(CentralExtensionLoop):
         lin = self._lin_rows(V)
         wide = np.min_scalar_type(2 * (zmod - 1))  # holds a sum of two residues
         T = np.zeros((n, n), dtype=self.theta_dtype)
-        buf = np.empty((2, min(n, _TABLE_CHUNK) * n), dtype=wide)
+        if zmod != 2:
+            buf = np.empty((2, min(n, _TABLE_CHUNK) * n), dtype=wide)
         B = 1
         for m in reversed(range(self.k)):
             q = self.moduli[m]
@@ -452,6 +477,9 @@ class LevelSumLoop(CentralExtensionLoop):
                 for lo in range(0, B, _TABLE_CHUNK):
                     hi = min(lo + _TABLE_CHUNK, B)
                     out = rows[lo_t - 1:lo_t - 1 + len(t), lo:hi]
+                    if zmod == 2:  # wide is theta_dtype, uint8
+                        np.bitwise_xor(T[lo:hi], G[:, None], out=out)
+                        continue
                     s, d = (b[:out.size].reshape(out.shape) for b in buf)
                     np.add(T[lo:hi], G[:, None], out=s)
                     np.subtract(s, zmod, out=d)  # wraps where s < |Z|
@@ -515,6 +543,11 @@ class KappaIsotope(CentralExtensionLoop):
         # the appended u . (B w mod |Z|) adds at most k q z
         self.dot_bound = base.dot_bound + self.k * (self.zmod - 1) * (
             max(self.moduli, default=1) - 1)
+
+    @cached_property
+    def row_width(self) -> int:
+        """The base's, plus the appended k-wide features."""
+        return self.base.row_width + self.k
 
     @cached_property
     def forms(self) -> Forms:
@@ -632,14 +665,17 @@ def semidirect_central_product(Dext, Eext, ambient: Cvs,
 #
 # verify_coded_extension checks the laws of every loop against its forms:
 # CodedLoop, SdcpLoop, ModuleLoop and KappaIsotope over either base.  The
-# table consumers widen the stored theta table to int64 before any sum and
+# exhaustive scans widen the stored theta table to int64 before any sum and
 # add ranks with the per-moduli index_tables (XOR when p = 2, digit by digit
 # otherwise), only for the |C| scanned exhaustively.  The sampled checks
-# never build a table: they multiply row elements (z, V), an array of
-# central values and one of vector rows, so they run at every |C|.  Their
-# theta values are gathered from the theta table when the loop already
-# holds one, and come from theta_rows otherwise; both give the same
-# values, so the verdicts do not depend on the table.
+# never build a table: they multiply row elements (z, V), an int64 array of
+# central values and one of vector rows in the loop's row_dtype (int8 or
+# int16, signed so that negation stays exact), so they run at every |C|
+# and add vector parts without widening.  Their theta values are gathered
+# from the theta table, in its stored dtype, when the loop already holds
+# one, and come from theta_rows otherwise; both give the same values, and
+# are added to the int64 central parts, so the verdicts do not depend on
+# the table.
 #
 # The exhaustive commutator and associator scans end in a left division
 # x^{-1} y of two elements with the same vector part s.  The inverse of
@@ -698,24 +734,36 @@ def _assoc_tables(L: CentralExtensionLoop):
 
 def _rows_theta(L: CentralExtensionLoop, U: np.ndarray,
                 W: np.ndarray) -> np.ndarray:
-    """theta on rows of reduced vector parts: gathered from the theta
-    table, widened to int64, when L holds one, else the feature kernel on
-    blocks of rows small enough that the k^2-wide quadratic features stay
-    within _BLOCK_ENTRIES.  The rows are reduced, so their ranks are dot
-    products with the place values."""
+    """theta on rows of reduced vector parts.  When L holds its theta
+    table, the values are gathered from it and stay in theta_dtype: the
+    rows are reduced, so their ranks are dot products with the place
+    values, one exact float GEMV per side (numpy has no BLAS for
+    integers).  Otherwise the feature kernel runs on blocks of rows whose
+    widest temporary, L.row_width entries a row, stays within
+    _BLOCK_ENTRIES."""
     T = L._theta_table
     if T is None:
-        step = max(1, _BLOCK_ENTRIES // max(1, L.k * L.k))
+        step = max(1, _BLOCK_ENTRIES // max(1, L.row_width))
         return np.concatenate([L.theta_rows(U[lo:lo + step], W[lo:lo + step])
                                for lo in range(0, max(len(U), 1), step)])
-    place = place_values(L.moduli)
-    return T[U @ place, W @ place].astype(np.int64)
+    place = place_values(L.moduli).astype(exact_float(L.csize, "row ranks"))
+    return T[(U @ place).astype(np.intp), (W @ place).astype(np.intp)]
+
+
+def _row_moduli(L: CentralExtensionLoop, U: np.ndarray):
+    """The slot orders in U's dtype, so that sums stay narrow: one scalar
+    when they are equal (a broadcast 12-wide array costs several times
+    more), else an array."""
+    m = L.moduli
+    return (U.dtype.type(m[0]) if len(set(m)) == 1
+            else np.asarray(m, dtype=U.dtype))
 
 
 def _rows_mul(L: CentralExtensionLoop, a: tuple, b: tuple) -> tuple:
-    """Product of row elements a = (z, U), b = (z', W)."""
+    """Product of row elements a = (z, U), b = (z', W): the vector parts
+    are added in their own dtype, and theta to the central parts."""
     (za, U), (zb, W) = a, b
-    mods = np.asarray(L.moduli, dtype=np.int64)
+    mods = _row_moduli(L, U)
     S = U + W
     S -= mods * (S >= mods)  # the rows are reduced
     return (za + zb + _rows_theta(L, U, W)) % L.zmod, S
@@ -723,17 +771,19 @@ def _rows_mul(L: CentralExtensionLoop, a: tuple, b: tuple) -> tuple:
 
 def _rows_inv(L: CentralExtensionLoop, a: tuple) -> tuple:
     z, U = a
-    N = (np.asarray(L.moduli, dtype=np.int64) - U) * (U != 0)
+    N = (_row_moduli(L, U) - U) * (U != 0)
     return (-z - _rows_theta(L, U, N)) % L.zmod, N
 
 
 def _rows_sample(L: CentralExtensionLoop, rng, size: int) -> tuple:
-    """Seeded row elements with random central lifts; equal moduli take a
-    scalar bound, which draws what the array bound draws, faster."""
+    """Seeded row elements with random central lifts: int64 central parts
+    and vector rows in L.row_dtype.  The draws are int64, cast once, and
+    equal moduli take a scalar bound, which draws what the array bound
+    draws, faster."""
     m = L.moduli
     high = m[0] if len(set(m)) == 1 else np.asarray(m, dtype=np.int64)
     return (rng.integers(0, L.zmod, size=size),
-            rng.integers(0, high, size=(size, L.k)))
+            rng.integers(0, high, size=(size, L.k)).astype(L.row_dtype))
 
 
 def _rows_central(a: tuple, want: np.ndarray) -> np.ndarray:

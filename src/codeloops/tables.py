@@ -30,13 +30,22 @@ def vector_table(moduli: tuple) -> np.ndarray:
     return out
 
 
-def unrank_rows(ranks: np.ndarray, moduli: tuple) -> np.ndarray:
-    """The vector of each rank, as an int64 row: shape ranks.shape + (k,)."""
+def unrank_rows(ranks: np.ndarray, moduli: tuple,
+                dtype=np.int64) -> np.ndarray:
+    """The vector of each rank, as a row of dtype: shape ranks.shape + (k,)."""
     r = np.asarray(ranks, dtype=np.int64)
-    out = np.empty(r.shape + (len(moduli),), dtype=np.int64)
+    out = np.empty(r.shape + (len(moduli),), dtype=dtype)
     for i in reversed(range(len(moduli))):
         r, out[..., i] = np.divmod(r, moduli[i])
     return out
+
+
+def signed_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds every integer in
+    [-bound - 1, bound]: int8 up to 127.  Signed, so that a negated row
+    stays negative (np.min_scalar_type of a nonnegative bound is
+    unsigned, even at 0)."""
+    return np.min_scalar_type(-bound - 1)
 
 
 def place_values(moduli: tuple) -> np.ndarray:

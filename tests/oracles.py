@@ -4,8 +4,9 @@ and both radicals by evaluating the forms on all of C, the Moufang scan
 and the sampled Moufang check of all four identities, the nucleus by
 three gathers per element, the associator values by a division found by
 sorting, the CVS validator with all 13 identities, the theta table as
-one GEMM of the feature maps, and the row-wise outer product that
-cvs.outer_matmul contracts without forming."""
+one GEMM of the feature maps, the row-wise outer product that
+cvs.outer_matmul contracts without forming, and the sampled row products
+on int64 rows, as they were before rows were kept narrow."""
 
 import numpy as np
 
@@ -13,11 +14,10 @@ from codeloops import cvs
 from codeloops.analysis import SCAN_MAX, LoopTable
 from codeloops.cvs import (DEFAULT_VALIDATE_BUDGET, Cvs, ValidationReport,
                            adjoint_translate)
-from codeloops.loops import (CentralExtensionLoop, CodedLoop,
-                             CodedLoopElement, _rows_mul, _rows_sample)
+from codeloops.loops import CentralExtensionLoop, CodedLoop, CodedLoopElement
 from codeloops.modular import _rank_mod_p
-from codeloops.tables import (MAX_ENTRIES, index_tables, rank_rows,
-                              unrank_rows, vector_table)
+from codeloops.tables import (MAX_ENTRIES, index_tables, place_values,
+                              rank_rows, unrank_rows, vector_table)
 
 
 def outer(F: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -181,10 +181,50 @@ def moufang_four_identities(L: LoopTable):
     return True, None
 
 
+# -- sampled row products on int64 rows --
+#
+# loops._rows_sample, _rows_mul, _rows_inv and _rows_theta keep vector
+# rows in the loop's narrow row_dtype and theta in theta_dtype.  These are
+# the same products with every row widened to int64: the table gathered by
+# int64 ranks and widened, or theta_rows on all the rows at once.
+
+def rows_sample_int64(L: CentralExtensionLoop, rng, size: int) -> tuple:
+    """Seeded row elements drawn with the array bound, as int64."""
+    return (rng.integers(0, L.zmod, size=size),
+            rng.integers(0, np.asarray(L.moduli, dtype=np.int64),
+                         size=(size, L.k)))
+
+
+def rows_theta_int64(L: CentralExtensionLoop, U: np.ndarray,
+                     W: np.ndarray) -> np.ndarray:
+    U, W = np.asarray(U, dtype=np.int64), np.asarray(W, dtype=np.int64)
+    T = L._theta_table
+    if T is None:
+        return L.theta_rows(U, W)
+    place = place_values(L.moduli)
+    return T[U @ place, W @ place].astype(np.int64)
+
+
+def rows_mul_int64(L: CentralExtensionLoop, a: tuple, b: tuple) -> tuple:
+    (za, U), (zb, W) = a, b
+    U, W = np.asarray(U, dtype=np.int64), np.asarray(W, dtype=np.int64)
+    mods = np.asarray(L.moduli, dtype=np.int64)
+    S = U + W
+    S -= mods * (S >= mods)
+    return (za + zb + rows_theta_int64(L, U, W)) % L.zmod, S
+
+
+def rows_inv_int64(L: CentralExtensionLoop, a: tuple) -> tuple:
+    z, U = a
+    U = np.asarray(U, dtype=np.int64)
+    N = (np.asarray(L.moduli, dtype=np.int64) - U) * (U != 0)
+    return (-z - rows_theta_int64(L, U, N)) % L.zmod, N
+
+
 def moufang_sampled_four_identities(L: CentralExtensionLoop, ntriples: int,
                                     seed: int = 0):
     """loops.moufang_sampled on all four Moufang identities, on the same
-    seeded triples.
+    seeded triples, multiplied on int64 rows.
 
     Returns (ok, witness_or_None); the witness is (identity number 1..4,
     g, d, e).
@@ -192,8 +232,8 @@ def moufang_sampled_four_identities(L: CentralExtensionLoop, ntriples: int,
     if ntriples < 1:
         raise ValueError("ntriples must be >= 1, got %r" % (ntriples,))
     rng = np.random.default_rng(seed)
-    g, d, e = (_rows_sample(L, rng, ntriples) for _ in range(3))
-    mul = lambda x, y: _rows_mul(L, x, y)
+    g, d, e = (rows_sample_int64(L, rng, ntriples) for _ in range(3))
+    mul = lambda x, y: rows_mul_int64(L, x, y)
     gd, eg = mul(g, d), mul(e, g)
     checks = [
         (mul(mul(mul(d, g), e), g), mul(d, mul(g, eg))),          # ((dg)e)g = d(g(eg))

@@ -185,6 +185,24 @@ def test_validator_samples_rows_above_int64_ranks():
     assert c.shape == (1, k) and C.forms.alpha(c, d, e)[0] % 5 != 0
 
 
+@pytest.mark.parametrize("C, kw", [
+    (code_to_cvs(builtin_golay24()), dict(samples=3000)),
+    (_BAD5, dict(budget=64, samples=3000, seed=5)),
+    (Cvs(7, 3, (0, 0, 1), (0, 5, 0), (3,)), dict(budget=0, samples=3000)),
+    # m c reaches 144 for digits m, c at p = 13: the rows are int16
+    (random_cvs(13, 3, 0), dict(budget=0, samples=3000)),
+    (Cvs(13, 3, (0, 0, 0), (1, 0, 0), (1,)), dict(budget=0, samples=3000)),
+])
+def test_validator_reports_on_narrow_rows_as_on_int64_rows(C, kw, monkeypatch):
+    # sampled ranks are unranked into narrow signed rows; the same samples
+    # on int64 rows give the same names, modes, verdicts and witnesses
+    narrow = validate_axioms(C, **kw)
+    assert "sampled" in {ch.mode for ch in narrow.checks}
+    monkeypatch.setattr(cvs, "signed_dtype",
+                        lambda bound: np.dtype(np.int64))
+    assert validate_axioms(C, **kw) == narrow
+
+
 def test_validator_chunks_do_not_change_reports(monkeypatch):
     # 7 * 27 * 27 + 5 tuples hold 7 first ranks of the 27^3 grid and 40 of
     # the 125^2 grid, and neither step divides its |C|

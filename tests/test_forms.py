@@ -21,6 +21,7 @@ import itertools
 import numpy as np
 import pytest
 
+from codeloops import cvs
 from codeloops.codes import builtin_golay24, code_to_cvs
 from codeloops.cvs import (Forms, cvs_new, exact_float, octonion_cvs,
                            outer_matmul, pair_list, random_cvs, signed_forms,
@@ -233,12 +234,29 @@ def test_forms_reduce_rows_without_writing_them():
     # entries out of range and negative, is left as it was
     for F, q in ((random_cvs(3, 4, 0).forms, 3),
                  (MODULES[2].forms, np.array(MODULES[2].orders))):
-        c = np.random.default_rng(0).integers(-20, 20, size=(50, F.A.shape[0]))
-        d = c[::-1].copy()
-        before = c.copy()
-        assert np.array_equal(F.chi(c, d), F.chi(c % q, d % q))
-        assert np.array_equal(F.sigma(c), F.sigma(c % q))
-        assert np.array_equal(c, before)
+        # int8 rows are reduced in int8, int64 ones in int64
+        for dt in (np.int64, np.int8):
+            c = np.random.default_rng(0).integers(
+                -20, 20, size=(50, F.A.shape[0])).astype(dt)
+            d = c[::-1].copy()
+            before = c.copy()
+            assert np.array_equal(F.chi(c, d), F.chi(c % q, d % q))
+            assert np.array_equal(F.sigma(c), F.sigma(c % q))
+            assert np.array_equal(c, before)
+
+
+def test_vanishing_alpha_skips_the_cubic_product(monkeypatch):
+    # alpha = 0: alpha and alpha_block are zeros without a product
+    C = cvs_new(3, 4, (1, 0, 2, 0), {(0, 1): 1, (2, 3): 2})
+    F = C.forms
+    monkeypatch.setattr(cvs, "outer_matmul", None)  # any call raises
+    rows = np.random.default_rng(1).integers(0, 3, size=(3, 40, 4))
+    got = F.alpha(*rows)
+    assert got.dtype == np.int64 and np.array_equal(got, np.zeros(40))
+    assert F.alpha(*rows[:, :0]).shape == (0,)
+    block = F.alpha_block(rows[0][:5], rows[1][:6], rows[2][:7])
+    assert block.dtype == np.int64 and block.shape == (5, 6, 7)
+    assert not block.any()
 
 
 def test_forms_refuse_data_past_the_float64_bound():

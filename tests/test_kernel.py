@@ -19,7 +19,7 @@ from codeloops.tables import (add_index_table, index_tables, place_values,
                               rank_rows, reduce_mod, unrank, unrank_rows,
                               vector_table)
 
-from oracles import gemm_theta_table, mul_recursive
+from oracles import gemm_theta_table, mul_recursive, rows_sample_int64
 
 
 def level_sum(u, w, moduli, zmod, zvals, chi, alpha):
@@ -132,6 +132,9 @@ S_FREE = {
     "module (4,2,2) 2 alpha = 0": lambda: MODULES[1],
     "module (8,2,2)": lambda: module_new(2, (8, 2, 2), 2, (1, 1, 0),
                                          {(0, 1): 1, (1, 2): 1}, {(0, 1, 2): 1}),
+    # |Z| = 2 on slots of order 4 and 2: the table is built by XOR there too
+    "module (4,2,2) |Z|=2": lambda: module_new(2, (4, 2, 2), 2, (1, 0, 1),
+                                               {(0, 1): 1, (0, 2): 1}, {}),
     "module (256,2) |Z|=256": lambda: module_new(2, (256, 2), 256, (255, 129),
                                                  {(0, 1): 128}, {}),
     "module (9,3)": lambda: MODULES[2],
@@ -405,17 +408,31 @@ def test_theta_table_at_the_float32_bound(zmod, dtype):
     assert np.array_equal(I.theta_table(), I.phi(V) @ I.psi(V).T % zmod)
 
 
-@pytest.mark.parametrize("L", [build(random_cvs(p, 3, 0), validate=False)
-                               for p in (2, 3, 5)]
-                         + [build_module_extension(module_new(
-                             2, (4, 2), 2, (1, 1), {(0, 1): 1}, {}))],
-                         ids=repr)
-def test_rows_sample_draws_what_the_array_bound_draws(L):
-    # equal moduli are drawn with a scalar bound; the draws, and so every
-    # sampled verdict and witness, must be those of the array bound
+def _row_dtype_case(L, dtype):
+    return pytest.param(L, dtype, id=repr(L))
+
+
+@pytest.mark.parametrize("L, dtype", [
+    *(_row_dtype_case(build(random_cvs(p, 3, 0), validate=False), np.int8)
+      for p in (2, 3, 5)),
+    _row_dtype_case(build_module_extension(module_new(
+        2, (4, 2), 2, (1, 1), {(0, 1): 1}, {})), np.int8),
+    # 2 (q - 1) = 120 and 132: the last int8 slot order and the first int16
+    _row_dtype_case(build(random_cvs(61, 2, 0), validate=False), np.int8),
+    _row_dtype_case(build(random_cvs(67, 2, 0), validate=False), np.int16),
+    _row_dtype_case(build(cvs_new(3, 0)), np.int8),
+    _row_dtype_case(build_module_extension(module_new(
+        2, (256, 2), 256, (255, 129), {(0, 1): 128}, {})), np.int16)])
+def test_rows_sample_draws_what_the_array_bound_draws(L, dtype):
+    # equal moduli are drawn with a scalar bound and every draw is cast to
+    # the narrowest signed dtype that holds a sum of two slot entries
+    # (int8 at dimension 0 too, where np.min_scalar_type(0) is uint8); the
+    # values, and so every sampled verdict and witness, must be the int64
+    # draws of the array bound
+    assert L.row_dtype == dtype
     for seed in range(4):
         z, U = _rows_sample(L, np.random.default_rng(seed), 500)
-        rng = np.random.default_rng(seed)
-        assert np.array_equal(z, rng.integers(0, L.zmod, size=500))
-        assert np.array_equal(U, rng.integers(
-            0, np.asarray(L.moduli), size=(500, L.k)))
+        want_z, want_U = rows_sample_int64(L, np.random.default_rng(seed), 500)
+        assert z.dtype == np.int64 and U.dtype == dtype
+        assert U.shape == (500, L.k)
+        assert np.array_equal(z, want_z) and np.array_equal(U, want_U)

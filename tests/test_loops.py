@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from codeloops import loops
 from codeloops.codes import builtin_golay24, code_to_cvs
-from codeloops.cvs import (adjoint_translate, cvs_new, octonion_cvs, pair_list,
-                          random_cvs, triple_list, validate_axioms)
+from codeloops.cvs import (Forms, adjoint_translate, cvs_new, octonion_cvs,
+                           pair_list, random_cvs, triple_list, validate_axioms)
 from codeloops.loops import (DEFAULT_VERIFY_BUDGET, CentralExtensionLoop,
                              CodedLoop, CodedLoopElement, LevelSumLoop,
                              SdcpLoop, _assoc_tables, _comm_table, _rows_inv,
@@ -23,7 +24,8 @@ from codeloops.modules import build_module_extension, module_new
 from codeloops.tables import vector_table
 
 from oracles import (center_vectors, moufang_sampled_four_identities,
-                     mul_recursive)
+                     mul_recursive, rows_inv_int64, rows_mul_int64,
+                     rows_sample_int64)
 
 
 def all_elements(L):
@@ -459,13 +461,15 @@ def _twin_loop(name):
     C = random_cvs(3, 5, 0)
     M = module_new(3, (9, 3, 3), 3, (1, 2, 0), {(0, 1): 1}, {(0, 1, 2): 1})
     W = module_new(2, (2, 4), 256, (255, 129), {(0, 1): 128}, {})
+    W2 = module_new(2, (256, 2), 256, (255, 129), {(0, 1): 128}, {})
     return {"golay": lambda: build(code_to_cvs(builtin_golay24())),
             "cvs350": lambda: build(C, validate=False),
             "isotope": lambda: kappa_isotope(build(C, validate=False),
                                              (1, 0, 2, 1, 0)),
             "module933": lambda: build_module_extension(M),
             "sdcp350": lambda: basis_gluing((3, 5, 0), 2),
-            "module24z256": lambda: build_module_extension(W)}[name]()
+            "module24z256": lambda: build_module_extension(W),
+            "module2562z256": lambda: build_module_extension(W2)}[name]()
 
 
 def _twins(name, monkeypatch):
@@ -487,8 +491,8 @@ TWINS = ["golay", "cvs350", "isotope", "module933", "sdcp350"]
 
 def test_table_free_row_products_run_in_bounded_blocks():
     # without a theta table, theta on 20,000 row pairs at k = 20 runs the
-    # kernel on blocks of _BLOCK_ENTRIES // k^2 rows: all at once, the
-    # 400-wide quadratic features traced 76 MiB
+    # kernel on blocks of _BLOCK_ENTRIES // row_width rows, k^2 = 400 here:
+    # all at once, the 400-wide quadratic features traced 76 MiB
     L = build(random_cvs(2, 20, 0), validate=False)
     rng = np.random.default_rng(0)
     U, W = (rng.integers(0, 2, size=(20000, 20)) for _ in range(2))
@@ -501,6 +505,35 @@ def test_table_free_row_products_run_in_bounded_blocks():
     assert peak < 32 * 2 ** 20, peak
     assert np.array_equal(got, L.theta_rows(U, W))
     assert _rows_theta(L, U[:0], W[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("make, width", [
+    (lambda: build(random_cvs(2, 20, 0), validate=False), 400),
+    # alpha = 0: no quadratic feature, so Phi and Psi are 2 k wide
+    (lambda: build(cvs_new(2, 70, (1,) + (0,) * 69), validate=False), 140),
+    # one carry feature per digit of the order-256 slot
+    (lambda: build_module_extension(module_new(
+        2, (256, 2), 256, (255, 129), {(0, 1): 128}, {})), 258),
+    # k + 2 k carries + k for S, then the appended (u, B w)
+    (lambda: kappa_isotope(build(random_cvs(3, 3, 0), validate=False),
+                           (1, 0, 2)), 12 + 3)])
+def test_table_free_row_blocks_follow_the_feature_width(make, width,
+                                                        monkeypatch):
+    # blocks of _BLOCK_ENTRIES // row_width rows, not // k^2: the dim-70
+    # alpha-free CVS once ran the kernel on blocks of 53 rows
+    L = make()
+    assert L.row_width == width
+    rng = np.random.default_rng(0)
+    U, W = (rng.integers(0, np.asarray(L.moduli), size=(5000, L.k))
+            .astype(L.row_dtype) for _ in range(2))
+    want = L.theta_rows(U, W)
+    blocks = []
+    kernel = L.theta_rows
+    monkeypatch.setattr(L, "theta_rows",
+                        lambda U, W: blocks.append(len(U)) or kernel(U, W))
+    assert np.array_equal(_rows_theta(L, U, W), want)
+    step = loops._BLOCK_ENTRIES // width
+    assert blocks == [min(step, 5000 - lo) for lo in range(0, 5000, step)]
 
 
 @pytest.mark.parametrize("name", TWINS)
@@ -539,11 +572,14 @@ def test_sampled_negative_controls_do_not_depend_on_the_table(
 
 def _alpha_moved(p, k, seed, t):
     """The level-sum loop of random_cvs(p, k, seed) with alpha moved on the
-    one ordered triple t: the tensor is no longer alternating."""
+    one ordered triple t: the tensor is no longer alternating.  Its laws
+    are checked against the forms of the CVS."""
     C = random_cvs(p, k, seed)
     A = C.forms.A.copy()
     A[t] = (A[t] + 1) % p
-    return LevelSumLoop(p, (p,) * k, p, C.sigma_basis, C.forms.X, A)
+    L = LevelSumLoop(p, (p,) * k, p, C.sigma_basis, C.forms.X, A)
+    L.cvs = C
+    return L
 
 
 def test_sampled_moufang_witness_does_not_depend_on_the_table(monkeypatch):
@@ -610,6 +646,80 @@ def test_row_products_through_the_table_are_the_kernel(name, monkeypatch):
     z, N = _rows_inv(held, a)
     assert np.array_equal(N, -a[1] % mods)
     assert np.array_equal(z, (-a[0] - free.theta_rows(a[1], N)) % free.zmod)
+
+
+@pytest.mark.parametrize("name", TWINS + ["module24z256", "module2562z256"])
+def test_narrow_row_products_are_the_int64_products(name, monkeypatch):
+    # rows in row_dtype (int16 for the order-256 slot, int8 otherwise) and
+    # theta in theta_dtype (uint8 at |Z| = 256): the same z values and
+    # vector parts as on int64 rows, with and without the table
+    for L in _twins(name, monkeypatch):
+        rng = np.random.default_rng(5)
+        a, b, c = (_rows_sample(L, rng, 1000) for _ in range(3))
+        assert a[1].dtype == L.row_dtype == (
+            np.int16 if name == "module2562z256" else np.int8)
+
+        def products(mul, inv):  # a product, an inverse and an associator
+            return [mul(a, b), inv(a),
+                    mul(inv(mul(a, mul(b, c))), mul(mul(a, b), c))]
+
+        narrow = products(lambda x, y: _rows_mul(L, x, y),
+                          lambda x: _rows_inv(L, x))
+        wide = products(lambda x, y: rows_mul_int64(L, x, y),
+                        lambda x: rows_inv_int64(L, x))
+        for (z, U), (wz, wU) in zip(narrow, wide):
+            assert z.dtype == np.int64 and U.dtype == L.row_dtype
+            assert np.array_equal(z, wz) and np.array_equal(U, wU)
+
+
+def _checked_negative_control(name):
+    """A loop of NOT_MOUFANG with forms to check its laws against: the
+    CVS for a moved alpha, zero forms for the random cocycle."""
+    L = _moufang_oracle_loop(name)
+    if name == "cocycle":
+        L.theta_table()
+        k = L.k
+        L.cvs = SimpleNamespace(forms=Forms(
+            L.zmod, L.moduli, L.zmod, (0,) * k, np.zeros((k, k), dtype=int),
+            np.zeros((k, k, k), dtype=int)))
+    return L
+
+
+@pytest.mark.parametrize("name", NOT_MOUFANG)
+def test_narrow_sampled_checks_are_the_int64_checks(name, monkeypatch):
+    # the same seeded samples, multiplied on narrow rows and on int64 rows:
+    # identical sampled reports and Moufang witnesses
+    L = _checked_negative_control(name)
+    assert _rows_sample(L, np.random.default_rng(0), 1)[1].dtype == np.int8
+    narrow = (verify_coded_extension(L, budget=0, samples=2000),
+              moufang_sampled(L, 2000))
+    monkeypatch.setattr(loops, "_rows_sample", rows_sample_int64)
+    monkeypatch.setattr(loops, "_rows_mul", rows_mul_int64)
+    monkeypatch.setattr(loops, "_rows_inv", rows_inv_int64)
+    wide = (verify_coded_extension(L, budget=0, samples=2000),
+            moufang_sampled(L, 2000))
+    assert narrow == wide
+    rep, (ok, wit) = narrow
+    assert rep.checks[-1].mode == "sampled" and not rep.ok
+    assert not ok and wit is not None
+
+
+def test_sampled_golay_checks_stay_within_memory_bounds():
+    # Golay with its theta table, 10^5 samples.  Traced peaks: 21.7 MiB for
+    # the sampled verify and 17.2 MiB for moufang_sampled; on int64 rows
+    # they were 89.7 and 69.2 MiB
+    L = build(code_to_cvs(builtin_golay24()), validate=False)
+    L.theta_table()
+    for check, bound in (
+            (lambda: verify_coded_extension(L, samples=10 ** 5).ok, 32),
+            (lambda: moufang_sampled(L, 10 ** 5)[0], 26)):
+        tracemalloc.start()
+        try:
+            ok = check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok and peak < bound * 2 ** 20, peak
 
 
 def test_sdcp_rejects_dependent_embedding():
