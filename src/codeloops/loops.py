@@ -50,12 +50,13 @@ chunk of rows in the dtype cvs.exact_float picks from dot_bound, a bound
 on every row sum, reduced mod |Z| by tables.reduce_mod.  A kappa-isotope
 adds alpha(u, kappa, w) = u B w, so its features are the base features
 with (u, B w) appended, and its table is the base's table, built once and
-kept by the base, plus the GEMM of the appended features alone.  An SdcpLoop glues two factor loops
-in bulk: its theta_rows is the factors' theta_rows on the d and e parts
-plus the gluing term z0 above, evaluated on the forms of the restricted
-CVS, and its table is that over the rank grid.  The tests keep the
-literal recursion as an oracle and compare both with a literal level
-sum, and keep the GEMM of all the features as the oracle of the table.
+kept by the base, plus the GEMM of the appended features alone.  An
+SdcpLoop glues two factor loops in bulk: its theta_rows is the factors'
+theta_rows on the d and e parts plus the gluing term z0 above, evaluated
+on the forms of the restricted CVS, and its table is that over the rank
+grid.  The tests keep the literal recursion as an oracle and compare both
+with a literal level sum, and keep the GEMM of all the features as the
+oracle of the table.
 """
 
 from __future__ import annotations
