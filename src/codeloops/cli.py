@@ -100,7 +100,7 @@ def verify_cvs(cvsfile, samples, seed):
             click.echo("moufang_witness=%s" % (wit,))
             sys.exit(1)
     else:
-        if L.csize ** 2 <= MAX_ENTRIES:  # at most 16 MiB
+        if L.csize ** 2 <= MAX_ENTRIES:  # 2^24 entries, one bit each at p = 2
             L.theta_table()  # the sampled products gather from it
         vrep = verify_coded_extension(L, samples=samples, seed=seed)
         mode = vrep.checks[-1].mode  # CEassociate's

@@ -92,7 +92,7 @@ def is_doubly_even(C: BinaryCode) -> bool:
         intersect2(gens[i], gens[j]) % 2 == 0
         for i in range(len(gens)) for j in range(i + 1, len(gens)))
     if 2 ** C.dim <= _CROSS_CHECK_MAX:
-        exhaustive = all(weight(w) % 4 == 0 for w in C.codewords())
+        exhaustive = bool((codeword_weights(C) % 4 == 0).all())
         if exhaustive != by_basis:
             raise AssertionError("doubly-even basis criterion disagrees with "
                                  "exhaustive enumeration")
@@ -264,6 +264,13 @@ def emit_code(C: BinaryCode) -> str:
 
 
 def codeword_weights(C: BinaryCode) -> np.ndarray:
-    """Weights of all codewords via numpy popcount, subset order."""
-    words = np.array(C.codewords(), dtype=np.uint64)
-    return np.bitwise_count(words).astype(np.int64)
+    """Weights of all codewords via numpy popcount, in subset order (that
+    of codewords): each word is a row of 64-bit limbs, and the rows are
+    doubled by XOR with each generator in turn."""
+    limbs = max(1, -(-C.length // 64))
+    words = np.zeros((1, limbs), dtype=np.uint64)
+    for g in C.generators:
+        row = np.array([g >> (64 * i) & (2 ** 64 - 1) for i in range(limbs)],
+                       dtype=np.uint64)
+        words = np.concatenate([words, words ^ row])
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)

@@ -249,9 +249,6 @@ class Forms:
         # integer rows at least this wide hold every slot order
         self._row_bytes = signed_dtype(q).itemsize
         self._q = orders[0] if len(set(orders)) == 1 else None
-        # rows per block, so that the k^2-wide F @ T of a cubic term stays
-        # bounded
-        self._step = max(1, _BLOCK_ENTRIES // max(1, k * k))
         self.sigma_basis = np.asarray(sigma, dtype=np.int64) % modulus
         self.X = X = np.asarray(X, dtype=np.int64) % modulus
         self.A = A = np.asarray(A, dtype=np.int64).reshape(k, k, k) % modulus
@@ -272,6 +269,11 @@ class Forms:
             self._cc = cubic(np.where(lt[:, :, None], A, 0))  # c_i c_j d_m
             self._dd = cubic(np.where(lt[:, :, None],  # d_j d_m c_i
                                       A.transpose(1, 2, 0), 0))
+        # rows per block, so that the widest temporary stays bounded: the
+        # k^2-wide F @ T of a cubic term when one is built, else k-wide rows
+        cubics = (self._A, self._sA, self._cc, self._dd)
+        width = k * k if any(T is not None for T in cubics) else k
+        self._step = max(1, _BLOCK_ENTRIES // max(1, width))
 
     def chi_shifted(self, S) -> "Forms":
         """The same forms with the chi matrix X replaced by X + S."""

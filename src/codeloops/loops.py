@@ -40,23 +40,27 @@ product, the theta table is Phi(V) Psi(V)^T over all of C, a product
 without a table evaluates one row, a word evaluates the rows of all its
 products at once (_RecordingLoop), and sampled verification works on
 sampled rows at any |C|, kept in the narrowest signed dtype that holds a
-sum of two slot entries (int8 up to slot order 64).  The table is stored
-in the smallest unsigned dtype that holds |Z| - 1.  When S vanishes mod
-|Z| (every p = 2 CVS, every alpha-free CVS, every coded module with
-2 alpha = 0), Phi(u) . Psi is a sum over the slots m of rows that depend
-on u_m alone, and the table is built slot by slot in integers, by XOR at
-|Z| = 2 (LevelSumLoop._build_theta_table); otherwise it is a GEMM per
-chunk of rows in the dtype cvs.exact_float picks from dot_bound, a bound
-on every row sum, reduced mod |Z| by tables.reduce_mod.  A kappa-isotope
-adds alpha(u, kappa, w) = u B w, so its features are the base features
-with (u, B w) appended, and its table is the base's table, built once and
-kept by the base, plus the GEMM of the appended features alone.  An
-SdcpLoop glues two factor loops in bulk: its theta_rows is the factors'
-theta_rows on the d and e parts plus the gluing term z0 above, evaluated
-on the forms of the restricted CVS, and its table is that over the rank
-grid.  The tests keep the literal recursion as an oracle and compare both
-with a literal level sum, and keep the GEMM of all the features as the
-oracle of the table.
+sum of two slot entries (int8 up to slot order 64).  The table stores
+each entry in the smallest unsigned dtype that holds |Z| - 1, except at
+|Z| = 2, where theta is F_2-valued (every code loop) and each entry is
+one bit, packed along w in np.packbits order (theta_table); only
+_rows_theta, _theta and the value reader theta_values know that layout.
+When S vanishes mod |Z| (every p = 2 CVS, every alpha-free CVS, every
+coded module with 2 alpha = 0), Phi(u) . Psi is a sum over the slots m
+of rows that depend on u_m alone, and the table is built slot by slot in
+integers, by XOR of packed rows at |Z| = 2
+(LevelSumLoop._build_theta_table); otherwise it is a GEMM per chunk of
+rows in the dtype cvs.exact_float picks from dot_bound, a bound on every
+row sum, reduced mod |Z| by tables.reduce_mod and packed at |Z| = 2.  A
+kappa-isotope adds alpha(u, kappa, w) = u B w, so its features are the
+base features with (u, B w) appended, and its table is the base's table,
+built once and kept by the base, plus the GEMM of the appended features
+alone.  An SdcpLoop glues two factor loops in bulk: its theta_rows is the
+factors' theta_rows on the d and e parts plus the gluing term z0 above,
+evaluated on the forms of the restricted CVS, and its table is that over
+the rank grid.  The tests keep the literal recursion as an oracle and
+compare both with a literal level sum, and keep the GEMM of all the
+features and the one-byte-per-entry XOR build as oracles of the table.
 """
 
 from __future__ import annotations
@@ -164,21 +168,38 @@ class CentralExtensionLoop:
         """(P Q^T + base) mod |Z| as GEMMs on chunks of _TABLE_CHUNK rows,
         in the exact float dtype for dot_bound, which bounds every entry;
         each chunk is cast straight to the stored dtype when dot_bound and
-        |Z| fit it (reduce_mod needs |Z| in the dtype).  base, read and
-        never written, defaults to 0."""
+        |Z| fit it (reduce_mod needs |Z| in the dtype), and stored in the
+        table's layout.  base, a table in that layout, read and never
+        written, defaults to 0."""
         fl = exact_float(self.dot_bound, "theta kernel")
         P = P.astype(fl)
         Q = np.ascontiguousarray(Q.T, dtype=fl)
         dt = self.theta_dtype
         fits = max(self.dot_bound, self.zmod) <= np.iinfo(dt).max
         acc = dt if fits else np.int64
-        T = np.empty((self.csize, self.csize), dtype=dt)
+        T = self._new_table()
         for lo in range(0, self.csize, _TABLE_CHUNK):
             G = P[lo:lo + _TABLE_CHUNK] @ Q
             if base is not None:
-                G += base[lo:lo + _TABLE_CHUNK]
-            T[lo:lo + _TABLE_CHUNK] = reduce_mod(G.astype(acc), self.zmod)
+                G += self._unpacked(base[lo:lo + _TABLE_CHUNK])
+            T[lo:lo + _TABLE_CHUNK] = self._packed(
+                reduce_mod(G.astype(acc), self.zmod))
         return T
+
+    def _new_table(self) -> np.ndarray:
+        """A zero theta table in the stored layout (see theta_table)."""
+        n = self.csize
+        return np.zeros((n, -(-n // 8) if self.zmod == 2 else n),
+                        dtype=self.theta_dtype)
+
+    def _packed(self, R: np.ndarray) -> np.ndarray:
+        """Rows of theta values in the stored layout: packed at |Z| = 2."""
+        return np.packbits(R, axis=1) if self.zmod == 2 else R
+
+    def _unpacked(self, R: np.ndarray) -> np.ndarray:
+        """Rows of the stored table as values: the inverse of _packed."""
+        return (np.unpackbits(R, axis=1, count=self.csize)
+                if self.zmod == 2 else R)
 
     # -- element plumbing --
 
@@ -203,7 +224,10 @@ class CentralExtensionLoop:
         return CodedLoopElement(0, (0,) * self.k)
 
     def generator(self, i: int) -> CodedLoopElement:
-        """The coset representative x_{i+1} = (0, e_i)."""
+        """The coset representative x_{i+1} = (0, e_i), for 0 <= i < k."""
+        if not 0 <= i < self.k:
+            raise ValueError("generator index %d out of range: k = %d"
+                             % (i, self.k))
         return self.element(0, [1 if t == i else 0 for t in range(self.k)])
 
     def central_generator(self) -> CodedLoopElement:
@@ -225,19 +249,33 @@ class CentralExtensionLoop:
     # -- loop operations --
 
     def theta_table(self) -> np.ndarray:
-        """theta over C x C, rank-indexed, stored as theta_dtype; built
-        when it has at most MAX_ENTRIES entries (|C| <= 4096)."""
+        """theta over C x C, rank-indexed, in theta_dtype; built when it
+        has at most MAX_ENTRIES entries (|C| <= 4096).  Row u holds
+        theta(u, .): n entries, or at |Z| = 2 one bit per entry, packed
+        along w in np.packbits order (bit 7 - w % 8 of byte w // 8), so
+        the table is n x ceil(n/8) bytes, 2 MiB for Parker's loop instead
+        of 16.  theta_values reads it as values."""
         if self._theta_table is None:
             if self.csize ** 2 > MAX_ENTRIES:
                 raise ValueError("theta table too large (|C| = %d)" % self.csize)
             self._theta_table = self._build_theta_table()
         return self._theta_table
 
+    def theta_values(self) -> np.ndarray:
+        """The theta table as an n x n array of values in theta_dtype,
+        unpacked at |Z| = 2: for the exhaustive scans and Cayley tables,
+        at small |C|."""
+        return self._unpacked(self.theta_table())
+
     def _theta(self, u: tuple, w: tuple) -> int:
-        if self._theta_table is not None:
-            return int(self._theta_table[self.rank(u), self.rank(w)])
-        return int(self.theta_rows(np.array([u], dtype=np.int64),
-                                   np.array([w], dtype=np.int64))[0])
+        T = self._theta_table
+        if T is None:
+            return int(self.theta_rows(np.array([u], dtype=np.int64),
+                                       np.array([w], dtype=np.int64))[0])
+        r, s = self.rank(u), self.rank(w)
+        if self.zmod == 2:
+            return int(T[r, s >> 3]) >> (7 - (s & 7)) & 1
+        return int(T[r, s])
 
     def mul(self, a: CodedLoopElement, b: CodedLoopElement) -> CodedLoopElement:
         z = (a.z + b.z + self._theta(a.v, b.v)) % self.zmod
@@ -288,7 +326,7 @@ class CentralExtensionLoop:
         if self.order > max_order:
             raise ValueError("order %d exceeds table budget %d"
                              % (self.order, max_order))
-        T = self.theta_table().astype(np.int64)
+        T = self.theta_values().astype(np.int64)
         n, zm, cs = self.order, self.zmod, self.csize
         add = add_index_table(self.moduli)
         out = np.zeros((n, n), dtype=np.int64)
@@ -454,7 +492,8 @@ class LevelSumLoop(CentralExtensionLoop):
         is built slot by slot, last slot first, in integers: the rows
         whose slots <= m are zero are the rank prefix [0, B), B = prod_{i>m}
         q_i, and row t B + r is row r plus G_m[t] mod |Z|.  Each entry is
-        written once: at |Z| = 2, where addition is XOR, by one XOR;
+        written once: at |Z| = 2, where addition is XOR, by one XOR of
+        packed rows, with G_m[t] packed once per block of digits t;
         otherwise from a sum s of two residues in an unsigned dtype, where
         s - |Z| wraps past s if s < |Z|, so min(s, s - |Z|) = s mod |Z|.
         With S the table is the GEMM of Phi and Psi."""
@@ -463,28 +502,30 @@ class LevelSumLoop(CentralExtensionLoop):
         V, n, zmod = vector_table(self.moduli), self.csize, self.zmod
         lin = self._lin_rows(V)
         wide = np.min_scalar_type(2 * (zmod - 1))  # holds a sum of two residues
-        T = np.zeros((n, n), dtype=self.theta_dtype)
+        T = self._new_table()
         if zmod != 2:
             buf = np.empty((2, min(n, _TABLE_CHUNK) * n), dtype=wide)
         B = 1
         for m in reversed(range(self.k)):
             q = self.moduli[m]
-            rows = T[B:q * B].reshape(q - 1, B, n)  # rows[t - 1, r]: t B + r
+            rows = T[B:q * B].reshape(q - 1, B, -1)  # rows[t - 1, r]: t B + r
             step = max(1, _TABLE_CHUNK // B)  # digits t per block
             for lo_t in range(1, q, step):
                 t = np.arange(lo_t, min(lo_t + step, q))[:, None]
-                G = ((t * lin[:, m] + self._z[m] * (V[:, m] >= q - t))
-                     % zmod).astype(wide)  # G_m[t] for this block's t
+                G = (t * lin[:, m] + self._z[m] * (V[:, m] >= q - t)
+                     ) % zmod  # G_m[t] for this block's t
+                out = rows[lo_t - 1:lo_t - 1 + len(t)]
+                if zmod == 2:
+                    np.bitwise_xor(T[:B], self._packed(G)[:, None], out=out)
+                    continue
+                G = G.astype(wide)
                 for lo in range(0, B, _TABLE_CHUNK):
                     hi = min(lo + _TABLE_CHUNK, B)
-                    out = rows[lo_t - 1:lo_t - 1 + len(t), lo:hi]
-                    if zmod == 2:  # wide is theta_dtype, uint8
-                        np.bitwise_xor(T[lo:hi], G[:, None], out=out)
-                        continue
-                    s, d = (b[:out.size].reshape(out.shape) for b in buf)
+                    part = out[:, lo:hi]
+                    s, d = (b[:part.size].reshape(part.shape) for b in buf)
                     np.add(T[lo:hi], G[:, None], out=s)
                     np.subtract(s, zmod, out=d)  # wraps where s < |Z|
-                    np.minimum(s, d, out=out, casting="unsafe")
+                    np.minimum(s, d, out=part, casting="unsafe")
             B *= q
         return T
 
@@ -641,13 +682,13 @@ class SdcpLoop(CentralExtensionLoop):
         """theta_rows over the rank grid, a chunk of u rows at a time."""
         V = vector_table(self.moduli)
         n = len(V)
-        T = np.empty((n, n), dtype=self.theta_dtype)
+        T = self._new_table()
         step = max(1, _SDCP_PAIRS // n)
         for lo in range(0, n, step):
             U = V[lo:lo + step]
-            T[lo:lo + len(U)] = self.theta_rows(
+            T[lo:lo + len(U)] = self._packed(self.theta_rows(
                 np.repeat(U, n, axis=0), np.tile(V, (len(U), 1))
-            ).reshape(len(U), n)
+            ).reshape(len(U), n))
         return T
 
 
@@ -666,17 +707,17 @@ def semidirect_central_product(Dext, Eext, ambient: Cvs,
 #
 # verify_coded_extension checks the laws of every loop against its forms:
 # CodedLoop, SdcpLoop, ModuleLoop and KappaIsotope over either base.  The
-# exhaustive scans widen the stored theta table to int64 before any sum and
-# add ranks with the per-moduli index_tables (XOR when p = 2, digit by digit
-# otherwise), only for the |C| scanned exhaustively.  The sampled checks
-# never build a table: they multiply row elements (z, V), an int64 array of
-# central values and one of vector rows in the loop's row_dtype (int8 or
-# int16, signed so that negation stays exact), so they run at every |C|
-# and add vector parts without widening.  Their theta values are gathered
-# from the theta table, in its stored dtype, when the loop already holds
-# one, and come from theta_rows otherwise; both give the same values, and
-# are added to the int64 central parts, so the verdicts do not depend on
-# the table.
+# exhaustive scans widen the theta values (theta_values) to int64 before
+# any sum and add ranks with the per-moduli index_tables (XOR when p = 2,
+# digit by digit otherwise), only for the |C| scanned exhaustively.  The
+# sampled checks never build a table: they multiply row elements (z, V),
+# an int64 array of central values and one of vector rows in the loop's
+# row_dtype (int8 or int16, signed so that negation stays exact), so they
+# run at every |C| and add vector parts without widening.  Their theta
+# values are gathered from the theta table, in theta_dtype (one bit each
+# at |Z| = 2), when the loop already holds one, and come from theta_rows
+# otherwise; both give the same values, and are added to the int64
+# central parts, so the verdicts do not depend on the table.
 #
 # The exhaustive commutator and associator scans end in a left division
 # x^{-1} y of two elements with the same vector part s.  The inverse of
@@ -704,7 +745,7 @@ def _inverse_defect(T: np.ndarray, neg: np.ndarray) -> np.ndarray:
 def _comm_table(L: CentralExtensionLoop) -> np.ndarray:
     """z-part of [(0,u),(0,w)] for all u, w (the v-part is always 0; the
     central lifts cancel structurally, so this covers all loop pairs)."""
-    T = L.theta_table().astype(np.int64)
+    T = L.theta_values().astype(np.int64)
     _, add, neg = index_tables(L.moduli)  # add[u, w] = rank of u + w
     return reduce_mod(T - T.T + _inverse_defect(T, neg)[add], L.zmod)
 
@@ -719,7 +760,7 @@ def _assoc_tables(L: CentralExtensionLoop):
     gather of the rows E[u] by add, theta(u+w, t) one gather of the rows
     of T by add[u], theta(u, w) broadcasts over t and theta(w, t) over u.
     """
-    T = L.theta_table().astype(np.int64)
+    T = L.theta_values().astype(np.int64)
     _, add, neg = index_tables(L.moduli)
     E = _inverse_defect(T, neg)[add] - T
     n = T.shape[0]
@@ -739,16 +780,20 @@ def _rows_theta(L: CentralExtensionLoop, U: np.ndarray,
     table, the values are gathered from it and stay in theta_dtype: the
     rows are reduced, so their ranks are dot products with the place
     values, one exact float GEMV per side (numpy has no BLAS for
-    integers).  Otherwise the feature kernel runs on blocks of rows whose
-    widest temporary, L.row_width entries a row, stays within
-    _BLOCK_ENTRIES."""
+    integers).  At |Z| = 2, theta(r, s) is bit 7 - s % 8 of byte s // 8
+    of row r: the byte shifted left by s % 8, in uint8, then right by 7.
+    Otherwise the feature kernel runs on blocks of rows whose widest
+    temporary, L.row_width entries a row, stays within _BLOCK_ENTRIES."""
     T = L._theta_table
     if T is None:
         step = max(1, _BLOCK_ENTRIES // max(1, L.row_width))
         return np.concatenate([L.theta_rows(U[lo:lo + step], W[lo:lo + step])
                                for lo in range(0, max(len(U), 1), step)])
     place = place_values(L.moduli).astype(exact_float(L.csize, "row ranks"))
-    return T[(U @ place).astype(np.intp), (W @ place).astype(np.intp)]
+    R, S = (U @ place).astype(np.intp), (W @ place).astype(np.intp)
+    if L.zmod == 2:
+        return (T[R, S >> 3] << (S & 7).astype(np.uint8)) >> 7
+    return T[R, S]
 
 
 def _row_moduli(L: CentralExtensionLoop, U: np.ndarray):
@@ -829,7 +874,7 @@ def verify_coded_extension(L: CentralExtensionLoop,
     if n <= budget:
         V, add, _ = index_tables(L.moduli)
         if elementary:  # CEpower: gamma^p = sigma(c) for every gamma, all lifts
-            T = L.theta_table().astype(np.int64)
+            T = L.theta_values().astype(np.int64)
             zacc = np.zeros(n, dtype=np.int64)
             racc = np.zeros(n, dtype=np.int64)
             ar = np.arange(n)

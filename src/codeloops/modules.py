@@ -200,7 +200,7 @@ def _powers_agree(L: ModuleLoop, iso: CentralExtensionLoop,
     powers, so walking the vector parts with z_a = 0 covers every lift."""
     V = vector_table(L.moduli)
     ar, mods = np.arange(len(V)), np.array(L.moduli, dtype=np.int64)
-    Tb, Ti = (M.theta_table().astype(np.int64) for M in (L, iso))
+    Tb, Ti = (M.theta_values().astype(np.int64) for M in (L, iso))
     acc, diff = V, np.zeros(len(V), dtype=np.int64)
     for _ in range(exponent):
         r = rank_rows(acc, L.moduli)
@@ -232,7 +232,7 @@ def module_isotopy_check(M: CodedModule) -> ValidationReport:
     for kv in kappas:
         iso = kappa_isotope(L, kv)
         if kv == (0,) * M.k:
-            okz = np.array_equal(iso.theta_table(), L.theta_table())
+            okz = np.array_equal(iso.theta_values(), L.theta_values())
             checks.append(CheckResult("kappa = 0 gives the original loop",
                                       "exhaustive", okz))
         rep = verify_coded_extension(iso)

@@ -4,9 +4,10 @@ and both radicals by evaluating the forms on all of C, the Moufang scan
 and the sampled Moufang check of all four identities, the nucleus by
 three gathers per element, the associator values by a division found by
 sorting, the CVS validator with all 13 identities, the theta table as
-one GEMM of the feature maps, the row-wise outer product that
-cvs.outer_matmul contracts without forming, and the sampled row products
-on int64 rows, as they were before rows were kept narrow."""
+one GEMM of the feature maps and, at |Z| = 2, slot by slot with one byte
+per entry, the row-wise outer product that cvs.outer_matmul contracts
+without forming, and the sampled row products on int64 rows, as they
+were before rows were kept narrow."""
 
 import numpy as np
 
@@ -14,7 +15,8 @@ from codeloops import cvs
 from codeloops.analysis import SCAN_MAX, LoopTable
 from codeloops.cvs import (DEFAULT_VALIDATE_BUDGET, Cvs, ValidationReport,
                            adjoint_translate)
-from codeloops.loops import CentralExtensionLoop, CodedLoop, CodedLoopElement
+from codeloops.loops import (CentralExtensionLoop, CodedLoop,
+                             CodedLoopElement, LevelSumLoop)
 from codeloops.modular import _rank_mod_p
 from codeloops.tables import (MAX_ENTRIES, index_tables, place_values,
                               rank_rows, unrank_rows, vector_table)
@@ -36,6 +38,26 @@ def gemm_theta_table(L: CentralExtensionLoop, rows: int = 512) -> np.ndarray:
     for lo in range(0, L.csize, rows):
         out[lo:lo + rows] = (P[lo:lo + rows] @ Q.T).astype(np.int64) % L.zmod
     return out
+
+
+def xor_theta_table(L: LevelSumLoop) -> np.ndarray:
+    """The theta table of a loop with |Z| = 2 and no S features, one uint8
+    per entry, built slot by slot as LevelSumLoop._build_theta_table
+    builds it: last slot first, with B the product of the later slot
+    orders, row t B + r is row r XOR G_m[t], G_m[t, w] = t lin_m(w) +
+    z_m [w_m >= q_m - t] mod 2."""
+    assert L.zmod == 2 and L._quad_u is None
+    V, n = vector_table(L.moduli), L.csize
+    lin = L._lin_rows(V)
+    T = np.zeros((n, n), dtype=np.uint8)
+    B = 1
+    for m in reversed(range(L.k)):
+        q = L.moduli[m]
+        for t in range(1, q):
+            G = (t * lin[:, m] + L._z[m] * (V[:, m] >= q - t)) % 2
+            T[t * B:(t + 1) * B] = T[:B] ^ G.astype(np.uint8)
+        B *= q
+    return T
 
 
 def all_vectors(C: Cvs) -> np.ndarray:
@@ -185,8 +207,9 @@ def moufang_four_identities(L: LoopTable):
 #
 # loops._rows_sample, _rows_mul, _rows_inv and _rows_theta keep vector
 # rows in the loop's narrow row_dtype and theta in theta_dtype.  These are
-# the same products with every row widened to int64: the table gathered by
-# int64 ranks and widened, or theta_rows on all the rows at once.
+# the same products with every row widened to int64: the table's values
+# (theta_values) gathered by int64 ranks and widened, or theta_rows on all
+# the rows at once.
 
 def rows_sample_int64(L: CentralExtensionLoop, rng, size: int) -> tuple:
     """Seeded row elements drawn with the array bound, as int64."""
@@ -198,11 +221,10 @@ def rows_sample_int64(L: CentralExtensionLoop, rng, size: int) -> tuple:
 def rows_theta_int64(L: CentralExtensionLoop, U: np.ndarray,
                      W: np.ndarray) -> np.ndarray:
     U, W = np.asarray(U, dtype=np.int64), np.asarray(W, dtype=np.int64)
-    T = L._theta_table
-    if T is None:
+    if L._theta_table is None:
         return L.theta_rows(U, W)
     place = place_values(L.moduli)
-    return T[U @ place, W @ place].astype(np.int64)
+    return L.theta_values()[U @ place, W @ place].astype(np.int64)
 
 
 def rows_mul_int64(L: CentralExtensionLoop, a: tuple, b: tuple) -> tuple:

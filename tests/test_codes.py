@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from codeloops import codes
 from codeloops.codes import (BinaryCode, builtin_golay24, builtin_hamming734,
                              code_to_cvs, codeword_weights, cvs_to_code,
                              emit_code, is_doubly_even, parse_code, weight)
@@ -38,6 +41,41 @@ def test_golay_parameters():
     assert int(dist.sum()) == 4096
     # minimum distance 8 = smallest nonzero weight
     assert sorted(set(np.flatnonzero(dist)))[1] == 8
+
+
+@pytest.mark.parametrize("length", [0, 1, 24, 63, 64, 65, 67, 130])
+def test_codeword_weights_are_the_popcounts_of_every_codeword(length):
+    # 64-bit limbs: words longer than 64 bits span several
+    rng = random.Random(length)
+    gens = ()
+    for _ in range(min(length, 7)):
+        try:
+            gens = BinaryCode(length, gens + (rng.getrandbits(length),)
+                              ).generators
+        except ValueError:  # dependent on the rows before it
+            pass
+    C = BinaryCode(length, gens)
+    want = [weight(w) for w in C.codewords()]
+    assert codeword_weights(C).tolist() == want
+
+
+def test_doubly_even_cross_check_reads_every_codeword(monkeypatch):
+    # the basis criterion is checked against the weights of all 2^dim
+    # codewords; a disagreement is an internal error
+    G = builtin_golay24()
+    seen = []
+
+    def weights(C):
+        w = codeword_weights(C)
+        seen.append(len(w))
+        return w
+
+    monkeypatch.setattr(codes, "codeword_weights", weights)
+    assert is_doubly_even(G) and seen == [4096]
+    monkeypatch.setattr(codes, "codeword_weights",
+                        lambda C: np.append(codeword_weights(C), 2))
+    with pytest.raises(AssertionError, match="disagrees"):
+        is_doubly_even(G)
 
 
 def test_doubly_even_rejects_odd_code():

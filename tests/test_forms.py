@@ -259,6 +259,27 @@ def test_vanishing_alpha_skips_the_cubic_product(monkeypatch):
     assert not block.any()
 
 
+@pytest.mark.parametrize("C, width", [
+    # no cubic term: k-wide rows, so 3,744 rows a block at k = 70, not 53
+    (cvs_new(2, 70, (1,) + (0,) * 69), 70),
+    (cvs_new(3, 30, (1,) * 30, {(0, 1): 1}), 30),
+    # alpha != 0 over F_2: the k^2-wide F @ T of the cubic terms
+    (random_cvs(2, 20, 3), 400)])
+def test_forms_blocks_follow_the_widest_temporary(C, width, monkeypatch):
+    F = C.forms
+    rng = np.random.default_rng(0)
+    c, d = (rng.integers(0, C.p, size=(9000, C.k)) for _ in range(2))
+    want_chi, want_sigma = F.chi(c, d), F.sigma(c)
+    blocks = []
+    rows = F._rows
+    monkeypatch.setattr(F, "_rows", lambda V: blocks.append(len(V)) or rows(V))
+    assert np.array_equal(F.chi(c, d), want_chi)
+    assert np.array_equal(F.sigma(c), want_sigma)
+    step = cvs._BLOCK_ENTRIES // width
+    sizes = [min(step, 9000 - lo) for lo in range(0, 9000, step)]
+    assert blocks == [s for s in sizes for _ in range(2)] + sizes
+
+
 def test_forms_refuse_data_past_the_float64_bound():
     k = 4
     X, A = np.zeros((k, k), dtype=np.int64), np.zeros((k, k, k), dtype=np.int64)

@@ -19,7 +19,8 @@ from codeloops.tables import (add_index_table, index_tables, place_values,
                               rank_rows, reduce_mod, unrank, unrank_rows,
                               vector_table)
 
-from oracles import gemm_theta_table, mul_recursive, rows_sample_int64
+from oracles import (gemm_theta_table, mul_recursive, rows_sample_int64,
+                     xor_theta_table)
 
 
 def level_sum(u, w, moduli, zmod, zvals, chi, alpha):
@@ -72,7 +73,7 @@ MODULES = [
 def test_theta_table_is_the_level_sum_cvs(C):
     L = build(C, validate=False)
     want = oracle_table(L, C.sigma_basis, *scalar_forms(C.forms))
-    assert np.array_equal(L.theta_table(), want)
+    assert np.array_equal(L.theta_values(), want)
     assert L.theta_table().dtype == np.uint8
 
 
@@ -80,7 +81,7 @@ def test_theta_table_is_the_level_sum_cvs(C):
 def test_theta_table_is_the_level_sum_module(M):
     L = build_module_extension(M)
     want = oracle_table(L, M.z_values, *scalar_forms(M.forms))
-    assert np.array_equal(L.theta_table(), want)
+    assert np.array_equal(L.theta_values(), want)
 
 
 @pytest.mark.parametrize("C, kappa", [
@@ -91,14 +92,14 @@ def test_theta_table_is_the_level_sum_module(M):
 def test_theta_table_is_the_level_sum_isotope(C, kappa):
     iso = kappa_isotope(build(C, validate=False), kappa)
     want = oracle_table(iso, C.sigma_basis, *scalar_forms(C.forms), kappa=kappa)
-    assert np.array_equal(iso.theta_table(), want)
+    assert np.array_equal(iso.theta_values(), want)
 
 
 def test_theta_table_is_the_level_sum_module_isotope():
     M = MODULES[3]
     iso = kappa_isotope(build_module_extension(M), (2, 1, 1))
     want = oracle_table(iso, M.z_values, *scalar_forms(M.forms), kappa=(2, 1, 1))
-    assert np.array_equal(iso.theta_table(), want)
+    assert np.array_equal(iso.theta_values(), want)
 
 
 def alpha_free(C):
@@ -157,7 +158,9 @@ def test_table_without_s_is_built_slot_by_slot(make, monkeypatch):
     T = L.theta_table()
     assert calls == []
     assert T.dtype == L.theta_dtype
-    assert np.array_equal(T, gemm_theta_table(L))
+    assert np.array_equal(L.theta_values(), gemm_theta_table(L))
+    if L.zmod == 2:  # packed bits, built by XOR: the one-byte XOR oracle
+        assert np.array_equal(L.theta_values(), xor_theta_table(L))
 
 
 S_NONZERO = {
@@ -179,7 +182,7 @@ def test_table_with_s_or_an_isotope_takes_the_gemm(make, monkeypatch):
     T = L.theta_table()
     assert calls[-1] is L
     assert T.dtype == L.theta_dtype
-    assert np.array_equal(T, gemm_theta_table(L))
+    assert np.array_equal(L.theta_values(), gemm_theta_table(L))
 
 
 @pytest.mark.parametrize("L", [
@@ -254,7 +257,7 @@ def test_reduce_mod_is_the_remainder(dtype, m):
 def test_theta_rows_match_table_lookups(L):
     rng = np.random.default_rng(7)
     U, W = (rng.integers(0, L.moduli, size=(500, L.k)) for _ in range(2))
-    T = L.theta_table()
+    T = L.theta_values()
     want = T[rank_rows(U, L.moduli), rank_rows(W, L.moduli)]
     assert np.array_equal(L.theta_rows(U, W), want)
 

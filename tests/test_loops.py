@@ -22,10 +22,12 @@ from codeloops.loops import (DEFAULT_VERIFY_BUDGET, CentralExtensionLoop,
 from codeloops.modular import fp_vector
 from codeloops.modules import build_module_extension, module_new
 from codeloops.tables import vector_table
+from codeloops.words import eval_word, parse_word
 
-from oracles import (center_vectors, moufang_sampled_four_identities,
-                     mul_recursive, rows_inv_int64, rows_mul_int64,
-                     rows_sample_int64)
+from oracles import (center_vectors, gemm_theta_table,
+                     moufang_sampled_four_identities, mul_recursive,
+                     rows_inv_int64, rows_mul_int64, rows_sample_int64,
+                     xor_theta_table)
 
 
 def all_elements(L):
@@ -312,7 +314,7 @@ def test_kappa_of_the_wrong_length_is_refused(oct_loop):
 
 def test_kappa_zero_is_identity(oct_loop):
     iso = kappa_isotope(oct_loop, fp_vector([0, 0, 0], 2))
-    assert np.array_equal(iso.theta_table(), oct_loop.theta_table())
+    assert np.array_equal(iso.theta_values(), oct_loop.theta_values())
 
 
 def test_kappa_isotope_is_coded_extension_of_translate():
@@ -413,8 +415,8 @@ def sdcp_theta_oracle(S, U, W):
 
 
 def test_sdcp_glues_to_octonion():
-    assert np.array_equal(octonion_gluing().theta_table(),
-                          build(octonion_cvs()).theta_table())
+    assert np.array_equal(octonion_gluing().theta_values(),
+                          build(octonion_cvs()).theta_values())
 
 
 @pytest.mark.parametrize("args,kd", [
@@ -429,7 +431,7 @@ def test_sdcp_theta_matches_per_pair_oracle(args, kd):
     U, W = np.repeat(V, len(V), axis=0), np.tile(V, (len(V), 1))
     want = sdcp_theta_oracle(S, U, W)
     assert np.array_equal(S.theta_rows(U, W), want)
-    assert np.array_equal(S.theta_table().astype(np.int64).ravel(), want)
+    assert np.array_equal(S.theta_values().astype(np.int64).ravel(), want)
 
 
 @pytest.mark.parametrize("args,kd", [((3, 4, 1), 2), ((2, 5, 1), 2)])
@@ -440,7 +442,7 @@ def test_sdcp_gluing_verifies(args, kd):
     # The verifier takes p from the CVS being verified.
     C = random_cvs(*args)
     S = basis_gluing(args, kd)
-    assert not np.array_equal(S.theta_table(), build(C).theta_table())
+    assert not np.array_equal(S.theta_values(), build(C).theta_values())
     rep = verify_coded_extension(S)
     assert rep.ok and {c.mode for c in rep.checks} == {"exhaustive"}
     rep = verify_coded_extension(S, budget=1, samples=300)
@@ -472,10 +474,10 @@ def _twin_loop(name):
             "module2562z256": lambda: build_module_extension(W2)}[name]()
 
 
-def _twins(name, monkeypatch):
+def _twins(name, monkeypatch, make=_twin_loop):
     """A table-free loop and a twin that holds its theta table; the twin's
     theta_rows raises, so its products must read the table."""
-    free, held = _twin_loop(name), _twin_loop(name)
+    free, held = make(name), make(name)
     held.theta_table()
     assert free._theta_table is None
 
@@ -702,6 +704,93 @@ def test_narrow_sampled_checks_are_the_int64_checks(name, monkeypatch):
     rep, (ok, wit) = narrow
     assert rep.checks[-1].mode == "sampled" and not rep.ok
     assert not ok and wit is not None
+
+
+def _packed_loop(name):
+    """One loop of each kind with |Z| = 2, whose theta table holds one bit
+    per entry: CVSs with |C| < 8 (one padded byte per row) and Golay's,
+    a coded module with a slot of order 4, an isotope and an SDCP loop."""
+    return {"dim0": lambda: build(cvs_new(2, 0)),
+            "dim1": lambda: build(random_cvs(2, 1, 1)),
+            "dim2": lambda: build(random_cvs(2, 2, 0)),
+            "golay": lambda: build(code_to_cvs(builtin_golay24()),
+                                   validate=False),
+            "module422": lambda: build_module_extension(module_new(
+                2, (4, 2, 2), 2, (1, 0, 1), {(0, 1): 1, (0, 2): 1}, {})),
+            "isotope": lambda: kappa_isotope(
+                build(random_cvs(2, 5, 1), validate=False), (1, 0, 1, 1, 0)),
+            "sdcp": lambda: basis_gluing((2, 5, 1), 2)}[name]()
+
+
+PACKED = ["dim0", "dim1", "dim2", "golay", "module422", "isotope", "sdcp"]
+
+
+@pytest.mark.parametrize("name", PACKED)
+def test_packed_theta_table_holds_the_values(name):
+    # n x ceil(n/8) bytes in np.packbits order along w, zero padding
+    # included; unpacked, the values of the feature GEMM (the per-pair
+    # gluing formula for SDCP loops, which have no feature maps) and, for
+    # level-sum loops, of the one-byte-per-entry slot-by-slot XOR build
+    L = _packed_loop(name)
+    n = L.csize
+    T = L.theta_table()
+    assert T.dtype == L.theta_dtype == np.uint8
+    assert T.shape == (n, -(-n // 8))
+    vals = L.theta_values()
+    assert vals.dtype == np.uint8 and vals.shape == (n, n)
+    assert np.array_equal(np.packbits(vals, axis=1), T)
+    if isinstance(L, SdcpLoop):
+        V = vector_table(L.moduli)
+        want = sdcp_theta_oracle(L, np.repeat(V, n, axis=0),
+                                 np.tile(V, (n, 1))).reshape(n, n)
+    else:
+        want = gemm_theta_table(L)
+    assert np.array_equal(vals, want)
+    if isinstance(L, LevelSumLoop):
+        assert np.array_equal(vals, xor_theta_table(L))
+
+
+@pytest.mark.parametrize("name", PACKED)
+def test_packed_table_reads_are_the_kernel(name, monkeypatch):
+    # row gathers, single products and words read bits of the packed
+    # table; they must give the table-free kernel's values
+    free, held = _twins(name, monkeypatch, _packed_loop)
+    rng = np.random.default_rng(4)
+    a, b = (_rows_sample(free, rng, 2000) for _ in range(2))
+    got = _rows_theta(held, a[1], b[1])
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, free.theta_rows(a[1], b[1]))
+    for u, w in zip(a[1][:300].tolist(), b[1][:300].tolist()):
+        assert held._theta(tuple(u), tuple(w)) == free._theta(tuple(u),
+                                                               tuple(w))
+    gens = ["g%d" % (i + 1) for i in range(free.k)] or ["z"]
+    for _ in range(40):
+        x, y, t = (gens[i] for i in rng.integers(0, len(gens), 3))
+        for text in ("((%s*%s)*%s)^-5" % (x, y, t), "[%s,%s,%s]" % (x, y, t),
+                     "[%s*%s,%s]^3" % (x, t, y)):
+            tree = parse_word(text)
+            assert eval_word(tree, held) == eval_word(tree, free), text
+
+
+def test_golay_theta_table_build_stays_within_4_mib():
+    # one bit per entry: Golay's table is 2 MiB, and its build traced a
+    # 3.4 MiB peak; one byte per entry took 16 MiB and peaked at 16.9 MiB
+    L = build(code_to_cvs(builtin_golay24()), validate=False)
+    tracemalloc.start()
+    try:
+        T = L.theta_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.nbytes == 2 * 2 ** 20
+    assert peak <= 4 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("i", [3, -1, 7])
+def test_generator_outside_the_basis_is_refused(oct_loop, i):
+    # it returned the identity for every i outside [0, k)
+    with pytest.raises(ValueError, match="k = 3"):
+        oct_loop.generator(i)
 
 
 def test_sampled_golay_checks_stay_within_memory_bounds():

@@ -212,7 +212,7 @@ def test_module_extension_matches_cvs_when_elementary():
                    {(0, 1): 1, (0, 2): 1, (1, 2): 1}, {(0, 1, 2): 1})
     LM = build_module_extension(M)
     LC = build(C)
-    assert np.array_equal(LM.theta_table(), LC.theta_table())
+    assert np.array_equal(LM.theta_values(), LC.theta_values())
 
 
 def test_verify_p2_mixed_radix():
