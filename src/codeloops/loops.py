@@ -16,51 +16,49 @@ and |Z| equal p), unrolling the recursion gives the level sum
                         + z_m [u_m + w_m >= q_m] ]
 
 where w_<m is w with slots >= m zeroed.  With X the signed chi matrix and
-A the alternating alpha tensor, each term, summed over m, splits into
-functions of u dotted with functions of w:
+A the alternating alpha tensor, the first two terms, summed over m, split
+into functions of u dotted with functions of w:
 
   sum_m u_m chi(x_m, w_<m)             = u . (X_< w + Q(w))
   -sum_m w_m alpha(u_<m, w_<m, x_m)    = u . (-R(w))
   -sum_m 2 u_m alpha(u_<m, w_<m, x_m)  = S(u) . w
-  sum_m z_m [u_m + w_m >= q_m]         = sum_{m,t} [u_m = t] z_m [w_m >= q_m - t]
 
   X_<       the strictly lower part of X
   Q(w)_m    = sum_{j<l<m} w_j w_l A_mjl, the p = 2 chi correction (0 for p > 2)
   R(w)_i    = sum_{i<m, j<m} w_j w_m A_ijm
   S(u)_j    = -2 sum_{i<m, j<m} u_i u_m A_ijm
-  t         runs over 1 .. q_m - 1
 
-So theta(u, w) = Phi(u) . Psi(w) mod |Z| with about 3k integer features
+and the last term is z_m times the carry of the digit sum u_m + w_m, so
+with lin(w) = X_< w + Q(w) - R(w)
 
-  Phi(u) = (u,                   [u_m = t],             S(u))
-  Psi(w) = (X_< w + Q(w) - R(w), z_m [w_m >= q_m - t],  w)
+  theta(u, w) = u . lin(w) + S(u) . w + sum_m z_m [u_m + w_m >= q_m]  mod |Z|.
 
-and that one kernel serves every use: theta_rows is the row-wise dot
-product, the theta table is Phi(V) Psi(V)^T over all of C, a product
-without a table evaluates one row, a word evaluates the rows of all its
+LevelSumLoop.theta_rows evaluates that on rows, with temporaries k wide
+(k^2 for a quadratic Q, R or S), and serves every use without a table: a
+single product evaluates one row, a word evaluates the rows of all its
 products at once (_RecordingLoop), and sampled verification works on
 sampled rows at any |C|, kept in the narrowest signed dtype that holds a
 sum of two slot entries (int8 up to slot order 64).  The table stores
 each entry in the smallest unsigned dtype that holds |Z| - 1, except at
 |Z| = 2, where theta is F_2-valued (every code loop) and each entry is
 one bit, packed along w in np.packbits order (theta_table); only
-_rows_theta, _theta and the value reader theta_values know that layout.
-When S vanishes mod |Z| (every p = 2 CVS, every alpha-free CVS, every
-coded module with 2 alpha = 0), Phi(u) . Psi is a sum over the slots m
-of rows that depend on u_m alone, and the table is built slot by slot in
-integers, by XOR of packed rows at |Z| = 2
-(LevelSumLoop._build_theta_table); otherwise it is a GEMM per chunk of
-rows in the dtype cvs.exact_float picks from dot_bound, a bound on every
-row sum, reduced mod |Z| by tables.reduce_mod and packed at |Z| = 2.  A
-kappa-isotope adds alpha(u, kappa, w) = u B w, so its features are the
-base features with (u, B w) appended, and its table is the base's table,
-built once and kept by the base, plus the GEMM of the appended features
-alone.  An SdcpLoop glues two factor loops in bulk: its theta_rows is the
-factors' theta_rows on the d and e parts plus the gluing term z0 above,
-evaluated on the forms of the restricted CVS, and its table is that over
-the rank grid.  The tests keep the literal recursion as an oracle and
-compare both with a literal level sum, and keep the GEMM of all the
-features and the one-byte-per-entry XOR build as oracles of the table.
+_rows_theta and the value reader theta_values know that layout.
+Without S(u) . w, theta(u, .) is a sum over the slots m of rows that
+depend on u_m alone, so the table is built slot by slot in integers, by
+XOR of packed rows at |Z| = 2 (LevelSumLoop._build_theta_table).  S
+vanishes mod |Z| for every p = 2 CVS, every alpha-free CVS and every
+coded module with 2 alpha = 0; otherwise S(V) V^T is added in place by
+_gemm_table, a GEMM per chunk of rows in the exact float dtype for a
+bound read from its operands, reduced mod |Z| by tables.reduce_mod.  A
+kappa-isotope adds alpha(u, kappa, w) = u . (B w): its theta_rows is its
+base's plus that term, and its table is a copy of the base's table,
+built once and kept by the base, plus the GEMM of V and V B^T.  An
+SdcpLoop glues two factor loops in bulk: its theta_rows is the factors'
+theta_rows on the d and e parts plus the gluing term z0 above, evaluated
+on the forms of the restricted CVS, and its table is that over the rank
+grid.  The tests keep as oracles the literal recursion, a literal level
+sum, the level sum as one dot product of about 3k features a row (the
+GEMM oracle of the table) and the one-byte-per-entry XOR build.
 """
 
 from __future__ import annotations
@@ -109,11 +107,12 @@ class CodedLoopElement:
 class CentralExtensionLoop:
     """Shared machinery for loops built from a cocycle theta on C x C.
 
-    Subclasses provide the feature maps phi, psi with theta(u, w) =
-    phi(u) . psi(w) mod zmod and, for the table product, dot_bound, a bound
-    on every partial sum of that dot product; everything else (products,
-    inverses, powers, commutators, associators, tables) is generic.  zmod
-    is the order of the central subgroup; moduli are the slot orders of C.
+    A subclass provides theta_rows, theta on rows of vector parts, and
+    _build_theta_table, theta over C x C in the stored layout (see
+    theta_table); everything else (products, inverses, powers,
+    commutators, associators, tables, the alpha form of isotopes) is
+    generic.  zmod is the order of the central subgroup; moduli are the
+    slot orders of C.
     """
 
     zmod: int
@@ -130,14 +129,19 @@ class CentralExtensionLoop:
 
     # -- subclass surface --
 
-    def phi(self, U: np.ndarray) -> np.ndarray:
+    def theta_rows(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """theta(u, w) for each pair of rows; rows are reduced vector parts."""
+        raise NotImplementedError
+
+    def _build_theta_table(self) -> np.ndarray:
+        """theta over C x C in the stored layout (see theta_table)."""
         raise NotImplementedError
 
     @cached_property
     def row_width(self) -> int:
         """Entries of the widest temporary row that theta_rows makes per
         row pair; it sizes the row blocks of a product without a table.
-        k^2 bounds a quadratic feature; subclasses may know better."""
+        k^2 bounds a quadratic term; subclasses may know better."""
         return self.k * self.k
 
     @cached_property
@@ -146,44 +150,36 @@ class CentralExtensionLoop:
         holds a sum of two slot entries."""
         return signed_dtype(2 * (max(self.moduli, default=1) - 1))
 
-    def psi(self, W: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     @property
     def forms(self) -> Forms:
         """The sigma, chi and alpha the loop's laws realize: its CVS's."""
         return self.cvs.forms
 
-    def theta_rows(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """theta(u, w) for each pair of rows; rows are reduced vector parts."""
-        return np.einsum("ij,ij->i", self.phi(U), self.psi(W)) % self.zmod
-
-    def _build_theta_table(self) -> np.ndarray:
-        """Phi(V) Psi(V)^T mod |Z| (see _gemm_table)."""
-        V = vector_table(self.moduli)
-        return self._gemm_table(self.phi(V), self.psi(V))
+    def alpha_bilinear_for(self, kvec: tuple) -> np.ndarray:
+        """B[i, j] = alpha(e_i, kvec, e_j), so alpha(u, kvec, w) = u B w."""
+        kk = np.array(tuple(kvec), dtype=np.int64)
+        return np.einsum("m,imj->ij", kk, self.forms.A) % self.zmod
 
     def _gemm_table(self, P: np.ndarray, Q: np.ndarray,
-                    base: Optional[np.ndarray] = None) -> np.ndarray:
-        """(P Q^T + base) mod |Z| as GEMMs on chunks of _TABLE_CHUNK rows,
-        in the exact float dtype for dot_bound, which bounds every entry;
-        each chunk is cast straight to the stored dtype when dot_bound and
-        |Z| fit it (reduce_mod needs |Z| in the dtype), and stored in the
-        table's layout.  base, a table in that layout, read and never
-        written, defaults to 0."""
-        fl = exact_float(self.dot_bound, "theta kernel")
+                    T: np.ndarray) -> np.ndarray:
+        """T + P Q^T mod |Z|, written into T, a table in the stored layout,
+        as GEMMs on chunks of _TABLE_CHUNK rows; returns T.  P and Q are
+        nonnegative, so every entry is below |Z| + width max P max Q, the
+        bound that picks the exact float dtype; each chunk is cast straight
+        to the stored dtype when that bound fits it (reduce_mod needs |Z|
+        in the dtype)."""
+        bound = self.zmod + P.shape[1] * int(P.max(initial=0)) * int(
+            Q.max(initial=0))
+        fl = exact_float(bound, "theta table")
         P = P.astype(fl)
         Q = np.ascontiguousarray(Q.T, dtype=fl)
         dt = self.theta_dtype
-        fits = max(self.dot_bound, self.zmod) <= np.iinfo(dt).max
-        acc = dt if fits else np.int64
-        T = self._new_table()
+        acc = dt if bound <= np.iinfo(dt).max else np.int64
         for lo in range(0, self.csize, _TABLE_CHUNK):
-            G = P[lo:lo + _TABLE_CHUNK] @ Q
-            if base is not None:
-                G += self._unpacked(base[lo:lo + _TABLE_CHUNK])
-            T[lo:lo + _TABLE_CHUNK] = self._packed(
-                reduce_mod(G.astype(acc), self.zmod))
+            rows = slice(lo, lo + _TABLE_CHUNK)
+            G = P[rows] @ Q
+            G += self._unpacked(T[rows])
+            T[rows] = self._packed(reduce_mod(G.astype(acc), self.zmod))
         return T
 
     def _new_table(self) -> np.ndarray:
@@ -268,14 +264,9 @@ class CentralExtensionLoop:
         return self._unpacked(self.theta_table())
 
     def _theta(self, u: tuple, w: tuple) -> int:
-        T = self._theta_table
-        if T is None:
-            return int(self.theta_rows(np.array([u], dtype=np.int64),
-                                       np.array([w], dtype=np.int64))[0])
-        r, s = self.rank(u), self.rank(w)
-        if self.zmod == 2:
-            return int(T[r, s >> 3]) >> (7 - (s & 7)) & 1
-        return int(T[r, s])
+        """theta of one pair, by _rows_theta on one row each."""
+        return int(_rows_theta(self, np.array([u], dtype=np.int64),
+                               np.array([w], dtype=np.int64))[0])
 
     def mul(self, a: CodedLoopElement, b: CodedLoopElement) -> CodedLoopElement:
         z = (a.z + b.z + self._theta(a.v, b.v)) % self.zmod
@@ -416,14 +407,13 @@ def _quadratic(U: np.ndarray, coef: np.ndarray) -> np.ndarray:
 class LevelSumLoop(CentralExtensionLoop):
     """The coded extension of flat basis data: slot orders q_m, |Z|, the
     values z_m = x_m^{q_m}, the signed chi matrix X and the alternating
-    alpha tensor A.  Holds the level-sum feature maps of the module
+    alpha tensor A.  Its theta_rows is the level sum of the module
     docstring; CVSs and coded modules differ only in the data passed."""
 
     def __init__(self, p: int, moduli: tuple, zmod: int, z_values,
                  X: np.ndarray, A: np.ndarray):
         super().__init__(zmod, moduli)
         self.p = p
-        self.alpha_tensor = A
         k = self.k
         lt = np.less.outer(np.arange(k), np.arange(k))  # lt[a, b] = a < b
         below = np.where(lt[:, None, :] & lt[None, :, :], A, 0)  # i, j < m
@@ -434,8 +424,7 @@ class LevelSumLoop(CentralExtensionLoop):
         quad_u = -2 * below.transpose(0, 2, 1)  # S: [i, m, j] = -2 A[i, j, m]
 
         # Float exactness, with q and z the largest slot entry and
-        # residue: a quadratic feature is at most k^2 q^2 z, and Phi . Psi
-        # at most k q z (u . lin) + k z (carries) + k q z (S(u) . w).
+        # residue: a quadratic term is at most k^2 q^2 z
         q, z = max(self.moduli, default=1) - 1, zmod - 1
         fl = exact_float(k * k * q * q * z, "theta kernel")
 
@@ -446,59 +435,51 @@ class LevelSumLoop(CentralExtensionLoop):
         self._lin = (np.tril(X, -1).T % zmod).astype(fl)  # W @ _lin = X_< w
         # S vanishes whenever 2 alpha = 0, so for p = 2 it is left out
         self._quad_w, self._quad_u = block(quad_w), block(quad_u)
-        self.dot_bound = k * z * (q * (1 + (self._quad_u is not None)) + 1)
-        # carries: one feature per (slot m, digit t = 1 .. q_m - 1)
-        slot_t = np.array([(m, t) for m, q in enumerate(self.moduli)
-                           for t in range(1, q)], dtype=np.int64).reshape(-1, 2)
-        self._cslot, self._ct = slot_t.T
-        self._cthresh = np.array(self.moduli, dtype=np.int64)[self._cslot] - self._ct
+        self._q = np.array(self.moduli, dtype=np.int64)
         self._z = np.array(z_values, dtype=np.int64).reshape(k) % zmod
-        self._cz = self._z[self._cslot]
 
     @cached_property
     def row_width(self) -> int:
-        """The wider of Phi and Psi, or k^2 when a quadratic feature is
-        built (the k x k outer product behind it)."""
-        k, has_s = self.k, self._quad_u is not None
-        quad = has_s or self._quad_w is not None
-        return max(k + len(self._ct) + k * has_s, k * k * quad)
-
-    def phi(self, U: np.ndarray) -> np.ndarray:
-        U = np.asarray(U, dtype=np.int64)
-        parts = [U, U[:, self._cslot] == self._ct]
-        if self._quad_u is not None:
-            parts.append(_quadratic(U, self._quad_u) % self.zmod)
-        return np.concatenate(parts, axis=1)
+        """k^2 when a quadratic term is built (the k x k outer product
+        behind it), else k."""
+        quad = self._quad_u is not None or self._quad_w is not None
+        return self.k * self.k if quad else self.k
 
     def _lin_rows(self, W: np.ndarray) -> np.ndarray:
-        """The first Psi block, X_< w + Q(w) - R(w) mod |Z|; X_< w is a
-        float product too, since numpy has no BLAS for integers."""
+        """lin(w) = X_< w + Q(w) - R(w) mod |Z|; X_< w is a float product
+        too, since numpy has no BLAS for integers."""
         lin = (W.astype(self._lin.dtype) @ self._lin).astype(np.int64)
         if self._quad_w is not None:
-            lin = lin + _quadratic(W, self._quad_w)
-        return lin % self.zmod
+            lin += _quadratic(W, self._quad_w)
+        lin %= self.zmod
+        return lin
 
-    def psi(self, W: np.ndarray) -> np.ndarray:
-        W = np.asarray(W, dtype=np.int64)
-        parts = [self._lin_rows(W),
-                 (W[:, self._cslot] >= self._cthresh) * self._cz]
+    def _s_rows(self, U: np.ndarray) -> np.ndarray:
+        """S(u) mod |Z|, for a loop whose S does not vanish."""
+        return _quadratic(U, self._quad_u) % self.zmod
+
+    def theta_rows(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """u . lin(w) + S(u) . w + sum_m z_m [u_m + w_m >= q_m] mod |Z|,
+        on rows in int64 or in row_dtype, which holds u_m + w_m."""
+        U, W = np.asarray(U), np.asarray(W)
+        t = np.einsum("ij,ij->i", U, self._lin_rows(W), dtype=np.int64)
         if self._quad_u is not None:
-            parts.append(W)
-        return np.concatenate(parts, axis=1)
+            t += np.einsum("ij,ij->i", self._s_rows(U), W, dtype=np.int64)
+        t += np.einsum("ij,j->i", U + W >= self._q, self._z)  # the carries
+        return t % self.zmod
 
     def _build_theta_table(self) -> np.ndarray:
-        """Without S (_quad_u is None), Phi(u) . Psi(w) = sum_m G_m[u_m, w]
-        with G_m[t, w] = t lin_m(w) + z_m [w_m >= q_m - t], so the table
-        is built slot by slot, last slot first, in integers: the rows
+        """Without S(u) . w, theta(u, w) = sum_m G_m[u_m, w] with
+        G_m[t, w] = t lin_m(w) + z_m [w_m >= q_m - t], so the table is
+        built slot by slot, last slot first, in integers: the rows
         whose slots <= m are zero are the rank prefix [0, B), B = prod_{i>m}
         q_i, and row t B + r is row r plus G_m[t] mod |Z|.  Each entry is
         written once: at |Z| = 2, where addition is XOR, by one XOR of
         packed rows, with G_m[t] packed once per block of digits t;
         otherwise from a sum s of two residues in an unsigned dtype, where
         s - |Z| wraps past s if s < |Z|, so min(s, s - |Z|) = s mod |Z|.
-        With S the table is the GEMM of Phi and Psi."""
-        if self._quad_u is not None:
-            return super()._build_theta_table()
+        When S does not vanish (never at |Z| = 2), S(V) V^T is then added
+        in place by one chunked GEMM."""
         V, n, zmod = vector_table(self.moduli), self.csize, self.zmod
         lin = self._lin_rows(V)
         wide = np.min_scalar_type(2 * (zmod - 1))  # holds a sum of two residues
@@ -527,12 +508,9 @@ class LevelSumLoop(CentralExtensionLoop):
                     np.subtract(s, zmod, out=d)  # wraps where s < |Z|
                     np.minimum(s, d, out=part, casting="unsafe")
             B *= q
+        if self._quad_u is not None:
+            self._gemm_table(self._s_rows(V), V, T)
         return T
-
-    def alpha_bilinear_for(self, kvec: tuple) -> np.ndarray:
-        """B[i, j] = alpha(e_i, kvec, e_j), so alpha(u, kvec, w) = u B w."""
-        kk = np.array(tuple(kvec), dtype=np.int64)
-        return np.einsum("m,imj->ij", kk, self.alpha_tensor) % self.zmod
 
 
 class CodedLoop(LevelSumLoop):
@@ -566,12 +544,11 @@ def build(V: Cvs, validate: bool = True) -> CodedLoop:
 class KappaIsotope(CentralExtensionLoop):
     """The kappa-isotope: a o b = ab * alpha(v_a, kappa, v_b), same carrier.
 
-    Works for any central-extension loop exposing alpha_bilinear_for and
-    forms.  With B the matrix of alpha(., kappa, .), theta is the base's
-    plus u . (B w mod |Z|): the features, for products without a table,
-    are the base features with (u, B w) appended, and the table is the
-    base's table plus that term over V x V, so the isotopes of one base
-    share its table build."""
+    Works over any central-extension loop with forms, an isotope too.
+    With B the matrix of alpha(., kappa, .), theta is the base's plus
+    u . (B w mod |Z|), and the table is a copy of the base's table plus
+    that term over V x V, so the isotopes of one base share its table
+    build."""
 
     def __init__(self, base: CentralExtensionLoop, kappa):
         coords = tuple(kappa)
@@ -582,14 +559,11 @@ class KappaIsotope(CentralExtensionLoop):
         self.p = getattr(base, "p", base.zmod)
         self.kappa = tuple(int(c) % m for c, m in zip(coords, base.moduli))
         self._BT = base.alpha_bilinear_for(self.kappa).T
-        # the appended u . (B w mod |Z|) adds at most k q z
-        self.dot_bound = base.dot_bound + self.k * (self.zmod - 1) * (
-            max(self.moduli, default=1) - 1)
 
     @cached_property
     def row_width(self) -> int:
-        """The base's, plus the appended k-wide features."""
-        return self.base.row_width + self.k
+        """The base's, which is at least k, the width of B w."""
+        return self.base.row_width
 
     @cached_property
     def forms(self) -> Forms:
@@ -606,21 +580,16 @@ class KappaIsotope(CentralExtensionLoop):
         return None if C is None else adjoint_translate(
             C, [2 * c for c in self.kappa])
 
-    def phi(self, U: np.ndarray) -> np.ndarray:
-        U = np.asarray(U, dtype=np.int64)
-        return np.concatenate([self.base.phi(U), U], axis=1)
-
-    def psi(self, W: np.ndarray) -> np.ndarray:
-        W = np.asarray(W, dtype=np.int64)
-        return np.concatenate([self.base.psi(W), W @ self._BT % self.zmod],
-                              axis=1)
+    def theta_rows(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
+        BW = np.asarray(W, dtype=np.int64) @ self._BT % self.zmod
+        return (self.base.theta_rows(U, W)
+                + np.einsum("ij,ij->i", U, BW, dtype=np.int64)) % self.zmod
 
     def _build_theta_table(self) -> np.ndarray:
-        """The base's table plus V (B V^T mod |Z|), the appended features'
-        GEMM, which keeps every entry below dot_bound."""
+        """A copy of the base's table plus V (B V^T mod |Z|) by GEMM."""
         V = vector_table(self.moduli)
         return self._gemm_table(V, V @ self._BT % self.zmod,
-                                self.base.theta_table())
+                                self.base.theta_table().copy())
 
 
 def kappa_isotope(L: CentralExtensionLoop, kvec) -> KappaIsotope:
@@ -782,8 +751,8 @@ def _rows_theta(L: CentralExtensionLoop, U: np.ndarray,
     values, one exact float GEMV per side (numpy has no BLAS for
     integers).  At |Z| = 2, theta(r, s) is bit 7 - s % 8 of byte s // 8
     of row r: the byte shifted left by s % 8, in uint8, then right by 7.
-    Otherwise the feature kernel runs on blocks of rows whose widest
-    temporary, L.row_width entries a row, stays within _BLOCK_ENTRIES."""
+    Otherwise theta_rows runs on blocks of rows whose widest temporary,
+    L.row_width entries a row, stays within _BLOCK_ENTRIES."""
     T = L._theta_table
     if T is None:
         step = max(1, _BLOCK_ENTRIES // max(1, L.row_width))
@@ -987,7 +956,11 @@ def parse_cayley_csv(text: str):
         raise ValueError("expected %d table rows, found %d" % (n, len(lines) - 1))
     rows = []
     for lineno, ln in lines[1:]:
-        vals = [int(x) for x in ln.split(",")]
+        try:
+            vals = [int(x) for x in ln.split(",")]
+        except ValueError:
+            raise ValueError("line %d: non-integer entry in %r"
+                             % (lineno, ln)) from None
         if len(vals) != n:
             raise ValueError("line %d: expected %d entries" % (lineno, n))
         if any(not 0 <= v < n for v in vals):

@@ -4,10 +4,10 @@ and both radicals by evaluating the forms on all of C, the Moufang scan
 and the sampled Moufang check of all four identities, the nucleus by
 three gathers per element, the associator values by a division found by
 sorting, the CVS validator with all 13 identities, the theta table as
-one GEMM of the feature maps and, at |Z| = 2, slot by slot with one byte
-per entry, the row-wise outer product that cvs.outer_matmul contracts
-without forming, and the sampled row products on int64 rows, as they
-were before rows were kept narrow."""
+one GEMM of the level-sum feature maps read from the forms and, at
+|Z| = 2, slot by slot with one byte per entry, the row-wise outer
+product that cvs.outer_matmul contracts without forming, and the sampled
+row products on int64 rows, as they were before rows were kept narrow."""
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from codeloops.analysis import SCAN_MAX, LoopTable
 from codeloops.cvs import (DEFAULT_VALIDATE_BUDGET, Cvs, ValidationReport,
                            adjoint_translate)
 from codeloops.loops import (CentralExtensionLoop, CodedLoop,
-                             CodedLoopElement, LevelSumLoop)
+                             CodedLoopElement, KappaIsotope, LevelSumLoop)
 from codeloops.modular import _rank_mod_p
 from codeloops.tables import (MAX_ENTRIES, index_tables, place_values,
                               rank_rows, unrank_rows, vector_table)
@@ -28,12 +28,47 @@ def outer(F: np.ndarray, G: np.ndarray) -> np.ndarray:
     return (F[:, :, None] * G[:, None, :]).reshape(n, k * m)
 
 
+def features(L: CentralExtensionLoop, V: np.ndarray) -> tuple:
+    """Phi(V) and Psi(V), int64, with theta(u, w) = Phi(u) . Psi(w) mod
+    |Z|: the level sum of the loops module docstring as one dot product,
+    read from L's forms (X, A and the sigma or z values), with a carry
+    feature per slot m and digit t = 1 .. q_m - 1,
+
+      Phi(u) = (u,       [u_m = t],             S(u))
+      Psi(w) = (lin(w),  z_m [w_m >= q_m - t],  w)
+
+    where lin(w) = X_< w + Q(w) - R(w).  A kappa-isotope appends (u, B w)
+    to its base's features, with B[i, j] = alpha(e_i, kappa, e_j)."""
+    V = np.asarray(V, dtype=np.int64)
+    if isinstance(L, KappaIsotope):
+        P, Q = features(L.base, V)
+        B = np.einsum("m,imj->ij", np.array(L.kappa, dtype=np.int64),
+                      L.base.forms.A)
+        return np.hstack([P, V]), np.hstack([Q, V @ B.T % L.zmod])
+    F, k, z = L.forms, L.k, L.zmod
+    lt = np.less.outer(np.arange(k), np.arange(k))  # lt[a, b] = a < b
+    below = F.A * (lt[:, None, :] & lt[None, :, :])  # A_ijm for i, j < m
+    lin = V @ np.tril(F.X, -1).T - np.einsum("ijm,nj,nm->ni", below, V, V)
+    if F.p == 2:  # Q(w)_m = sum_{j<l<m} w_j w_l A_mjl
+        chi2 = F.A * (lt[None, :, :] & lt.T[:, None, :])
+        lin += np.einsum("mjl,nj,nl->nm", chi2, V, V)
+    S = -2 * np.einsum("ijm,ni,nm->nj", below, V, V)
+    slot, t = (np.array([(m, t) for m, q in enumerate(L.moduli)
+                         for t in range(1, q)], dtype=np.int64)
+               .reshape(-1, 2).T)
+    q = np.array(L.moduli, dtype=np.int64)
+    zc = F.sigma_basis[slot] * (V[:, slot] >= q[slot] - t)
+    return (np.hstack([V, V[:, slot] == t, S % z]),
+            np.hstack([lin % z, zc % z, V]))
+
+
 def gemm_theta_table(L: CentralExtensionLoop, rows: int = 512) -> np.ndarray:
-    """Phi(V) Psi(V)^T mod |Z| over all of C in theta_dtype: float64
-    GEMMs, rows of V at a time, exact while dot_bound < 2^53."""
-    assert L.dot_bound < 2 ** 53
+    """Phi(V) Psi(V)^T mod |Z| over all of C in theta_dtype (see
+    features): float64 GEMMs, rows of V at a time, exact below 2^53."""
     V = vector_table(L.moduli)
-    P, Q = L.phi(V).astype(np.float64), L.psi(V).astype(np.float64)
+    P, Q = features(L, V)
+    assert P.shape[1] * P.max(initial=0) * Q.max(initial=0) < 2 ** 53
+    P, Q = P.astype(np.float64), Q.astype(np.float64)
     out = np.empty((L.csize, L.csize), dtype=L.theta_dtype)
     for lo in range(0, L.csize, rows):
         out[lo:lo + rows] = (P[lo:lo + rows] @ Q.T).astype(np.int64) % L.zmod
@@ -41,7 +76,7 @@ def gemm_theta_table(L: CentralExtensionLoop, rows: int = 512) -> np.ndarray:
 
 
 def xor_theta_table(L: LevelSumLoop) -> np.ndarray:
-    """The theta table of a loop with |Z| = 2 and no S features, one uint8
+    """The theta table of a loop with |Z| = 2 and no S term, one uint8
     per entry, built slot by slot as LevelSumLoop._build_theta_table
     builds it: last slot first, with B the product of the later slot
     orders, row t B + r is row r XOR G_m[t], G_m[t, w] = t lin_m(w) +

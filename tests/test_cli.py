@@ -420,6 +420,17 @@ def test_verify_loop_parse_error(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_verify_loop_names_the_line_of_a_non_integer_entry(runner, tmp_path):
+    # every other parse error names its line; this one printed int()'s
+    # "invalid literal for int() with base 10: 'x'"
+    f = tmp_path / "x.csv"
+    f.write_text("n=2,p=2,k=0\n0,1\n1,x\n")
+    res = runner.invoke(main, ["verify-loop", str(f)])
+    assert res.exit_code == 2
+    assert "line 3: non-integer entry in '1,x'" in res.stderr
+    assert "invalid literal" not in res.stderr
+
+
 def test_verify_loop_over_scan_budget(runner, tmp_path):
     # the order-1024 table that `build --table` writes for this CVS is above
     # the Moufang scan budget of 512; verify-loop must refuse it with exit 2

@@ -1,6 +1,7 @@
-"""The theta kernel theta(u, w) = Phi(u) . Psi(w) against independent paths:
-a literal level sum, table lookups, the recursive product oracle, and
-sampled verification at a size with no theta table."""
+"""The theta kernel, the level sum theta(u, w) = u . lin(w) + S(u) . w +
+sum_m z_m [u_m + w_m >= q_m], against independent paths: a literal level
+sum, the GEMM of its feature maps, table lookups, the recursive product
+oracle, and sampled verification at a size with no theta table."""
 
 import time
 import tracemalloc
@@ -8,9 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from codeloops import loops
 from codeloops.codes import builtin_golay24, code_to_cvs
-from codeloops.cvs import (cvs_new, exact_float, octonion_cvs, pair_list,
-                           random_cvs, signed_forms, triple_list)
+from codeloops.cvs import (Forms, cvs_new, exact_float, octonion_cvs,
+                           pair_list, random_cvs, signed_forms, triple_list)
 from codeloops.loops import (CentralExtensionLoop, LevelSumLoop, _rows_sample,
                              build, kappa_isotope, moufang_sampled,
                              verify_coded_extension)
@@ -19,8 +21,8 @@ from codeloops.tables import (add_index_table, index_tables, place_values,
                               rank_rows, reduce_mod, unrank, unrank_rows,
                               vector_table)
 
-from oracles import (gemm_theta_table, mul_recursive, rows_sample_int64,
-                     xor_theta_table)
+from oracles import (features, gemm_theta_table, mul_recursive,
+                     rows_sample_int64, xor_theta_table)
 
 
 def level_sum(u, w, moduli, zmod, zvals, chi, alpha):
@@ -64,7 +66,7 @@ MODULES = [
     module_new(3, (9, 3), 9, (4, 2), {(0, 1): 3}, {}),
     module_new(3, (9, 3, 3), 3, (1, 2, 0), {(0, 1): 1}, {(0, 1, 2): 1}),
     module_new(2, (8, 2), 2, (1, 1), {(0, 1): 1}, {}),
-    # |Z| = 256: the table is uint8, but Phi . Psi sums pass 255
+    # |Z| = 256: the table is uint8, but sums of the level-sum terms pass 255
     module_new(2, (2, 4), 256, (255, 129), {(0, 1): 128}, {}),
 ]
 
@@ -109,12 +111,13 @@ def alpha_free(C):
 
 
 def counted_gemms(monkeypatch) -> list:
-    """The loops whose tables go through _gemm_table from now on."""
+    """(loop, width of P, width of Q) for each _gemm_table(P, Q, T) call
+    from now on."""
     calls, gemm = [], CentralExtensionLoop._gemm_table
 
-    def counted(self, *args, **kwargs):
-        calls.append(self)
-        return gemm(self, *args, **kwargs)
+    def counted(self, P, Q, T):
+        calls.append((self, P.shape[1], Q.shape[1]))
+        return gemm(self, P, Q, T)
 
     monkeypatch.setattr(CentralExtensionLoop, "_gemm_table", counted)
     return calls
@@ -151,7 +154,7 @@ def loop_of(data):
 @pytest.mark.parametrize("make", S_FREE.values(), ids=S_FREE.keys())
 def test_table_without_s_is_built_slot_by_slot(make, monkeypatch):
     # S(u) vanishes mod |Z|, so the table is built level by level in
-    # integers; it must equal the GEMM of all the features
+    # integers; it must equal the GEMM of the level-sum features
     L = loop_of(make())
     assert L._quad_u is None
     calls = counted_gemms(monkeypatch)
@@ -178,9 +181,11 @@ S_NONZERO = {
 def test_table_with_s_or_an_isotope_takes_the_gemm(make, monkeypatch):
     L = make()
     assert getattr(L, "_quad_u", None) is not None or hasattr(L, "kappa")
+    # the slot-by-slot table plus S(V) V^T, or the base's table plus
+    # V (B V^T): one GEMM of k-wide operands, never the carry features
     calls = counted_gemms(monkeypatch)
     T = L.theta_table()
-    assert calls[-1] is L
+    assert calls[-1] == (L, L.k, L.k)
     assert T.dtype == L.theta_dtype
     assert np.array_equal(L.theta_values(), gemm_theta_table(L))
 
@@ -194,15 +199,15 @@ def test_table_with_s_or_an_isotope_takes_the_gemm(make, monkeypatch):
     build_module_extension(MODULES[5]),
 ], ids=["cvs2", "cvs3", "cvs5", "module9", "module256"])
 def test_isotope_table_is_the_feature_gemm(L):
-    # an isotope's table is its base's table plus the GEMM of the appended
-    # features; the GEMM of all its features stays the oracle
-    assert L.alpha_tensor.any() or L.p > 3 or L.k < 3
+    # an isotope's table is its base's table plus the GEMM of V and B V^T;
+    # the GEMM of all its level-sum features, (u, B w) appended, is the
+    # oracle
+    assert L.forms.A.any() or L.p > 3 or L.k < 3
     for kv in vector_table(L.moduli).tolist():
         iso = kappa_isotope(L, kv)
-        want = CentralExtensionLoop._build_theta_table(iso)
         got = iso.theta_table()
-        assert got.dtype == want.dtype == L.theta_dtype
-        assert np.array_equal(got, want), kv
+        assert got.dtype == L.theta_dtype
+        assert np.array_equal(iso.theta_values(), gemm_theta_table(iso)), kv
 
 
 def test_isotope_tables_leave_the_base_table_alone():
@@ -334,8 +339,8 @@ def test_table_consumers_widen_before_summing():
 
 
 def test_dimension_zero_module_with_z_of_order_256():
-    # dot_bound is 0 at k = 0, but |Z| = 256 does not fit the uint8 table,
-    # so the reduction must not run in it (it raised OverflowError)
+    # the table is one zero entry at k = 0, but |Z| = 256 does not fit the
+    # uint8 table, so no reduction may run in it (one raised OverflowError)
     L = build_module_extension(module_new(2, (), 256, (), {}, {}))
     assert L.theta_table().tolist() == [[0]]
     assert L.theta_table().dtype == np.uint8
@@ -373,42 +378,63 @@ def test_sampled_verification_catches_a_wrong_chi():
 
 
 def test_float64_bound_comes_from_the_data():
-    # the theta table and the quadratic features are float products in
-    # the dtype exact_float picks from the data's bounds: float32 while
-    # every partial sum stays below 2^24, float64 below 2^53
+    # the quadratic terms are float products in the dtype exact_float
+    # picks from the data's bounds: float32 while every partial sum stays
+    # below 2^24, float64 below 2^53
     k = 3
     X, A = np.zeros((k, k), dtype=np.int64), np.zeros((k, k, k), dtype=np.int64)
-    L = LevelSumLoop(2, (2,) * k, 2 ** 48, (1,) * k, X, A)
-    assert L.dot_bound < 2 ** 53
+    LevelSumLoop(2, (2,) * k, 2 ** 48, (1,) * k, X, A)
     with pytest.raises(ValueError, match="2\\^53"):
         LevelSumLoop(2, (2,) * k, 2 ** 52, (1,) * k, X, A)
-    # Parker's bound fits the stored uint8, so the table is cast directly
     G = build(code_to_cvs(builtin_golay24()), validate=False)
-    assert G.dot_bound <= 255 and G.theta_dtype == np.uint8
-    # and Parker's forms, quadratic features and theta GEMM run in float32
+    assert G.theta_dtype == np.uint8
+    # Parker's forms and quadratic terms run in float32
     assert G.forms._X.dtype == np.float32
     assert G._quad_w.dtype == np.float32
-    assert exact_float(G.dot_bound, "theta kernel") is np.float32
+
+
+class FlatLoop(LevelSumLoop):
+    """A level-sum loop of bare data, whose laws are the forms of that data."""
+
+    def __init__(self, *data):
+        super().__init__(*data)
+        self.data = data
+
+    @property
+    def forms(self) -> Forms:
+        return Forms(*self.data)
 
 
 @pytest.mark.parametrize("zmod, dtype", [(1864136, np.float32),
                                          (1864137, np.float64)])
-def test_theta_table_at_the_float32_bound(zmod, dtype):
-    # k = 3 over F_2 with alpha != 0 mod |Z|: dot_bound = 9 (|Z| - 1) is
-    # just below 2^24 at |Z| = 1864136 and just above it at 1864137; the
-    # GEMM table must equal the int64 product Phi(V) Psi(V)^T in both
-    k = 3
+def test_theta_table_at_the_float32_bound(zmod, dtype, monkeypatch):
+    # k = 8 over F_2 with alpha_123 = 1 the only alpha value: S(u) = (2 u_2
+    # u_3, -2 u_1 u_3, 0, ...) mod |Z| is at most |Z| - 2, so the bound of
+    # the S GEMM, |Z| + 8 max S max w, is 9 |Z| - 16: just below 2^24 at
+    # |Z| = 1864136 and just above it at 1864137.  The isotope's B w has
+    # entries -w_j up to |Z| - 1, so its GEMM bound is 9 |Z| - 8.  Both
+    # tables must equal the int64 product of the level-sum features
+    bounds = []
+
+    def recorded(bound, what):
+        fl = exact_float(bound, what)
+        if what == "theta table":
+            bounds.append((bound, fl))
+        return fl
+
+    monkeypatch.setattr(loops, "exact_float", recorded)
+    k = 8
     rng = np.random.default_rng(zmod)
-    X, A = signed_forms(k, zmod, rng.integers(0, zmod, 3).tolist(),
-                        [int(rng.integers(1, zmod))])
-    L = LevelSumLoop(2, (2,) * k, zmod, rng.integers(0, zmod, k), X, A)
-    assert L.dot_bound == 9 * (zmod - 1)
-    assert exact_float(L.dot_bound, "theta kernel") is dtype
+    alpha = [1] + [0] * (len(triple_list(k)) - 1)
+    X, A = signed_forms(k, zmod, rng.integers(0, zmod, len(pair_list(k)))
+                        .tolist(), alpha)
+    L = FlatLoop(2, (2,) * k, zmod, rng.integers(0, zmod, k).tolist(), X, A)
+    I = kappa_isotope(L, (1, 1) + (0,) * (k - 2))
     V = vector_table(L.moduli)
-    want = L.phi(V) @ L.psi(V).T % zmod
-    assert np.array_equal(L.theta_table(), want)
-    I = kappa_isotope(L, (1, 1, 0))
-    assert np.array_equal(I.theta_table(), I.phi(V) @ I.psi(V).T % zmod)
+    for M in (L, I):
+        P, Q = features(M, V)
+        assert np.array_equal(M.theta_table(), P @ Q.T % zmod)
+    assert bounds == [(9 * zmod - 16, dtype), (9 * zmod - 8, np.float64)]
 
 
 def _row_dtype_case(L, dtype):

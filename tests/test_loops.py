@@ -12,9 +12,10 @@ from codeloops.codes import builtin_golay24, code_to_cvs
 from codeloops.cvs import (Forms, adjoint_translate, cvs_new, octonion_cvs,
                            pair_list, random_cvs, triple_list, validate_axioms)
 from codeloops.loops import (DEFAULT_VERIFY_BUDGET, CentralExtensionLoop,
-                             CodedLoop, CodedLoopElement, LevelSumLoop,
-                             SdcpLoop, _assoc_tables, _comm_table, _rows_inv,
-                             _rows_mul, _rows_sample, _rows_theta, build,
+                             CodedLoop, CodedLoopElement, KappaIsotope,
+                             LevelSumLoop, SdcpLoop, _assoc_tables,
+                             _comm_table, _rows_inv, _rows_mul,
+                             _rows_sample, _rows_theta, build,
                              emit_cayley_csv, kappa_isotope, moufang_sampled,
                              parse_cayley_csv, restricted_cvs,
                              semidirect_central_product,
@@ -24,7 +25,7 @@ from codeloops.modules import build_module_extension, module_new
 from codeloops.tables import vector_table
 from codeloops.words import eval_word, parse_word
 
-from oracles import (center_vectors, gemm_theta_table,
+from oracles import (center_vectors, features, gemm_theta_table,
                      moufang_sampled_four_identities, mul_recursive,
                      rows_inv_int64, rows_mul_int64, rows_sample_int64,
                      xor_theta_table)
@@ -414,6 +415,41 @@ def sdcp_theta_oracle(S, U, W):
             + factor(S.Eext, U[:, kd:], W[:, kd:]) + z0) % p
 
 
+def theta_oracle(L, U, W):
+    """theta on rows by the oracles: the per-pair gluing formula for an
+    SDCP loop, the level-sum features otherwise, plus alpha(u, kappa, w)
+    on the base's forms for each isotope over it."""
+    if isinstance(L, KappaIsotope):
+        K = np.tile(L.kappa, (len(U), 1))
+        return (theta_oracle(L.base, U, W)
+                + L.base.forms.alpha(U, K, W)) % L.zmod
+    if isinstance(L, SdcpLoop):
+        return sdcp_theta_oracle(L, U, W)
+    return np.einsum("ij,ij->i", features(L, U)[0],
+                     features(L, W)[1]) % L.zmod
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("base", ["sdcp", "coded"])
+def test_isotopes_of_sdcp_loops_and_of_isotopes(base, seed):
+    # kappa_isotope reads alpha from the loop's forms, so it takes an SDCP
+    # loop (random_cvs(3, 3, seed) glued [e1] | [e2, e3]) and an isotope
+    # as its base; both verify exhaustively and their tables are the
+    # oracle's.  Seed 1 has alpha != 0, so its isotopes move theta
+    C = random_cvs(3, 3, seed)
+    L = basis_gluing((3, 3, seed), 1) if base == "sdcp" else build(C)
+    iso = kappa_isotope(L, (1, 2, 0))
+    iso2 = kappa_isotope(iso, (0, 1, 1))
+    V = vector_table(L.moduli)
+    U, W = np.repeat(V, len(V), axis=0), np.tile(V, (len(V), 1))
+    for M in (iso, iso2):
+        moved = not np.array_equal(M.theta_values(), L.theta_values())
+        assert moved == any(C.alpha_flat)
+        assert np.array_equal(M.theta_values().ravel(), theta_oracle(M, U, W))
+        rep = verify_coded_extension(M)
+        assert rep.ok and {c.mode for c in rep.checks} == {"exhaustive"}
+
+
 def test_sdcp_glues_to_octonion():
     assert np.array_equal(octonion_gluing().theta_values(),
                           build(octonion_cvs()).theta_values())
@@ -482,7 +518,7 @@ def _twins(name, monkeypatch, make=_twin_loop):
     assert free._theta_table is None
 
     def kernel(U, W):
-        raise AssertionError("the feature kernel ran on a loop with a table")
+        raise AssertionError("theta_rows ran on a loop with a table")
 
     monkeypatch.setattr(held, "theta_rows", kernel)
     return free, held
@@ -494,7 +530,7 @@ TWINS = ["golay", "cvs350", "isotope", "module933", "sdcp350"]
 def test_table_free_row_products_run_in_bounded_blocks():
     # without a theta table, theta on 20,000 row pairs at k = 20 runs the
     # kernel on blocks of _BLOCK_ENTRIES // row_width rows, k^2 = 400 here:
-    # all at once, the 400-wide quadratic features traced 76 MiB
+    # all at once, the 400-wide quadratic terms traced 76 MiB
     L = build(random_cvs(2, 20, 0), validate=False)
     rng = np.random.default_rng(0)
     U, W = (rng.integers(0, 2, size=(20000, 20)) for _ in range(2))
@@ -509,16 +545,36 @@ def test_table_free_row_products_run_in_bounded_blocks():
     assert _rows_theta(L, U[:0], W[:0]).shape == (0,)
 
 
+def test_table_free_row_products_stay_k_wide():
+    # the carries are one comparison per slot: theta on 10^5 row pairs of
+    # a module with a slot of order 256 once made 258-wide feature rows
+    # and traced 6.8 MiB; the values are the table's
+    M = module_new(2, (256, 2), 256, (255, 129), {(0, 1): 128}, {})
+    free, held = build_module_extension(M), build_module_extension(M)
+    held.theta_table()
+    rng = np.random.default_rng(3)
+    U, W = (rng.integers(0, np.asarray(M.orders), size=(10 ** 5, 2))
+            .astype(free.row_dtype) for _ in range(2))
+    tracemalloc.start()
+    try:
+        got = _rows_theta(free, U, W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+    assert np.array_equal(got, _rows_theta(held, U, W))
+
+
 @pytest.mark.parametrize("make, width", [
     (lambda: build(random_cvs(2, 20, 0), validate=False), 400),
-    # alpha = 0: no quadratic feature, so Phi and Psi are 2 k wide
-    (lambda: build(cvs_new(2, 70, (1,) + (0,) * 69), validate=False), 140),
-    # one carry feature per digit of the order-256 slot
+    # alpha = 0: no quadratic term, so every temporary is k wide
+    (lambda: build(cvs_new(2, 70, (1,) + (0,) * 69), validate=False), 70),
+    # one carry per slot, not one per digit of the order-256 slot
     (lambda: build_module_extension(module_new(
-        2, (256, 2), 256, (255, 129), {(0, 1): 128}, {})), 258),
-    # k + 2 k carries + k for S, then the appended (u, B w)
+        2, (256, 2), 256, (255, 129), {(0, 1): 128}, {})), 2),
+    # the base's k^2-wide S(u); the isotope's B w is only k wide
     (lambda: kappa_isotope(build(random_cvs(3, 3, 0), validate=False),
-                           (1, 0, 2)), 12 + 3)])
+                           (1, 0, 2)), 9)])
 def test_table_free_row_blocks_follow_the_feature_width(make, width,
                                                         monkeypatch):
     # blocks of _BLOCK_ENTRIES // row_width rows, not // k^2: the dim-70

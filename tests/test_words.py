@@ -195,7 +195,7 @@ def _golay_with_table():
 
 
 def _cocycle_with_table():
-    L = _scan_loop("cocycle")  # no feature maps: products read the table
+    L = _scan_loop("cocycle")  # no theta_rows: products read the table
     L.theta_table()
     return L
 
@@ -265,8 +265,8 @@ def test_a_word_makes_one_theta_call(monkeypatch):
 def test_long_power_records_in_bounded_memory():
     # (g1*g2)^n expands to n mod (|Z| lcm(moduli)) = 65535 products here;
     # the recording is flushed every _RECORD_BLOCK of them, so the peak,
-    # the kernel's 258 features per row of one block, does not grow with
-    # n (held to the end, the 65535 rows peaked at 400 MiB)
+    # the kernel's rows of one block, does not grow with n (held to the
+    # end, the 65535 rows of 258 features once peaked at 400 MiB)
     M = module_new(2, (256, 2), 256, (3, 1), {(0, 1): 128}, {})
     L, ref = build_module_extension(M), build_module_extension(M)
     ref.theta_table()  # a fast reference: per-product table lookups
