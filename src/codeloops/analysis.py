@@ -688,7 +688,7 @@ def loop_report(L: LoopTable) -> dict:
     N = nucleus(L)
     C = moufang_center(L)
     lp, ls = derived_subloops(L)
-    phi = frattini(L)
+    F = frattini(L)
     out["Z"] = len(Z)
     out["N"] = len(N)
     out["C"] = len(C)
@@ -696,11 +696,11 @@ def loop_report(L: LoopTable) -> dict:
     out["Lstar"] = len(ls)
     ls_orders = L.element_orders[np.array(ls.members, dtype=np.int64)]
     out["expLstar"] = int(np.lcm.reduce(ls_orders))
-    out["frattini"] = len(phi)
+    out["frattini"] = len(F)
     p = _prime_power_base(L.n)
-    out["small_frattini"] = bool(p is not None and len(phi) in (1, p)
-                                 and set(phi.members) <= set(Z.members))
+    out["small_frattini"] = bool(p is not None and len(F) in (1, p)
+                                 and set(F.members) <= set(Z.members))
     out["extraspecial"] = bool(
-        p is not None and len(phi) == p
-        and set(phi.members) == set(Z.members) == set(lp.members))
+        p is not None and len(F) == p
+        and set(F.members) == set(Z.members) == set(lp.members))
     return out

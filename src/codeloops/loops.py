@@ -150,6 +150,13 @@ class CentralExtensionLoop:
         holds a sum of two slot entries."""
         return signed_dtype(2 * (max(self.moduli, default=1) - 1))
 
+    @cached_property
+    def _rank_place(self) -> np.ndarray:
+        """The place values in the exact float dtype for ranks, so that
+        rank(v) = v . _rank_place is one float GEMV (see _rows_theta)."""
+        return place_values(self.moduli).astype(
+            exact_float(self.csize, "row ranks"))
+
     @property
     def forms(self) -> Forms:
         """The sigma, chi and alpha the loop's laws realize: its CVS's."""
@@ -758,7 +765,7 @@ def _rows_theta(L: CentralExtensionLoop, U: np.ndarray,
         step = max(1, _BLOCK_ENTRIES // max(1, L.row_width))
         return np.concatenate([L.theta_rows(U[lo:lo + step], W[lo:lo + step])
                                for lo in range(0, max(len(U), 1), step)])
-    place = place_values(L.moduli).astype(exact_float(L.csize, "row ranks"))
+    place = L._rank_place
     R, S = (U @ place).astype(np.intp), (W @ place).astype(np.intp)
     if L.zmod == 2:
         return (T[R, S >> 3] << (S & 7).astype(np.uint8)) >> 7
